@@ -4,7 +4,10 @@ probabilistic reversal, and the derived performance metrics.
 Outcome r of the joint measurement maps the input through the Kraus operator
 M_r = E^T W_r^dag.  The reversing filter R_r = sigma_min Q_r Sigma_r^-1 P_r^dag
 (from the SVD M_r = P_r Sigma_r Q_r^dag) restores any input exactly with
-probability sigma_min^2, independent of the input.
+probability sigma_min^2, independent of the input.  Every metric derives
+from the singular spectrum, so :func:`spectrum` computes them all for a stack
+of instruments from one SVD; the scalar functions are that core on a batch
+of one.
 """
 
 from __future__ import annotations
@@ -60,12 +63,91 @@ class PerformanceReport:
     tradeoff_lhs: float
 
 
+@dataclass(frozen=True)
+class Spectrum:
+    """Every figure of a stack of instruments, from one stacked SVD.
+
+    Arrays are indexed [row] or [row, outcome]; row i's reversers and
+    degenerate flags equal, bit for bit, ``optimal_reversal`` on that row.
+    """
+
+    sigmas: np.ndarray
+    reversers: np.ndarray
+    degenerate: np.ndarray
+    p_succ: np.ndarray
+    leakage: np.ndarray
+    f_standard: np.ndarray
+    tradeoff: np.ndarray
+    reversal: np.ndarray
+
+    def plan(self, row: int) -> ReversalPlan:
+        smin = self.sigmas[row, :, -1]
+        return ReversalPlan(reversers=tuple(self.reversers[row]),
+                            outcome_success=smin * smin,
+                            degenerate=tuple(self.degenerate[row].tolist()))
+
+
+def _completeness(kraus: np.ndarray) -> np.ndarray:
+    d = kraus.shape[-1]
+    acc = np.sum(kraus.conj().swapaxes(-1, -2) @ kraus, axis=-3)
+    return np.max(np.abs(acc - np.eye(d)), axis=(-2, -1))
+
+
+def _reversal(kraus, reversers, degenerate, smin) -> np.ndarray:
+    d = kraus.shape[-1]
+    dev = np.max(np.abs(reversers @ kraus - smin[..., None, None] * np.eye(d)),
+                 axis=(-2, -1))
+    return np.max(np.where(degenerate, 0.0, dev), axis=-1)
+
+
+def _tradeoff(d: int, leakage, p_succ):
+    return d * (d + 1) * leakage + (d - 1) * p_succ
+
+
+def kraus_stack(coeffs: np.ndarray, elements: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Kraus stack M_r = E^T W_r^dag (rows, d^2, d, d) of channel stack
+    (rows, d, d) and measurement stack (rows, d^2, d, d), with each row's
+    completeness residual; raises DomainError if any row is incomplete."""
+    kraus = coeffs.swapaxes(-1, -2)[:, None] @ elements.conj().swapaxes(-1, -2)
+    residual = _completeness(kraus)
+    worst = float(np.max(residual))
+    if worst > COMPLETENESS_TOL:
+        raise DomainError(f"instrument is not complete: residual {worst:.3e}")
+    return kraus, residual
+
+
+def spectrum(kraus: np.ndarray) -> Spectrum:
+    """All metrics, reversers and reversal residuals of a Kraus stack
+    (rows, n, d, d) from a single stacked SVD."""
+    d = kraus.shape[-1]
+    res = svd(kraus)
+    s = res.sigmas
+    smin = s[..., -1]
+    degenerate = smin == 0.0
+    inv = np.divide(1.0, s, out=np.zeros_like(s), where=~degenerate[..., None])
+    # Keep the order sigma_min ((V Sigma^-1) U^dag): Monte Carlo cells replay
+    # bit for bit only from bit-identical reversers, and a reordered product
+    # (an einsum, say) rounds differently.  Degenerate outcomes get zeros.
+    reversers = smin[..., None, None] * (
+        res.right @ (inv[..., None] * np.eye(d)) @ res.left.conj().swapaxes(-1, -2))
+    top, nuclear = s[..., 0], np.sum(s, axis=-1)
+    p_succ = np.sum(smin * smin, axis=-1)
+    leakage = (d + np.sum(top * top, axis=-1)) / (d * (d + 1))
+    f_ent = np.sum(nuclear * nuclear, axis=-1) / d ** 2  # polar-unitary correction
+    return Spectrum(sigmas=s, reversers=reversers, degenerate=degenerate,
+                    p_succ=p_succ, leakage=leakage,
+                    f_standard=(d * f_ent + 1.0) / (d + 1.0),
+                    tradeoff=_tradeoff(d, leakage, p_succ),
+                    reversal=_reversal(kraus, reversers, degenerate, smin))
+
+
+def _one(matrices) -> np.ndarray:  # per-outcome matrices as a batch of one row
+    return np.stack(matrices)[None]
+
+
 def completeness_residual(kraus, d: int) -> float:
     """Max-abs deviation of sum_r M_r^dag M_r from the identity."""
-    acc = np.zeros((d, d), dtype=np.complex128)
-    for m in kraus:
-        acc += m.conj().T @ m
-    return float(np.max(np.abs(acc - np.eye(d))))
+    return float(_completeness(np.reshape(kraus, (1, -1, d, d)))[0])
 
 
 def build_instrument(channel: BipartiteState, jm: JointMeasurement) -> Instrument:
@@ -73,12 +155,8 @@ def build_instrument(channel: BipartiteState, jm: JointMeasurement) -> Instrumen
     if channel.d != jm.d:
         raise DimensionError(
             f"channel dimension {channel.d} != measurement dimension {jm.d}")
-    et = channel.coeff.T
-    kraus = tuple(et @ w.conj().T for w in jm.elements)
-    residual = completeness_residual(kraus, channel.d)
-    if residual > COMPLETENESS_TOL:
-        raise DomainError(f"instrument is not complete: residual {residual:.3e}")
-    return Instrument(d=channel.d, kraus=kraus,
+    kraus, _ = kraus_stack(channel.coeff[None], _one(jm.elements))
+    return Instrument(d=channel.d, kraus=tuple(kraus[0]),
                       provenance=f"{channel.label or 'channel'}+{jm.label}")
 
 
@@ -111,24 +189,7 @@ def apply_kraus_oracle(channel: BipartiteState, jm: JointMeasurement,
 
 def optimal_reversal(inst: Instrument) -> ReversalPlan:
     """Optimal reversing filter and success probability for every outcome."""
-    reversers = []
-    success = []
-    degenerate = []
-    for m in inst.kraus:
-        res = svd(m)
-        smin = float(res.sigmas[-1])
-        if smin == 0.0:
-            reversers.append(np.zeros_like(m))
-            success.append(0.0)
-            degenerate.append(True)
-            continue
-        inv = res.right @ np.diag(1.0 / res.sigmas) @ res.left.conj().T
-        reversers.append(smin * inv)
-        success.append(smin * smin)
-        degenerate.append(False)
-    return ReversalPlan(reversers=tuple(reversers),
-                        outcome_success=np.array(success),
-                        degenerate=tuple(degenerate))
+    return spectrum(_one(inst.kraus)).plan(0)
 
 
 def success_probability(plan: ReversalPlan) -> float:
@@ -142,9 +203,7 @@ def leakage_max(inst: Instrument) -> float:
     Equals (d + sum_r sigma_max^2) / (d (d + 1)); the optimal per-outcome
     guess is the top eigenvector of M_r^dag M_r.
     """
-    d = inst.d
-    top = sum(float(svd(m).sigmas[0]) ** 2 for m in inst.kraus)
-    return (d + top) / (d * (d + 1))
+    return float(spectrum(_one(inst.kraus)).leakage[0])
 
 
 def standard_fidelity(inst: Instrument) -> float:
@@ -154,37 +213,26 @@ def standard_fidelity(inst: Instrument) -> float:
     entanglement fidelity is sum_r nu_r^2 / d^2 with nu_r the nuclear norm of
     M_r, and the average fidelity is (d F_ent + 1)/(d + 1).
     """
-    d = inst.d
-    f_ent = sum(float(np.sum(svd(m).sigmas)) ** 2 for m in inst.kraus) / d ** 2
-    return (d * f_ent + 1.0) / (d + 1.0)
+    return float(spectrum(_one(inst.kraus)).f_standard[0])
 
 
 def tradeoff_lhs(inst: Instrument, plan: ReversalPlan) -> float:
     """Left-hand side d(d+1) L_max + (d-1) P_max of the no-cloning bound."""
-    d = inst.d
-    return d * (d + 1) * leakage_max(inst) + (d - 1) * success_probability(plan)
+    return _tradeoff(inst.d, leakage_max(inst), success_probability(plan))
 
 
 def reversal_residual(inst: Instrument, plan: ReversalPlan) -> float:
     """Max-abs deviation of R_r M_r from sigma_min^r I over recoverable outcomes."""
-    worst = 0.0
-    for m, rev, deg, succ in zip(inst.kraus, plan.reversers, plan.degenerate,
-                                 plan.outcome_success):
-        if deg:
-            continue
-        smin = np.sqrt(succ)
-        worst = max(worst, float(np.max(np.abs(rev @ m - smin * np.eye(inst.d)))))
-    return worst
+    return float(_reversal(_one(inst.kraus), _one(plan.reversers),
+                           np.array(plan.degenerate)[None],
+                           np.sqrt(plan.outcome_success)[None])[0])
 
 
 def performance_report(inst: Instrument, plan: ReversalPlan | None = None) -> PerformanceReport:
     """Evaluate all scalar metrics for one instrument."""
-    if plan is None:
-        plan = optimal_reversal(inst)
-    return PerformanceReport(
-        p_succ_max=success_probability(plan),
-        f_tele_standard=standard_fidelity(inst),
-        f_tele_mr=1.0,
-        leakage_max=leakage_max(inst),
-        tradeoff_lhs=tradeoff_lhs(inst, plan),
-    )
+    spec = spectrum(_one(inst.kraus))
+    p_succ = float(spec.p_succ[0]) if plan is None else success_probability(plan)
+    leakage = float(spec.leakage[0])
+    return PerformanceReport(p_succ_max=p_succ, f_tele_standard=float(spec.f_standard[0]),
+                             f_tele_mr=1.0, leakage_max=leakage,
+                             tradeoff_lhs=_tradeoff(inst.d, leakage, p_succ))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError
 from .linalg import CMatrix, svd
-from .qstate import BlochPoint, _check_angle, reduced_bloch
+from .qstate import BlochPoint, _check_angles, _pack, concurrences, reduced_bloch
 
 ZX_ZZ_LIMIT = math.sqrt(3) * math.pi / 4
 
@@ -38,22 +38,22 @@ class BasisReport:
     completeness_residual: float
 
 
+def xx_deformed_stack(t) -> np.ndarray:
+    """Element stack (rows, 4, 2, 2) of :func:`xx_deformed` over an array of t."""
+    th = math.pi / 4 - _check_angles(t, 0.0, math.pi / 4, "t")
+    s, c = np.sin(th), np.cos(th)
+    return _pack(th.size, s, 0.0, 0.0, 1j * c, 0.0, s, 1j * c, 0.0,
+                 c, 0.0, 0.0, -1j * s, 0.0, c, -1j * s, 0.0)
+
+
 def xx_deformed(t: float) -> JointMeasurement:
     """Rotated Bell basis from an under-driven XX entangler.
 
     The rotation angle is theta = pi/4 - t for t in [0, pi/4]; every element
     has concurrence cos(2t).  t = 0 is the ideal limit.
     """
-    t = _check_angle(t, 0.0, math.pi / 4, "t")
-    th = math.pi / 4 - t
-    s, c = math.sin(th), math.cos(th)
-    elements = (
-        np.array([[s, 0.0], [0.0, 1j * c]], dtype=np.complex128),
-        np.array([[0.0, s], [1j * c, 0.0]], dtype=np.complex128),
-        np.array([[c, 0.0], [0.0, -1j * s]], dtype=np.complex128),
-        np.array([[0.0, c], [-1j * s, 0.0]], dtype=np.complex128),
-    )
-    return JointMeasurement(d=2, elements=elements, label=f"xx_deformed(t={t:.6g})")
+    return JointMeasurement(d=2, elements=tuple(xx_deformed_stack([t])[0]),
+                            label=f"xx_deformed(t={t:.6g})")
 
 
 def bell_basis() -> JointMeasurement:
@@ -66,6 +66,16 @@ def bell_basis() -> JointMeasurement:
     return JointMeasurement(d=2, elements=jm.elements, label="bell")
 
 
+def ejm_stack(t) -> np.ndarray:
+    """Element stack (rows, 4, 2, 2) of :func:`ejm` over an array of t."""
+    t = _check_angles(t, 0.0, math.pi / 2, "t")
+    pm = (1.0 - np.exp(-1j * t)) / math.sqrt(2)
+    pp = (1.0 + np.exp(-1j * t)) / math.sqrt(2)
+    e = lambda k: np.exp(1j * k * math.pi / 4)
+    return 0.5 * _pack(t.size, e(-1), pm, pp, e(-3), e(3), pm, pp, e(1),
+                       e(1), -pp, -pm, e(3), e(-3), -pp, -pm, e(-1))
+
+
 def ejm(t: float) -> JointMeasurement:
     """Elegant joint measurement, iso-entangled for every t in [0, pi/2].
 
@@ -73,17 +83,26 @@ def ejm(t: float) -> JointMeasurement:
     Bloch vectors share the radius (sqrt(3)/2) cos t and point to the corners
     of a regular tetrahedron.  t = pi/2 is locally Bell-equivalent.
     """
-    t = _check_angle(t, 0.0, math.pi / 2, "t")
-    pm = (1.0 - np.exp(-1j * t)) / math.sqrt(2)
-    pp = (1.0 + np.exp(-1j * t)) / math.sqrt(2)
-    e = lambda k: np.exp(1j * k * math.pi / 4)
-    elements = (
-        0.5 * np.array([[e(-1), pm], [pp, e(-3)]], dtype=np.complex128),
-        0.5 * np.array([[e(3), pm], [pp, e(1)]], dtype=np.complex128),
-        0.5 * np.array([[e(1), -pp], [-pm, e(3)]], dtype=np.complex128),
-        0.5 * np.array([[e(-3), -pp], [-pm, e(-1)]], dtype=np.complex128),
-    )
-    return JointMeasurement(d=2, elements=elements, label=f"ejm(t={t:.6g})")
+    return JointMeasurement(d=2, elements=tuple(ejm_stack([t])[0]),
+                            label=f"ejm(t={t:.6g})")
+
+
+def zx_zz_stack(t) -> np.ndarray:
+    """Element stack (rows, 4, 2, 2) of :func:`zx_zz` over an array of t."""
+    t = np.asarray(t, dtype=np.float64)
+    bad = ~((-1e-12 <= t) & (t < ZX_ZZ_LIMIT))
+    if bad.any():
+        raise DomainError(f"t={float(t[bad][0])!r} outside [0, {ZX_ZZ_LIMIT!r})")
+    t = np.maximum(t, 0.0)
+    big_r = np.sqrt(math.pi ** 2 + 16.0 * t * t) / 4.0
+    sr, cr = np.sin(big_r), np.cos(big_r)
+    a = math.pi / (4.0 * big_r) * sr
+    c = t / big_r * sr
+    al = a + cr + 1j * c
+    be = 1j * (a - cr) - c
+    alc, bec = al.conjugate(), be.conjugate()
+    return 0.5 * _pack(t.size, al, be, -be, al, -bec, alc, alc, bec,
+                       al, be, be, -al, -bec, alc, -alc, -bec)
 
 
 def zx_zz(t: float) -> JointMeasurement:
@@ -93,25 +112,8 @@ def zx_zz(t: float) -> JointMeasurement:
     element concurrence is |sin 2R(t)|, which decreases monotonically from 1
     at t = 0 towards 0 at the (excluded) upper end of the range.
     """
-    if not (-1e-12 <= t < ZX_ZZ_LIMIT):
-        raise DomainError(f"t={t!r} outside [0, {ZX_ZZ_LIMIT!r})")
-    t = max(t, 0.0)
-    big_r = math.sqrt(math.pi ** 2 + 16.0 * t * t) / 4.0
-    sr, cr = math.sin(big_r), math.cos(big_r)
-    a = math.pi / (4.0 * big_r) * sr
-    c = t / big_r * sr
-    alpha = a + cr + 1j * c
-    beta = 1j * (a - cr) - c
-    al, be = alpha, beta
-    elements = (
-        0.5 * np.array([[al, be], [-be, al]], dtype=np.complex128),
-        0.5 * np.array([[-be.conjugate(), al.conjugate()],
-                        [al.conjugate(), be.conjugate()]], dtype=np.complex128),
-        0.5 * np.array([[al, be], [be, -al]], dtype=np.complex128),
-        0.5 * np.array([[-be.conjugate(), al.conjugate()],
-                        [-al.conjugate(), -be.conjugate()]], dtype=np.complex128),
-    )
-    return JointMeasurement(d=2, elements=elements, label=f"zx_zz(t={t:.6g})")
+    return JointMeasurement(d=2, elements=tuple(zx_zz_stack([t])[0]),
+                            label=f"zx_zz(t={t:.6g})")
 
 
 def validate(jm: JointMeasurement) -> BasisReport:
@@ -129,7 +131,7 @@ def element_entanglement(jm: JointMeasurement, r: int) -> float:
     """Entanglement of element r: concurrence for d=2, G-concurrence otherwise."""
     w = jm.elements[r]
     if jm.d == 2:
-        return 2.0 * abs(np.linalg.det(w))
+        return float(concurrences(w))
     prod = float(np.prod(svd(w).sigmas))
     return jm.d * prod ** (2.0 / jm.d)
 

@@ -19,19 +19,20 @@ SIGMA_FLOOR = 1e-12
 CMatrix = np.ndarray
 
 
-def as_matrix(m) -> CMatrix:
-    """Coerce ``m`` to a complex matrix, rejecting non-finite entries."""
+def as_matrix(m, batched: bool = False) -> CMatrix:
+    """Coerce ``m`` to a complex matrix (a stack of them if ``batched``),
+    rejecting non-finite entries with one check over the whole array."""
     a = np.asarray(m, dtype=np.complex128)
-    if a.ndim != 2:
+    if a.ndim < 2 or (a.ndim != 2 and not batched):
         raise DimensionError(f"expected a matrix, got ndim={a.ndim}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():
         raise DomainError("matrix entries must be finite")
     return a
 
 
-def _square(m) -> CMatrix:
-    a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
+def _square(m, batched: bool = False) -> CMatrix:
+    a = as_matrix(m, batched)
+    if a.shape[-2] != a.shape[-1]:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
     return a
 
@@ -62,22 +63,25 @@ class SvdResult:
     """Decomposition m = left @ diag(sigmas) @ right^dagger.
 
     ``sigmas`` is sorted descending; values below :data:`SIGMA_FLOOR` are
-    exactly zero and flagged through ``rank_deficient``.
+    exactly zero and flagged through ``rank_deficient``.  For a stack, every
+    field carries its leading axes (``rank_deficient`` as a boolean array).
     """
 
     left: CMatrix
     sigmas: np.ndarray
     right: CMatrix
-    rank_deficient: bool
+    rank_deficient: bool | np.ndarray
 
 
 def svd(m: CMatrix) -> SvdResult:
-    """Singular value decomposition of a square matrix."""
-    a = _square(m)
+    """SVD of a square matrix, or of a stack of them along leading axes: one
+    call for the stack, matrix for matrix the same bits as separate calls."""
+    a = _square(m, batched=True)
     u, s, vh = np.linalg.svd(a)
     s = np.where(s < SIGMA_FLOOR, 0.0, s)
-    return SvdResult(left=u, sigmas=s, right=vh.conj().T,
-                     rank_deficient=bool(s[-1] == 0.0))
+    deficient = s[..., -1] == 0.0
+    return SvdResult(left=u, sigmas=s, right=vh.conj().swapaxes(-1, -2),
+                     rank_deficient=bool(deficient) if a.ndim == 2 else deficient)
 
 
 def polar_unitary(m: CMatrix) -> CMatrix:

@@ -13,21 +13,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DomainError
 from .instrument import Instrument, ReversalPlan
 from .linalg import polar_unitary, svd
 
-_MASK64 = (1 << 64) - 1
+_KEY_LIMIT = 1 << 64
 
 
 @dataclass(frozen=True)
 class RngSpec:
-    """Reproducible randomness source: 64-bit seed plus shard index."""
+    """Reproducible randomness source: 64-bit seed plus shard index.
+
+    Both are Philox key words and must lie in [0, 2^64); a wider value would
+    silently replay another key's stream.
+    """
 
     seed: int
     stream: int = 0
 
+    def __post_init__(self):
+        for name, value in (("seed", self.seed), ("stream", self.stream)):
+            if not 0 <= value < _KEY_LIMIT:
+                raise DomainError(f"{name} {value} outside [0, 2^64)")
+
     def generator(self) -> np.random.Generator:
-        key = np.array([self.seed & _MASK64, self.stream & _MASK64], dtype=np.uint64)
+        key = np.array([self.seed, self.stream], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
 

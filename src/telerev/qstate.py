@@ -46,9 +46,7 @@ class BipartiteState:
         if e.shape != (self.d, self.d):
             raise DimensionError(
                 f"coefficient matrix has shape {e.shape}, expected {(self.d, self.d)}")
-        norm = float(np.real(np.trace(e.conj().T @ e)))
-        if abs(norm - 1.0) > NORM_TOL:
-            raise DomainError(f"state is not normalized: Tr(E^dag E) = {norm!r}")
+        _normalised(e[None])
         object.__setattr__(self, "coeff", e)
 
     @classmethod
@@ -73,18 +71,61 @@ class BlochPoint:
     direction: np.ndarray | None
 
 
-def _check_angle(value: float, lo: float, hi: float, name: str) -> float:
-    if not (lo - _RANGE_TOL <= value <= hi + _RANGE_TOL):
-        raise DomainError(f"{name}={value!r} outside [{lo!r}, {hi!r}]")
-    return float(min(max(value, lo), hi))
+def _check_angles(values, lo: float, hi: float, name: str) -> np.ndarray:
+    """Range-check an array of angles at once (NaN fails); returns it clipped."""
+    v = np.asarray(values, dtype=np.float64)
+    bad = ~((lo - _RANGE_TOL <= v) & (v <= hi + _RANGE_TOL))
+    if bad.any():
+        raise DomainError(f"{name}={float(v[bad][0])!r} outside [{lo!r}, {hi!r}]")
+    return np.minimum(np.maximum(v, lo), hi)
+
+
+def _normalised(coeffs: np.ndarray) -> np.ndarray:
+    """Check Tr(E^dag E) = 1 for a stack of coefficient matrices at once."""
+    norms = np.real(np.einsum("nij,nij->n", coeffs.conj(), coeffs))
+    bad = np.abs(norms - 1.0) > NORM_TOL
+    if bad.any():
+        raise DomainError(
+            f"state is not normalized: Tr(E^dag E) = {float(norms[bad][0])!r}")
+    return coeffs
+
+
+def _pack(n: int, *entries) -> np.ndarray:
+    """Complex stack of n 2x2 matrices (4 entries) or of n sets of four (16),
+    filled row-major from arrays of length n or scalars."""
+    out = np.empty((n, len(entries)), dtype=np.complex128)
+    for k, x in enumerate(entries):
+        out[:, k] = x
+    return out.reshape(n, -1, 2, 2) if len(entries) > 4 else out.reshape(n, 2, 2)
+
+
+def max_entangled_stack(d: int, rows: int) -> np.ndarray:
+    """``rows`` copies of the coefficient matrix I/sqrt(d)."""
+    if d < 2:
+        raise DimensionError(f"local dimension must be >= 2, got {d}")
+    one = (np.eye(d) / math.sqrt(d)).astype(np.complex128)
+    return _normalised(np.repeat(one[None], rows, axis=0))
 
 
 def max_entangled(d: int) -> BipartiteState:
     """Maximally entangled state with coefficient matrix I/sqrt(d)."""
-    if d < 2:
-        raise DimensionError(f"local dimension must be >= 2, got {d}")
-    return BipartiteState(d=d, coeff=np.eye(d) / math.sqrt(d),
+    return BipartiteState(d=d, coeff=max_entangled_stack(d, 1)[0],
                           label=f"max_entangled(d={d})")
+
+
+def schmidt_stack(phi, basis: str = "z") -> np.ndarray:
+    """Coefficient stack of :func:`schmidt_channel` over an array of angles."""
+    phi = _check_angles(phi, 0.0, math.pi / 4, "phi")
+    c, s = np.cos(phi), np.sin(phi)
+    b = basis.lower()
+    if b == "z":
+        coeff = _pack(phi.size, c, 0.0, 0.0, s)
+    elif b == "y":
+        # |0_y> = (|0> + i|1>)/sqrt2, |1_y> = (|0> - i|1>)/sqrt2
+        coeff = 0.5 * _pack(phi.size, c + s, 1j * (c - s), 1j * (c - s), -(c + s))
+    else:
+        raise DomainError(f"unknown basis {basis!r}; expected 'z' or 'y'")
+    return _normalised(coeff)
 
 
 def schmidt_channel(phi: float, basis: str = "z") -> BipartiteState:
@@ -95,18 +136,17 @@ def schmidt_channel(phi: float, basis: str = "z") -> BipartiteState:
         basis: "z" for the computational basis, "y" for the same state written
             in the sigma_y eigenbasis |0_y>, |1_y>.
     """
-    phi = _check_angle(phi, 0.0, math.pi / 4, "phi")
-    c, s = math.cos(phi), math.sin(phi)
-    b = basis.lower()
-    if b == "z":
-        coeff = np.array([[c, 0.0], [0.0, s]], dtype=np.complex128)
-    elif b == "y":
-        # |0_y> = (|0> + i|1>)/sqrt2, |1_y> = (|0> - i|1>)/sqrt2
-        coeff = 0.5 * np.array([[c + s, 1j * (c - s)],
-                                [1j * (c - s), -(c + s)]], dtype=np.complex128)
-    else:
-        raise DomainError(f"unknown basis {basis!r}; expected 'z' or 'y'")
-    return BipartiteState(d=2, coeff=coeff, label=f"schmidt(phi={phi:.6g},{b})")
+    return BipartiteState(d=2, coeff=schmidt_stack([phi], basis)[0],
+                          label=f"schmidt(phi={phi:.6g},{basis.lower()})")
+
+
+def ejm_channel_stack(s) -> np.ndarray:
+    """Coefficient stack of :func:`ejm_channel` over an array of angles."""
+    s = _check_angles(s, 0.0, math.pi / 2, "s")
+    pm = (1.0 - np.exp(-1j * s)) / math.sqrt(2)
+    pp = (1.0 + np.exp(-1j * s)) / math.sqrt(2)
+    return _normalised(0.5 * _pack(s.size, np.exp(-1j * math.pi / 4), pm,
+                                   pp, np.exp(-3j * math.pi / 4)))
 
 
 def ejm_channel(s: float) -> BipartiteState:
@@ -115,19 +155,20 @@ def ejm_channel(s: float) -> BipartiteState:
     Its reduced Bloch direction is antiparallel to the measurement direction
     n_0 and its concurrence is sqrt(1 - (3/4) cos^2 s) for s in [0, pi/2].
     """
-    s = _check_angle(s, 0.0, math.pi / 2, "s")
-    pm = (1.0 - np.exp(-1j * s)) / math.sqrt(2)
-    pp = (1.0 + np.exp(-1j * s)) / math.sqrt(2)
-    coeff = 0.5 * np.array([[np.exp(-1j * math.pi / 4), pm],
-                            [pp, np.exp(-3j * math.pi / 4)]], dtype=np.complex128)
-    return BipartiteState(d=2, coeff=coeff, label=f"ejm_channel(s={s:.6g})")
+    return BipartiteState(d=2, coeff=ejm_channel_stack([s])[0],
+                          label=f"ejm_channel(s={s:.6g})")
+
+
+def concurrences(coeffs: np.ndarray) -> np.ndarray:
+    """Two-qubit concurrence 2|det E| of each matrix in a stack."""
+    return 2.0 * np.abs(np.linalg.det(coeffs))
 
 
 def concurrence(state: BipartiteState) -> float:
     """Two-qubit concurrence 2|det E| of a pure state."""
     if state.d != 2:
         raise DimensionError("concurrence is defined for d=2; use g_concurrence")
-    return 2.0 * abs(np.linalg.det(state.coeff))
+    return float(concurrences(state.coeff))
 
 
 def g_concurrence(state: BipartiteState) -> float:

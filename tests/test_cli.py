@@ -42,6 +42,31 @@ def test_bad_grids_are_usage_errors(grid, tmp_path):
     assert main(["--scenario", "xx-scan", "--grid", grid, "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("grid", ["nan:1:3", "0:nan:3", "-inf:1:3", "0:inf:3"])
+def test_non_finite_grids_are_usage_errors(grid, tmp_path, capsys):
+    assert main(["--scenario", "xx-scan", f"--grid={grid}", "--out", str(tmp_path)]) == 2
+    assert "grid bounds must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [str(2 ** 64 + 1), "-1", str(2 ** 64)])
+def test_out_of_range_seeds_are_usage_errors(seed, tmp_path, capsys):
+    assert main(["--scenario", "ejm-scan", "--grid", "0:1:3", "--seed", seed,
+                 "--out", str(tmp_path)]) == 2
+    assert f"seed {seed} outside [0, 2^64)" in capsys.readouterr().err
+
+
+def test_largest_seed_is_accepted(tmp_path):
+    assert main(["--scenario", "ejm-scan", "--grid", "0:1:3", "--samples", "10",
+                 "--seed", str(2 ** 64 - 1), "--out", str(tmp_path)]) == 0
+
+
+def test_thm2_dimension_message_prints_plain_numbers(tmp_path, capsys):
+    assert main(["--scenario", "thm2-bounds", "--grid2", "3:4:3",
+                 "--out", str(tmp_path)]) == 2
+    assert ("thm2-bounds: dimension grid value 3.5 is not an integer in [2, 8]"
+            in capsys.readouterr().err)
+
+
 def test_zz_grid_upper_end_is_exclusive(tmp_path):
     limit = math.sqrt(3) * math.pi / 4
     assert main(["--scenario", "zz-scan", "--grid", f"0:{limit!r}:5",
@@ -71,6 +96,10 @@ def test_scan_writes_data_and_manifest(tmp_path):
     assert manifest["residuals"]["completeness_max"] < 1e-10
     assert manifest["residuals"]["reversal_max"] < 1e-9
     assert manifest["wall_time_s"] >= 0.0
+    phases = manifest["phase_times_s"]
+    assert sorted(phases) == ["format", "rows", "write"]
+    assert all(v >= 0.0 for v in phases.values())
+    assert phases["rows"] == manifest["wall_time_s"]
 
 
 def test_xx_scan_columns_match_closed_forms(tmp_path):

@@ -8,6 +8,7 @@ from telerev import (RngSpec, build_instrument, ejm, estimate_leakage,
                      haar_state, leakage_max, max_entangled, optimal_reversal,
                      schmidt_channel, standard_fidelity, xx_deformed,
                      bell_basis)
+from telerev.errors import DomainError
 
 # Statistical gates use five standard errors plus a tiny absolute floor for
 # estimators whose per-sample values are constant up to rounding.
@@ -152,6 +153,20 @@ def test_replay_is_bit_for_bit():
     f1 = estimate_standard_fidelity(inst, 5_000, spec)
     f2 = estimate_standard_fidelity(inst, 5_000, spec)
     assert (f1.mean, f1.std_error, f1.n) == (f2.mean, f2.std_error, f2.n)
+
+
+@pytest.mark.parametrize("seed, stream", [(2 ** 64 + 1, 0), (-1, 0), (2 ** 64, 0),
+                                          (1, 2 ** 64), (1, -1)])
+def test_keys_outside_64_bits_are_rejected(seed, stream):
+    # masking them would replay another key's stream (2^64 + 1 -> 1, -1 -> 2^64 - 1)
+    with pytest.raises(DomainError, match=r"outside \[0, 2\^64\)"):
+        RngSpec(seed, stream)
+
+
+def test_extreme_keys_draw_distinct_streams():
+    top = RngSpec(2 ** 64 - 1, 2 ** 64 - 1).generator().standard_normal(4)
+    zero = RngSpec(0, 0).generator().standard_normal(4)
+    assert not np.array_equal(top, zero)
 
 
 def test_std_error_shrinks_like_sqrt_n():
