@@ -5,7 +5,7 @@ closed-form laws with an independent SVD oracle, and figure-data scenarios."""
 __version__ = "0.1.0"
 
 from .errors import DimensionError, DomainError, TelerevError
-from .linalg import SvdResult, adjoint, det, matmul, polar_unitary, svd, trace
+from .linalg import SvdResult, polar_unitary, svd
 from .qstate import (BipartiteState, BlochPoint, channel_bloch, concurrence,
                      ejm_channel, g_concurrence, max_entangled, reduced_bloch,
                      schmidt_channel)
@@ -26,7 +26,7 @@ from .scenarios import COLUMNS, GridSpec, Scenario, run
 __all__ = [
     "__version__",
     "TelerevError", "DimensionError", "DomainError",
-    "SvdResult", "svd", "polar_unitary", "det", "trace", "adjoint", "matmul",
+    "SvdResult", "svd", "polar_unitary",
     "BipartiteState", "BlochPoint", "max_entangled", "schmidt_channel",
     "ejm_channel", "concurrence", "g_concurrence", "reduced_bloch",
     "channel_bloch",

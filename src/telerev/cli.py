@@ -13,8 +13,7 @@ import sys
 
 from .errors import DomainError
 from .montecarlo import RngSpec
-from .scenarios import (DEFAULT_GRIDS, DEFAULT_SEED, SCENARIO_NAMES, GridSpec,
-                        Scenario, run)
+from .scenarios import DEFAULT_SEED, SCENARIOS, GridSpec, Scenario, run
 
 _CONFIG_KEYS = ("scenario", "grid", "grid2", "samples", "seed", "out", "format")
 
@@ -50,7 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="telerev",
         description="Sweep teleportation scenarios and write CSV/JSON figure data.")
-    p.add_argument("--scenario", choices=SCENARIO_NAMES)
+    p.add_argument("--scenario", choices=SCENARIOS)
     p.add_argument("--grid", metavar="START:STOP:STEPS",
                    help="primary parameter grid")
     p.add_argument("--grid2", metavar="START:STOP:STEPS",
@@ -70,36 +69,25 @@ def main(argv=None) -> int:
         cfg = _read_config(args.config) if args.config else {}
 
         def pick(cli_value, key, fallback=None):
-            if cli_value is not None:
-                return cli_value
-            return cfg.get(key, fallback)
+            return cli_value if cli_value is not None else cfg.get(key, fallback)
 
         name = pick(args.scenario, "scenario")
         if name is None:
-            print("error: no scenario given (use --scenario or a config file)",
-                  file=sys.stderr)
-            return 2
-        if name not in SCENARIO_NAMES:
-            print(f"error: unknown scenario {name!r}", file=sys.stderr)
-            return 2
+            raise DomainError("no scenario given (use --scenario or a config file)")
+        if name not in SCENARIOS:
+            raise DomainError(f"unknown scenario {name!r}")
 
-        env_seed = os.environ.get("TELEREV_SEED")
-        seed = pick(args.seed, "seed")
-        if seed is None:
-            seed = env_seed if env_seed is not None else DEFAULT_SEED
-        seed = int(seed)
+        seed = int(pick(args.seed, "seed", os.environ.get("TELEREV_SEED", DEFAULT_SEED)))
 
         samples = pick(args.samples, "samples")
         samples = int(samples) if samples is not None else None
         if samples is not None and samples < 1:
-            print(f"error: --samples must be >= 1, got {samples}", file=sys.stderr)
-            return 2
+            raise DomainError(f"--samples must be >= 1, got {samples}")
 
-        default_grid, default_grid2 = DEFAULT_GRIDS[name]
         grid_text = pick(args.grid, "grid")
-        grid = _parse_grid(grid_text) if grid_text is not None else default_grid
+        grid = _parse_grid(grid_text) if grid_text is not None else SCENARIOS[name].grid
         grid2_text = pick(args.grid2, "grid2")
-        grid2 = _parse_grid(grid2_text) if grid2_text is not None else default_grid2
+        grid2 = _parse_grid(grid2_text) if grid2_text is not None else SCENARIOS[name].grid2
 
         out_dir = pick(args.out, "out", "out")
         fmt = pick(args.fmt, "format", "csv")

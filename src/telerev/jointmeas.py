@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-from .linalg import CMatrix, svd
-from .qstate import BlochPoint, _check_angles, _pack, concurrences, reduced_bloch
+from .linalg import CMatrix
+from .qstate import (BlochPoint, _check_angles, _g_concurrence, _pack, concurrences,
+                     reduced_bloch)
 
 ZX_ZZ_LIMIT = math.sqrt(3) * math.pi / 4
 
@@ -89,11 +89,7 @@ def ejm(t: float) -> JointMeasurement:
 
 def zx_zz_stack(t) -> np.ndarray:
     """Element stack (rows, 4, 2, 2) of :func:`zx_zz` over an array of t."""
-    t = np.asarray(t, dtype=np.float64)
-    bad = ~((-1e-12 <= t) & (t < ZX_ZZ_LIMIT))
-    if bad.any():
-        raise DomainError(f"t={float(t[bad][0])!r} outside [0, {ZX_ZZ_LIMIT!r})")
-    t = np.maximum(t, 0.0)
+    t = _check_angles(t, 0.0, ZX_ZZ_LIMIT, "t", open_hi=True)
     big_r = np.sqrt(math.pi ** 2 + 16.0 * t * t) / 4.0
     sr, cr = np.sin(big_r), np.cos(big_r)
     a = math.pi / (4.0 * big_r) * sr
@@ -130,10 +126,7 @@ def validate(jm: JointMeasurement) -> BasisReport:
 def element_entanglement(jm: JointMeasurement, r: int) -> float:
     """Entanglement of element r: concurrence for d=2, G-concurrence otherwise."""
     w = jm.elements[r]
-    if jm.d == 2:
-        return float(concurrences(w))
-    prod = float(np.prod(svd(w).sigmas))
-    return jm.d * prod ** (2.0 / jm.d)
+    return float(concurrences(w)) if jm.d == 2 else _g_concurrence(w)
 
 
 def element_bloch(jm: JointMeasurement, r: int) -> BlochPoint:

@@ -30,34 +30,6 @@ def as_matrix(m, batched: bool = False) -> CMatrix:
     return a
 
 
-def _square(m, batched: bool = False) -> CMatrix:
-    a = as_matrix(m, batched)
-    if a.shape[-2] != a.shape[-1]:
-        raise DimensionError(f"expected a square matrix, got shape {a.shape}")
-    return a
-
-
-def adjoint(m: CMatrix) -> CMatrix:
-    """Conjugate transpose."""
-    return as_matrix(m).conj().T
-
-
-def matmul(a: CMatrix, b: CMatrix) -> CMatrix:
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"cannot multiply shapes {a.shape} and {b.shape}")
-    return a @ b
-
-
-def det(m: CMatrix) -> complex:
-    return complex(np.linalg.det(_square(m)))
-
-
-def trace(m: CMatrix) -> complex:
-    return complex(np.trace(_square(m)))
-
-
 @dataclass(frozen=True)
 class SvdResult:
     """Decomposition m = left @ diag(sigmas) @ right^dagger.
@@ -76,7 +48,9 @@ class SvdResult:
 def svd(m: CMatrix) -> SvdResult:
     """SVD of a square matrix, or of a stack of them along leading axes: one
     call for the stack, matrix for matrix the same bits as separate calls."""
-    a = _square(m, batched=True)
+    a = as_matrix(m, batched=True)
+    if a.shape[-2] != a.shape[-1]:
+        raise DimensionError(f"expected a square matrix, got shape {a.shape}")
     u, s, vh = np.linalg.svd(a)
     s = np.where(s < SIGMA_FLOOR, 0.0, s)
     deficient = s[..., -1] == 0.0

@@ -71,12 +71,16 @@ class BlochPoint:
     direction: np.ndarray | None
 
 
-def _check_angles(values, lo: float, hi: float, name: str) -> np.ndarray:
-    """Range-check an array of angles at once (NaN fails); returns it clipped."""
+def _check_angles(values, lo: float, hi: float, name: str,
+                  open_hi: bool = False) -> np.ndarray:
+    """Range-check an array of angles at once against [lo, hi], or [lo, hi)
+    if ``open_hi`` (NaN fails); returns it clipped."""
     v = np.asarray(values, dtype=np.float64)
-    bad = ~((lo - _RANGE_TOL <= v) & (v <= hi + _RANGE_TOL))
+    below_hi = v < hi if open_hi else v <= hi + _RANGE_TOL
+    bad = ~((lo - _RANGE_TOL <= v) & below_hi)
     if bad.any():
-        raise DomainError(f"{name}={float(v[bad][0])!r} outside [{lo!r}, {hi!r}]")
+        raise DomainError(f"{name}={float(v[bad][0])!r} outside "
+                          f"[{lo!r}, {hi!r}{')' if open_hi else ']'}")
     return np.minimum(np.maximum(v, lo), hi)
 
 
@@ -160,8 +164,18 @@ def ejm_channel(s: float) -> BipartiteState:
 
 
 def concurrences(coeffs: np.ndarray) -> np.ndarray:
-    """Two-qubit concurrence 2|det E| of each matrix in a stack."""
-    return 2.0 * np.abs(np.linalg.det(coeffs))
+    """Two-qubit concurrence 2|ad - bc| of each matrix in a stack, elementwise."""
+    e = np.asarray(coeffs)
+    return 2.0 * np.abs(e[..., 0, 0] * e[..., 1, 1] - e[..., 0, 1] * e[..., 1, 0])
+
+
+def bloch_vectors(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bloch components (x, y, z) of the reduced operators conj(E) @ E.T of a
+    stack of 2x2 coefficient matrices, elementwise."""
+    a, b, c, d = coeffs[..., 0, 0], coeffs[..., 0, 1], coeffs[..., 1, 0], coeffs[..., 1, 1]
+    off = a.conj() * c + b.conj() * d  # A_01
+    z = (a.conj() * a + b.conj() * b - c.conj() * c - d.conj() * d).real  # A_00 - A_11
+    return 2.0 * off.real, -2.0 * off.imag, z
 
 
 def concurrence(state: BipartiteState) -> float:
@@ -177,9 +191,12 @@ def g_concurrence(state: BipartiteState) -> float:
     Coincides with the concurrence for d = 2 and vanishes on rank-deficient
     coefficient matrices.
     """
-    sigmas = svd(state.coeff).sigmas
-    prod = float(np.prod(sigmas))
-    return state.d * prod ** (2.0 / state.d)
+    return _g_concurrence(state.coeff)
+
+
+def _g_concurrence(coeff: CMatrix) -> float:
+    d = coeff.shape[-1]
+    return d * float(np.prod(svd(coeff).sigmas)) ** (2.0 / d)
 
 
 def channel_operator(state: BipartiteState) -> CMatrix:

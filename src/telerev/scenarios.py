@@ -11,29 +11,27 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import __version__
 from .errors import DomainError
 from .instrument import Instrument, kraus_stack, spectrum
-from .jointmeas import ZX_ZZ_LIMIT, ejm_stack, xx_deformed_stack, zx_zz_stack
+from .jointmeas import ejm_stack, xx_deformed_stack, zx_zz_stack
 from .montecarlo import RngSpec, estimate_performance
-from .qstate import (concurrences, ejm_channel_stack, max_entangled_stack,
-                     schmidt_stack)
-from .theorems import solve_tr
+from .qstate import _check_angles, ejm_channel_stack, max_entangled_stack, schmidt_stack
+from .theorems import solve_tr, thm1_success_stack
 
 COLUMNS = [
     "param1", "param2", "E_c", "E_M", "F_standard", "F_mr",
     "P_succ_closed", "P_succ_svd", "P_succ_mc", "P_succ_mc_stderr",
     "L_max", "tradeoff_lhs", "thm2_lower", "thm2_upper",
 ]
-
-SCENARIO_NAMES = ("xx-scan", "ejm-scan", "ejm-aligned-scan", "zz-scan",
-                  "tradeoff-scan", "thm2-bounds")
 
 DEFAULT_SEED = 20240101
 
@@ -86,105 +84,85 @@ class RunResult:
     residual_ok: bool
 
 
-# Default grids (used by the CLI when flags are absent).
-DEFAULT_GRIDS: dict[str, tuple[GridSpec, GridSpec | None]] = {
-    "xx-scan": (GridSpec(0.0, math.pi / 4, 51), None),
-    "ejm-scan": (GridSpec(0.0, math.pi / 2, 51), None),
-    "ejm-aligned-scan": (GridSpec(0.0, math.pi / 2, 21),
-                         GridSpec(0.0, math.pi / 2, 21)),
-    "zz-scan": (GridSpec(0.0, 1.3, 51), None),
-    "tradeoff-scan": (GridSpec(0.0, math.pi / 2, 51), None),
-    "thm2-bounds": (GridSpec(0.0, 1.0, 51), GridSpec(3.0, 4.0, 2)),
+@dataclass(frozen=True)
+class ScenarioSpec:
+    """What makes a scenario distinct.  The factories map arrays of channel
+    angles and of primary parameters t to coefficient stacks and own their
+    domains.  Without a second grid every channel angle is ``angle``, or t if
+    None (the s = t diagonal); an entry without factories defaults to ``grid2``."""
+
+    grid: GridSpec
+    grid2: GridSpec | None = None
+    takes_grid2: bool = True
+    angle: float | None = math.pi / 4
+    channel: Callable[[np.ndarray], np.ndarray] | None = None
+    measurement: Callable[[np.ndarray], np.ndarray] | None = None
+
+
+_EJM = ScenarioSpec(GridSpec(0.0, math.pi / 2, 51), takes_grid2=False,
+                    channel=lambda x: max_entangled_stack(2, x.size), measurement=ejm_stack)
+SCENARIOS: dict[str, ScenarioSpec] = {
+    "xx-scan": ScenarioSpec(GridSpec(0.0, math.pi / 4, 51),
+                            channel=lambda x: schmidt_stack(x, "z"),
+                            measurement=xx_deformed_stack),
+    "ejm-scan": _EJM,
+    "ejm-aligned-scan": ScenarioSpec(GridSpec(0.0, math.pi / 2, 21),
+                                     GridSpec(0.0, math.pi / 2, 21), angle=None,
+                                     channel=ejm_channel_stack, measurement=ejm_stack),
+    "zz-scan": ScenarioSpec(GridSpec(0.0, 1.3, 51), channel=lambda x: schmidt_stack(x, "y"),
+                            measurement=zx_zz_stack),
+    "tradeoff-scan": _EJM,
+    "thm2-bounds": ScenarioSpec(GridSpec(0.0, 1.0, 51), GridSpec(3.0, 4.0, 2)),
 }
+SCENARIO_NAMES = tuple(SCENARIOS)
+DEFAULT_GRIDS = {name: (entry.grid, entry.grid2) for name, entry in SCENARIOS.items()}
 
 
-# Closed-form P_succ laws, evaluated elementwise over a block of rows.
-def _p_closed_xx(phi, t):
-    weaker = np.minimum(np.sin(2 * phi), np.cos(2 * t))
-    return 1.0 - np.sqrt(np.maximum(1.0 - weaker * weaker, 0.0))
-
-
-def _p_closed_ejm(t):
-    return 1.0 - math.sqrt(3) / 2 * np.cos(t)
-
-
-def _p_closed_ejm_aligned(s, t):
-    # 1 - (1/4)[sqrt((1-X)^2 - (E_c E_M)^2) + sqrt((3+X)^2 - 9(E_c E_M)^2)]
-    # with X = sqrt((1-E_M^2)(1-E_c^2)), rewritten through the Bloch radii
-    # ub, vb so both radicals are cancellation-free on the s = t diagonal.
-    ub = math.sqrt(3) / 2 * np.cos(s)
-    vb = math.sqrt(3) / 2 * np.cos(t)
-    a = np.abs(ub - vb)
-    b = 3.0 * np.sqrt((ub + vb / 3.0) ** 2 + 8.0 / 9.0 * vb * vb * (1.0 - ub * ub))
-    return 1.0 - 0.25 * (a + b)
-
-
-def _p_closed_zz(phi, t):
-    big_r = np.sqrt(math.pi ** 2 + 16.0 * t * t) / 4.0
-    return 1.0 - np.maximum(np.cos(2 * phi), np.abs(np.cos(2 * big_r)))
+def _rows(entry: ScenarioSpec, t: np.ndarray, second: np.ndarray | None):
+    """Parameter columns, primary parameter and channel angle of every row,
+    in grid order with t outer."""
+    if second is None:
+        return {"param1": t}, t, t if entry.angle is None else np.full(t.size, entry.angle)
+    t, x = np.repeat(t, second.size), np.tile(second, t.size)
+    return {"param1": t, "param2": x}, t, x
 
 
 def validate_scenario(sc: Scenario) -> None:
-    """Range-check the grids against the scenario's parameter domains."""
-    if sc.name not in SCENARIO_NAMES:
+    """Check the scenario name and grids: the qubit factories check their
+    domains on the grid corners; thm2-bounds checks e and the dimensions."""
+    entry = SCENARIOS.get(sc.name)
+    if entry is None:
         raise DomainError(f"unknown scenario {sc.name!r}")
-    tol = 1e-12
-
-    def _within(g: GridSpec, lo: float, hi: float, what: str,
-                exclusive_hi: bool = False) -> None:
-        bad_hi = g.stop >= hi if exclusive_hi else g.stop > hi + tol
-        if g.start < lo - tol or bad_hi:
-            end = ")" if exclusive_hi else "]"
-            raise DomainError(
-                f"{sc.name}: {what} grid [{g.start!r}, {g.stop!r}] outside "
-                f"[{lo!r}, {hi!r}{end}")
-
-    if sc.name == "xx-scan":
-        _within(sc.grid, 0.0, math.pi / 4, "t")
-        if sc.grid2 is not None:
-            _within(sc.grid2, 0.0, math.pi / 4, "phi")
-    elif sc.name in ("ejm-scan", "tradeoff-scan"):
-        _within(sc.grid, 0.0, math.pi / 2, "t")
-        if sc.grid2 is not None:
-            raise DomainError(f"{sc.name} takes no second grid")
-    elif sc.name == "ejm-aligned-scan":
-        _within(sc.grid, 0.0, math.pi / 2, "t")
-        if sc.grid2 is not None:
-            _within(sc.grid2, 0.0, math.pi / 2, "s")
-    elif sc.name == "zz-scan":
-        _within(sc.grid, 0.0, ZX_ZZ_LIMIT, "t", exclusive_hi=True)
-        if sc.grid2 is not None:
-            _within(sc.grid2, 0.0, math.pi / 4, "phi")
-    elif sc.name == "thm2-bounds":
-        _within(sc.grid, 0.0, 1.0, "e")
-        if sc.grid2 is not None:
-            for v in sc.grid2.values():
+    if sc.grid2 is not None and not entry.takes_grid2:
+        raise DomainError(f"{sc.name} takes no second grid")
+    if sc.mc_samples and entry.measurement is None:
+        raise DomainError(f"{sc.name} takes no Monte Carlo samples: it has no instrument")
+    ends = [None if g is None else np.array([g.start, g.stop]) for g in (sc.grid, sc.grid2)]
+    try:
+        if entry.measurement is not None:
+            _, t, x = _rows(entry, *ends)
+            entry.channel(x)
+            entry.measurement(t)
+        else:
+            _check_angles(ends[0], 0.0, 1.0, "e")
+            for v in [] if sc.grid2 is None else sc.grid2.values():
                 if abs(v - round(v)) > 1e-9 or not 2 <= round(v) <= 8:
                     raise DomainError(
-                        f"thm2-bounds: dimension grid value {float(v)!r} is not an "
-                        f"integer in [2, 8]")
-
-
-# Channel stack, measurement stack and closed-form P_succ of a block of rows
-# with primary parameter t and channel angle x.
-_FAMILIES = {
-    "xx-scan": lambda t, x: (schmidt_stack(x, "z"), xx_deformed_stack(t), _p_closed_xx(x, t)),
-    "zz-scan": lambda t, x: (schmidt_stack(x, "y"), zx_zz_stack(t), _p_closed_zz(x, t)),
-    "ejm-aligned-scan": lambda t, x: (ejm_channel_stack(x), ejm_stack(t),
-                                      _p_closed_ejm_aligned(x, t)),
-    "ejm-scan": lambda t, x: (max_entangled_stack(2, t.size), ejm_stack(t), _p_closed_ejm(t)),
-}
-_FAMILIES["tradeoff-scan"] = _FAMILIES["ejm-scan"]
+                        f"dimension grid value {float(v)!r} is not an integer in [2, 8]")
+    except DomainError as exc:
+        raise DomainError(f"{sc.name}: {exc}") from exc
 
 
 def _qubit_block(sc: Scenario, lo: int, t: np.ndarray, x: np.ndarray) -> dict:
-    """Columns of the grid rows lo, lo+1, ... from one stacked SVD, plus each
-    row's residuals; Monte Carlo row k draws from its own stream k, using that
-    row's reversers from the block."""
-    coeffs, elements, closed = _FAMILIES[sc.name](t, x)
+    """Columns of the grid rows lo, lo+1, ... from one stacked SVD and one
+    stacked Theorem 1, plus each row's residuals; Monte Carlo row k draws
+    from its own stream k, using that row's reversers from the block."""
+    entry = SCENARIOS[sc.name]
+    coeffs, elements = entry.channel(x), entry.measurement(t)
     kraus, completeness = kraus_stack(coeffs, elements)
     spec = spectrum(kraus)
-    cols = {"E_c": concurrences(coeffs), "E_M": concurrences(elements[:, 0]),
+    e_c, e_m, closed = thm1_success_stack(coeffs, elements)
+    cols = {"E_c": e_c, "E_M": e_m[:, 0],
             "F_standard": spec.f_standard, "P_succ_closed": closed,
             "P_succ_svd": spec.p_succ, "L_max": spec.leakage,
             "tradeoff_lhs": spec.tradeoff, "completeness": completeness,
@@ -201,28 +179,20 @@ def _qubit_block(sc: Scenario, lo: int, t: np.ndarray, x: np.ndarray) -> dict:
 
 def _qubit_columns(sc: Scenario):
     """Columns of a qubit scenario, BLOCK_ROWS grid rows (param1 outer) at a time."""
-    t = sc.grid.values()
-    second = sc.grid2.values() if sc.grid2 is not None else (
-        t if sc.name == "ejm-aligned-scan" else None)
-    if second is None:
-        cols, angle = {"param1": t}, np.full(t.size, math.pi / 4)
-    else:
-        angle = np.tile(second, t.size)
-        cols = {"param1": np.repeat(t, second.size), "param2": angle}
-    blocks = [_qubit_block(sc, lo, cols["param1"][lo:lo + BLOCK_ROWS],
-                           angle[lo:lo + BLOCK_ROWS]) for lo in range(0, angle.size, BLOCK_ROWS)]
+    cols, t, x = _rows(SCENARIOS[sc.name], sc.grid.values(),
+                       None if sc.grid2 is None else sc.grid2.values())
+    blocks = [_qubit_block(sc, lo, t[lo:lo + BLOCK_ROWS], x[lo:lo + BLOCK_ROWS])
+              for lo in range(0, t.size, BLOCK_ROWS)]
     cols.update((k, np.concatenate([b[k] for b in blocks])) for k in blocks[0])
-    cols["F_mr"] = np.ones(angle.size)
+    cols["F_mr"] = np.ones(t.size)
     return cols, float(np.max(cols.pop("completeness"))), float(np.max(cols.pop("reversal")))
 
 
 def _thm2_columns(sc: Scenario):
-    dims = [3, 4] if sc.grid2 is None else [int(round(v)) for v in sc.grid2.values()]
-    e = np.repeat(sc.grid.values(), len(dims))
-    d = np.tile(np.array(dims, dtype=np.float64), sc.grid.steps)
+    cols, e, d = _rows(SCENARIOS[sc.name], sc.grid.values(), np.round(sc.grid2.values()))
     lower = [dim * solve_tr(int(dim), ev) for ev, dim in zip(e.tolist(), d.tolist())]
-    return {"param1": e, "param2": d, "E_c": np.ones(e.size), "E_M": e,
-            "thm2_lower": lower, "thm2_upper": e}, 0.0, 0.0
+    cols.update(E_c=np.ones(e.size), E_M=e, thm2_lower=lower, thm2_upper=e)
+    return cols, 0.0, 0.0
 
 
 def _cells(cols, n: int):
@@ -232,16 +202,30 @@ def _cells(cols, n: int):
     return list(zip(*text))
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    """Write through a temporary file in the same directory, so ``path`` holds
+    either its previous content or all of ``text``."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)  # left only if the write or rename failed
+
+
 def run(sc: Scenario, out_dir, fmt: str = "csv") -> RunResult:
     """Evaluate a scenario and write its data file plus run manifest."""
     if fmt not in ("csv", "json"):
         raise DomainError(f"unknown output format {fmt!r}")
     validate_scenario(sc)
+    entry = SCENARIOS[sc.name]
+    if sc.grid2 is None and entry.measurement is None:
+        sc = replace(sc, grid2=entry.grid2)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     t0 = time.perf_counter()
-    columns = _thm2_columns if sc.name == "thm2-bounds" else _qubit_columns
+    columns = _qubit_columns if entry.measurement is not None else _thm2_columns
     cols, comp_max, rev_max = columns(sc)
     n_rows = len(cols["param1"])
     t1 = time.perf_counter()
@@ -253,15 +237,18 @@ def run(sc: Scenario, out_dir, fmt: str = "csv") -> RunResult:
         data_path = out / f"{sc.name}.json"
         text = json.dumps({"columns": COLUMNS, "rows": cells}, indent=2) + "\n"
     t2 = time.perf_counter()
-    data_path.write_text(text)
+    # A crash from here on must not leave new data beside the previous run's
+    # manifest: drop that manifest first and write the new one last.
+    manifest_path = out / f"{sc.name}_manifest.json"
+    manifest_path.unlink(missing_ok=True)
+    _write_atomic(data_path, text)
     t3 = time.perf_counter()
 
     residual_ok = comp_max <= COMPLETENESS_GATE and rev_max <= REVERSAL_GATE
     manifest = {
         "scenario": sc.name,
-        "grid": {"start": sc.grid.start, "stop": sc.grid.stop, "steps": sc.grid.steps},
-        "grid2": None if sc.grid2 is None else {
-            "start": sc.grid2.start, "stop": sc.grid2.stop, "steps": sc.grid2.steps},
+        "grid": asdict(sc.grid),
+        "grid2": None if sc.grid2 is None else asdict(sc.grid2),
         "samples": sc.mc_samples,
         "seed": sc.rng.seed,
         "stream_base": sc.rng.stream,
@@ -276,8 +263,7 @@ def run(sc: Scenario, out_dir, fmt: str = "csv") -> RunResult:
         "residual_ok": residual_ok,
         "data_file": data_path.name,
     }
-    manifest_path = out / f"{sc.name}_manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_atomic(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
     return RunResult(data_path=data_path, manifest_path=manifest_path,
                      rows=n_rows, completeness_max=comp_max,

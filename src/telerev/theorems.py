@@ -16,12 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .jointmeas import JointMeasurement, element_bloch, element_entanglement
-from .qstate import BipartiteState, channel_bloch, concurrence
+from .jointmeas import JointMeasurement, element_bloch
+from .linalg import as_matrix
+from .qstate import (DIR_FLOOR, BipartiteState, _normalised, bloch_vectors,
+                     channel_bloch, concurrences)
 
 __all__ = ["Thm1Inputs", "Thm2Bounds", "thm1_outcome_success", "alignment_x",
-           "thm1_total_success", "g_of_t", "solve_tr", "tr_closed_form_d3",
-           "thm2_bounds", "saturating_spectrum", "random_basis"]
+           "thm1_success_stack", "thm1_total_success", "g_of_t", "solve_tr",
+           "tr_closed_form_d3", "thm2_bounds", "saturating_spectrum", "random_basis"]
 
 _RANGE_TOL = 1e-9
 
@@ -70,25 +72,41 @@ def thm1_outcome_success(inp: Thm1Inputs) -> float:
         raise DomainError(f"x_r={inp.x_r!r} outside [-1, 1]")
     u = math.sqrt((1.0 - e_c) * (1.0 + e_c))
     v = math.sqrt((1.0 - e_r) * (1.0 + e_r))
-    return _closed_form(e_c, e_r, u, v, inp.x_r)
+    return float(_closed_form(e_c, e_r, u, v, 0.0 if inp.x_r is None else inp.x_r))
 
 
-def _closed_form(e_c: float, e_r: float, u: float, v: float,
-                 x_r: float | None) -> float:
-    # u, v are the Bloch radii sqrt(1 - E^2); passing them explicitly lets
-    # callers that know them to full precision (from operator traces) avoid
-    # the ill-conditioned sqrt near E = 1.
-    x = 0.0 if x_r is None else min(max(float(x_r), -1.0), 1.0)
-    if 1.0 - abs(x) < 1e-12:
-        # unit-vector dot products cannot exceed 1; snapping keeps the
-        # (anti)parallel discriminant (u -+ v)^2 free of sqrt-amplified noise
-        x = math.copysign(1.0, x)
+def _closed_form(e_c, e_r, u, v, x):
+    # Elementwise over broadcastable arrays; x = 0 where the alignment is
+    # undefined.  u, v are the Bloch radii sqrt(1 - E^2); passing them
+    # explicitly lets callers that know them to full precision (from operator
+    # traces) avoid the ill-conditioned sqrt near E = 1.
+    # snapping |x| near or above 1 to +-1 (unit-vector dot products cannot exceed
+    # 1) keeps the (anti)parallel discriminant (u -+ v)^2 free of sqrt-amplified noise
+    x = np.where(1.0 - np.abs(x) < 1e-12, np.copysign(1.0, x), x)
     b = e_c * e_r
-    if b == 0.0:
-        return 0.0
     a = 1.0 + u * v * x
     disc = (u + v * x) ** 2 + v * v * (1.0 - x * x) * e_c * e_c
-    return b * b / (4.0 * (a + math.sqrt(disc)))
+    den = 4.0 * (a + np.sqrt(disc))
+    # E_c E_r = 0 gives exactly 0; the denominator vanishes only as E_c, E_r -> 0
+    return np.divide(b * b, den, out=np.zeros(np.broadcast(b, den).shape), where=den > 0.0)
+
+
+def thm1_success_stack(coeffs: np.ndarray, elements: np.ndarray):
+    """Theorem 1 over stacks of qubit channels (rows, 2, 2) and measurements
+    (rows, n, 2, 2): channel concurrences (rows,), element concurrences
+    (rows, n) and total success probabilities (rows,), all from elementwise
+    2x2 invariants.  Raises DomainError if an element is not normalised."""
+    _normalised(elements.reshape(-1, 2, 2))
+    channels = coeffs[:, None]  # broadcasts against the n elements of its row
+    e_c, e_r = concurrences(channels), concurrences(elements)
+    # B_r = W_r^dag W_r is the reduced operator conj(E) @ E.T of E = W_r^T
+    (xc, yc, zc), (xr, yr, zr) = bloch_vectors(channels), bloch_vectors(elements.swapaxes(-1, -2))
+    u = np.sqrt(xc * xc + yc * yc + zc * zc)
+    v = np.sqrt(xr * xr + yr * yr + zr * zr)
+    aligned = (u >= DIR_FLOOR) & (v >= DIR_FLOOR)
+    x = np.divide(xc * xr + yc * yr + zc * zr, u * v, out=np.zeros(v.shape), where=aligned)
+    p = _closed_form(np.minimum(e_c, 1.0), np.minimum(e_r, 1.0), u, v, x)
+    return e_c[:, 0], e_r, np.add.reduce(p, axis=-1)
 
 
 def alignment_x(channel: BipartiteState, jm: JointMeasurement, r: int) -> float | None:
@@ -109,17 +127,8 @@ def thm1_total_success(channel: BipartiteState, jm: JointMeasurement) -> float:
     """Closed-form total success probability summed over the four outcomes."""
     if channel.d != 2 or jm.d != 2:
         raise DimensionError("the closed form is defined for qubits only")
-    e_c = concurrence(channel)
-    u_pt = channel_bloch(channel)
-    total = 0.0
-    for r in range(len(jm.elements)):
-        n_pt = element_bloch(jm, r)
-        x = None
-        if u_pt.direction is not None and n_pt.direction is not None:
-            x = float(np.dot(u_pt.direction, n_pt.direction))
-        total += _closed_form(min(e_c, 1.0), min(element_entanglement(jm, r), 1.0),
-                              u_pt.radius, n_pt.radius, x)
-    return total
+    elements = as_matrix(jm.elements, batched=True)
+    return float(thm1_success_stack(channel.coeff[None], elements[None])[2][0])
 
 
 def g_of_t(d: int, t: float) -> float:

@@ -1,11 +1,12 @@
 import json
 import math
+import os
 from pathlib import Path
 
 import pytest
 
 from telerev.cli import main
-from telerev.scenarios import COLUMNS
+from telerev.scenarios import COLUMNS, GridSpec, Scenario, run
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -71,6 +72,60 @@ def test_zz_grid_upper_end_is_exclusive(tmp_path):
     limit = math.sqrt(3) * math.pi / 4
     assert main(["--scenario", "zz-scan", "--grid", f"0:{limit!r}:5",
                  "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--scenario", "xx-scan", "--grid", "0:0.9:3"],
+     "xx-scan: t=0.9 outside [0.0, 0.7853981633974483]"),
+    (["--scenario", "zz-scan", "--grid", "0:1.3:3", "--grid2", "0:1:3"],
+     "zz-scan: phi=1.0 outside [0.0, 0.7853981633974483]"),
+    (["--scenario", "zz-scan", "--grid", "0:1.4:3"],
+     "zz-scan: t=1.4 outside [0.0, 1.3603495231756633)"),
+    (["--scenario", "ejm-aligned-scan", "--grid2=-1:1:3"],
+     "ejm-aligned-scan: s=-1.0 outside [0.0, 1.5707963267948966]"),
+    (["--scenario", "thm2-bounds", "--grid", "0:1.5:3"],
+     "thm2-bounds: e=1.5 outside [0.0, 1.0]"),
+], ids=["xx-t", "zz-phi", "zz-t", "aligned-s", "thm2-e"])
+def test_out_of_domain_grid_names_scenario_and_parameter(argv, message, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_thm2_bounds_rejects_samples(tmp_path, capsys):
+    assert main(["--scenario", "thm2-bounds", "--samples", "1000",
+                 "--out", str(tmp_path)]) == 2
+    assert "thm2-bounds takes no Monte Carlo samples" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_manifest_records_the_default_dimension_grid(tmp_path):
+    result = run(Scenario("thm2-bounds", GridSpec(0.0, 1.0, 3)), tmp_path)
+    manifest = json.loads(result.manifest_path.read_text())
+    assert manifest["grid2"] == {"start": 3.0, "stop": 4.0, "steps": 2}
+    assert [row["param2"] for row in _rows(result.data_path)] == ["3", "4"] * 3
+
+
+@pytest.mark.parametrize("failing", ["text", "replace"])
+def test_failed_manifest_write_leaves_no_stale_manifest(failing, tmp_path, monkeypatch):
+    argv = ["--scenario", "ejm-scan", "--out", str(tmp_path)]
+    assert main(argv + ["--grid", "0:1:3"]) == 0
+    real_replace = os.replace
+
+    def fail(*args, **kwargs):
+        raise OSError("disk full")
+
+    def replace(src, dst):
+        (fail if str(dst).endswith("_manifest.json") else real_replace)(src, dst)
+
+    if failing == "text":  # a CSV run builds no JSON text but the manifest
+        monkeypatch.setattr(json, "dumps", fail)
+    else:
+        monkeypatch.setattr(os, "replace", replace)
+    assert main(argv + ["--grid", "0:1:5"]) == 2
+    monkeypatch.undo()
+    # the new data file stands alone: no manifest of the earlier run, no temporary file
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ejm-scan.csv"]
+    assert len(_rows(tmp_path / "ejm-scan.csv")) == 5
 
 
 def test_second_grid_rejected_for_1d_scenarios(tmp_path):

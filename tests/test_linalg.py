@@ -2,10 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from telerev import DimensionError, adjoint, det, matmul, polar_unitary, svd, trace
+from telerev import DimensionError, polar_unitary, svd
 from telerev.errors import DomainError
 
 from helpers import random_coeff
@@ -96,33 +94,3 @@ def test_polar_trace_equals_nuclear_norm():
 def test_polar_rejects_non_square():
     with pytest.raises(DimensionError):
         polar_unitary(np.ones((3, 2)))
-
-
-def test_det_trace_examples():
-    th = np.pi / 4
-    assert abs(det(np.diag([np.sin(th), 1j * np.cos(th)])) - 0.5j) < 1e-15
-    assert trace(np.eye(3)) == 3
-    assert abs(det(np.eye(2) / math.sqrt(2)) - 0.5) < 1e-15
-
-
-def test_matmul_checks_dimensions():
-    with pytest.raises(DimensionError):
-        matmul(np.ones((2, 3)), np.ones((2, 2)))
-    out = matmul(np.ones((2, 3)), np.ones((3, 2)))
-    assert out.shape == (2, 2)
-
-
-def test_adjoint():
-    m = np.array([[1.0, 2j], [3.0, 4.0]])
-    assert np.array_equal(adjoint(m), m.conj().T)
-
-
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2 ** 31 - 1), d=st.sampled_from([2, 3]))
-def test_det_is_multiplicative(seed, d):
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    b = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    lhs = det(a @ b)
-    rhs = det(a) * det(b)
-    assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(rhs))

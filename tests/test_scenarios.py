@@ -1,0 +1,103 @@
+"""The scenario table and the stacked Theorem 1 behind its closed-form column.
+
+The four hand-derived success laws below are the special cases of Theorem 1
+for each channel and measurement family.  They serve as reference oracles for
+the one stacked law that fills the ``P_succ_closed`` column.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from telerev.errors import DomainError
+from telerev.scenarios import (SCENARIOS, GridSpec, Scenario, _qubit_columns,
+                               validate_scenario)
+
+PI4, PI2 = math.pi / 4, math.pi / 2
+ORACLE_TOL = 1e-12
+
+
+def _p_xx(phi, t):
+    weaker = np.minimum(np.sin(2 * phi), np.cos(2 * t))
+    return 1.0 - np.sqrt(np.maximum(1.0 - weaker * weaker, 0.0))
+
+
+def _p_ejm(t):
+    return 1.0 - math.sqrt(3) / 2 * np.cos(t)
+
+
+def _p_ejm_aligned(s, t):
+    # 1 - (1/4)[sqrt((1-X)^2 - (E_c E_M)^2) + sqrt((3+X)^2 - 9(E_c E_M)^2)]
+    # with X = sqrt((1-E_M^2)(1-E_c^2)), rewritten through the Bloch radii
+    # ub, vb so both radicals are cancellation-free on the s = t diagonal.
+    ub = math.sqrt(3) / 2 * np.cos(s)
+    vb = math.sqrt(3) / 2 * np.cos(t)
+    a = np.abs(ub - vb)
+    b = 3.0 * np.sqrt((ub + vb / 3.0) ** 2 + 8.0 / 9.0 * vb * vb * (1.0 - ub * ub))
+    return 1.0 - 0.25 * (a + b)
+
+
+def _p_zz(phi, t):
+    big_r = np.sqrt(math.pi ** 2 + 16.0 * t * t) / 4.0
+    return 1.0 - np.maximum(np.cos(2 * phi), np.abs(np.cos(2 * big_r)))
+
+
+# scenario, grids, oracle of the columns (param2 is the channel angle)
+ORACLE_CASES = [
+    ("xx-scan", GridSpec(0.0, PI4, 51), GridSpec(0.0, PI4, 51),
+     lambda c: _p_xx(c["param2"], c["param1"])),
+    ("xx-scan", GridSpec(0.0, PI4, 51), None, lambda c: _p_xx(PI4, c["param1"])),
+    ("ejm-scan", GridSpec(0.0, PI2, 51), None, lambda c: _p_ejm(c["param1"])),
+    ("tradeoff-scan", GridSpec(0.0, PI2, 51), None, lambda c: _p_ejm(c["param1"])),
+    ("ejm-aligned-scan", GridSpec(0.0, PI2, 21), GridSpec(0.0, PI2, 21),
+     lambda c: _p_ejm_aligned(c["param2"], c["param1"])),
+    ("zz-scan", GridSpec(0.0, 1.3, 51), GridSpec(0.0, PI4, 51),
+     lambda c: _p_zz(c["param2"], c["param1"])),
+    ("zz-scan", GridSpec(0.0, 1.3, 51), None, lambda c: _p_zz(PI4, c["param1"])),
+]
+
+
+@pytest.mark.parametrize("name, grid, grid2, oracle", ORACLE_CASES,
+                         ids=[f"{c[0]}-{'2d' if c[2] else '1d'}" for c in ORACLE_CASES])
+def test_stacked_theorem_1_matches_the_hand_derived_laws(name, grid, grid2, oracle):
+    cols, _, _ = _qubit_columns(Scenario(name, grid, grid2))
+    closed = cols["P_succ_closed"]
+    assert np.max(np.abs(closed - oracle(cols))) <= ORACLE_TOL
+    assert np.max(np.abs(closed - cols["P_succ_svd"])) <= ORACLE_TOL
+    if grid2 is not None and name != "ejm-aligned-scan":
+        # the Bell corner (t = 0, phi = pi/4) and the product-channel column
+        bell = (cols["param1"] == 0.0) & (cols["param2"] == PI4)
+        assert abs(closed[bell][0] - 1.0) <= ORACLE_TOL
+        assert np.all(closed[cols["param2"] == 0.0] == 0.0)
+
+
+def test_aligned_scan_without_second_grid_is_the_diagonal():
+    grid = GridSpec(0.0, PI2, 201)
+    cols, _, reversal_max = _qubit_columns(Scenario("ejm-aligned-scan", grid))
+    t = grid.values()
+    assert "param2" not in cols
+    assert np.array_equal(cols["param1"], t)
+    assert reversal_max <= 1e-9
+    assert np.max(np.abs(cols["P_succ_closed"] - _p_ejm_aligned(t, t))) <= ORACLE_TOL
+    assert np.max(np.abs(cols["P_succ_svd"] - _p_ejm_aligned(t, t))) <= ORACLE_TOL
+    # the same rows as the diagonal of the s x t surface
+    surface, _, _ = _qubit_columns(Scenario("ejm-aligned-scan", GridSpec(0.0, PI2, 9),
+                                            GridSpec(0.0, PI2, 9)))
+    diagonal, _, _ = _qubit_columns(Scenario("ejm-aligned-scan", GridSpec(0.0, PI2, 9)))
+    on_diagonal = surface["param1"] == surface["param2"]
+    for col in ("E_c", "E_M", "P_succ_closed", "P_succ_svd", "L_max", "F_standard"):
+        assert np.array_equal(surface[col][on_diagonal], diagonal[col]), col
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_default_grids_pass_validation(name):
+    spec = SCENARIOS[name]
+    validate_scenario(Scenario(name, spec.grid, spec.grid2))
+
+
+@pytest.mark.parametrize("name", sorted(n for n, s in SCENARIOS.items() if s.measurement))
+def test_factories_reject_a_grid_end_outside_their_domain(name):
+    # ejm-aligned-scan sets its channel angle s = t without a second grid
+    with pytest.raises(DomainError, match=rf"^{name}: (t|s)=-0\.5 outside \[0\.0, "):
+        validate_scenario(Scenario(name, GridSpec(-0.5, 0.5, 3)))

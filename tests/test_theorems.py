@@ -12,7 +12,8 @@ from telerev import (DimensionError, Thm1Inputs, alignment_x,
                      thm1_total_success, thm2_bounds, tr_closed_form_d3,
                      xx_deformed, zx_zz)
 from telerev.errors import DomainError
-from telerev.jointmeas import ZX_ZZ_LIMIT, element_bloch, element_entanglement
+from telerev.jointmeas import (ZX_ZZ_LIMIT, JointMeasurement, element_bloch,
+                               element_entanglement)
 from telerev.qstate import reduced_bloch
 from telerev.theorems import random_basis
 
@@ -133,6 +134,14 @@ def test_total_success_matches_zz_error_formula():
             want = 1.0 - max(math.cos(2 * phi), abs(math.cos(2 * big_r)))
             got = thm1_total_success(schmidt_channel(float(phi), "y"), zx_zz(float(t)))
             assert abs(got - want) < 1e-9
+
+
+def test_total_success_rejects_unnormalised_elements():
+    jm = xx_deformed(0.3)
+    bad = JointMeasurement(d=2, elements=(1.1 * jm.elements[0],) + jm.elements[1:],
+                           label="scaled")
+    with pytest.raises(DomainError):
+        thm1_total_success(max_entangled(2), bad)
 
 
 def test_antiparallel_alignment_is_optimal_for_elegant_measurement():
