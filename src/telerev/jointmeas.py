@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import CMatrix
-from .qstate import (BlochPoint, _check_angles, _g_concurrence, _pack, concurrences,
-                     reduced_bloch)
+from .qstate import (BlochPoint, _check_angles, _ejm_elements, _g_concurrence, _pack,
+                     concurrences, reduced_bloch)
 
 ZX_ZZ_LIMIT = math.sqrt(3) * math.pi / 4
 
@@ -68,12 +68,7 @@ def bell_basis() -> JointMeasurement:
 
 def ejm_stack(t) -> np.ndarray:
     """Element stack (rows, 4, 2, 2) of :func:`ejm` over an array of t."""
-    t = _check_angles(t, 0.0, math.pi / 2, "t")
-    pm = (1.0 - np.exp(-1j * t)) / math.sqrt(2)
-    pp = (1.0 + np.exp(-1j * t)) / math.sqrt(2)
-    e = lambda k: np.exp(1j * k * math.pi / 4)
-    return 0.5 * _pack(t.size, e(-1), pm, pp, e(-3), e(3), pm, pp, e(1),
-                       e(1), -pp, -pm, e(3), e(-3), -pp, -pm, e(-1))
+    return _ejm_elements(_check_angles(t, 0.0, math.pi / 2, "t"))
 
 
 def ejm(t: float) -> JointMeasurement:

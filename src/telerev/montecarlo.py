@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -18,6 +19,12 @@ from .instrument import Instrument, ReversalPlan
 from .linalg import polar_unitary, svd
 
 _KEY_LIMIT = 1 << 64
+
+# Samples per chunk of a Haar draw, sized for cache (more than the goldens'
+# 2000).  The per-sample arrays succ, overlap and f_cond stay whole, 24 B per
+# sample, so a count over MC_BUDGET_BYTES / 24 (about 11.2 million) is refused.
+CHUNK = 8192
+MC_BUDGET_BYTES = 1 << 28
 
 
 @dataclass(frozen=True)
@@ -57,9 +64,29 @@ def haar_state(d: int, rng: np.random.Generator) -> np.ndarray:
 
 def _haar_batch(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
     # Draw order matches n sequential haar_state calls on the same generator.
-    z = rng.standard_normal((n, d, 2))
-    v = z[..., 0] + 1j * z[..., 1]
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
+    v = rng.standard_normal((n, d, 2)).view(np.complex128)[..., 0]
+    v /= np.sqrt(_rowsum((v.conj() * v).real))[:, None]
+    return v
+
+
+def _rowsum(a: np.ndarray) -> np.ndarray:
+    """Sum over the d columns, added left to right as numpy adds them for d <= 3,
+    without numpy's reduction over a short axis, which is several times slower."""
+    return reduce(np.add, a.T)
+
+
+def _sample(d: int, n: int, rng: RngSpec, kernel, k: int = 1) -> np.ndarray:
+    """k per-sample arrays over n Haar states, which ``kernel(phi, acc)`` fills
+    chunk by chunk.  The near-equal chunks replay the one-shot draw; none holds
+    one sample unless n = 1, as a one-row matmul rounds differently."""
+    if 24 * n > MC_BUDGET_BYTES:
+        raise DomainError(f"{n} samples need {24 * n} B, over the {MC_BUDGET_BYTES} B budget")
+    gen, parts = rng.generator(), max(n // CHUNK, 1)
+    ends = [n * j // parts for j in range(parts + 1)]
+    acc = np.zeros((k, n))
+    for lo, hi in zip(ends, ends[1:]):
+        kernel(_haar_batch(d, hi - lo, gen), acc[:, lo:hi])
+    return acc
 
 
 def _estimate(samples: np.ndarray) -> McEstimate:
@@ -76,35 +103,32 @@ def estimate_performance(inst: Instrument, plan: ReversalPlan, n: int,
     is the success-weighted output fidelity; it is 1 up to rounding whenever
     the resources are pure.
     """
-    phi = _haar_batch(inst.d, n, rng.generator())
-    succ = np.zeros(n)
-    overlap = np.zeros(n)
-    for m, rev, deg in zip(inst.kraus, plan.reversers, plan.degenerate):
-        if deg:
-            continue
-        out = phi @ (rev @ m).T
-        succ += np.sum(np.abs(out) ** 2, axis=1)
-        overlap += np.abs(np.sum(phi.conj() * out, axis=1)) ** 2
+    ops = [(r @ m).T for m, r, deg in zip(inst.kraus, plan.reversers, plan.degenerate) if not deg]
+    def kernel(phi, acc):
+        phic = phi.conj()
+        for op in ops:
+            out = phi @ op
+            acc[0] += _rowsum(np.abs(out) ** 2)
+            acc[1] += np.abs(_rowsum(phic * out)) ** 2
+    succ, overlap = _sample(inst.d, n, rng, kernel, 2)
     f_cond = np.where(succ > 0.0, overlap / np.where(succ > 0.0, succ, 1.0), 1.0)
     return {"p_succ": _estimate(succ), "f_cond": _estimate(f_cond)}
 
 
 def estimate_leakage(inst: Instrument, n: int, rng: RngSpec) -> McEstimate:
     """Empirical estimation fidelity with the top-eigenvector guess states."""
-    phi = _haar_batch(inst.d, n, rng.generator())
-    acc = np.zeros(n)
-    for m in inst.kraus:
-        guess = svd(m).right[:, 0]
-        prob = np.sum(np.abs(phi @ m.T) ** 2, axis=1)
-        acc += prob * np.abs(phi @ guess.conj()) ** 2
-    return _estimate(acc)
+    ops = [(m.T, svd(m).right[:, 0].conj()) for m in inst.kraus]
+    def kernel(phi, acc):
+        for mt, guess in ops:
+            acc[0] += _rowsum(np.abs(phi @ mt) ** 2) * np.abs(phi @ guess) ** 2
+    return _estimate(_sample(inst.d, n, rng, kernel)[0])
 
 
 def estimate_standard_fidelity(inst: Instrument, n: int, rng: RngSpec) -> McEstimate:
     """Empirical average fidelity of the polar-unitary correction protocol."""
-    phi = _haar_batch(inst.d, n, rng.generator())
-    acc = np.zeros(n)
-    for m in inst.kraus:
-        corrected = polar_unitary(m) @ m
-        acc += np.abs(np.sum(phi.conj() * (phi @ corrected.T), axis=1)) ** 2
-    return _estimate(acc)
+    ops = [(polar_unitary(m) @ m).T for m in inst.kraus]
+    def kernel(phi, acc):
+        phic = phi.conj()
+        for op in ops:
+            acc[0] += np.abs(_rowsum(phic * (phi @ op))) ** 2
+    return _estimate(_sample(inst.d, n, rng, kernel)[0])

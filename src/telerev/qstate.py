@@ -144,13 +144,18 @@ def schmidt_channel(phi: float, basis: str = "z") -> BipartiteState:
                           label=f"schmidt(phi={phi:.6g},{basis.lower()})")
 
 
+def _ejm_elements(t: np.ndarray) -> np.ndarray:
+    """Elegant measurement stack (rows, 4, 2, 2); element 0 is :func:`ejm_channel`."""
+    pm = (1.0 - np.exp(-1j * t)) / math.sqrt(2)
+    pp = (1.0 + np.exp(-1j * t)) / math.sqrt(2)
+    e = lambda k: np.exp(1j * k * math.pi / 4)
+    return 0.5 * _pack(t.size, e(-1), pm, pp, e(-3), e(3), pm, pp, e(1),
+                       e(1), -pp, -pm, e(3), e(-3), -pp, -pm, e(-1))
+
+
 def ejm_channel_stack(s) -> np.ndarray:
     """Coefficient stack of :func:`ejm_channel` over an array of angles."""
-    s = _check_angles(s, 0.0, math.pi / 2, "s")
-    pm = (1.0 - np.exp(-1j * s)) / math.sqrt(2)
-    pp = (1.0 + np.exp(-1j * s)) / math.sqrt(2)
-    return _normalised(0.5 * _pack(s.size, np.exp(-1j * math.pi / 4), pm,
-                                   pp, np.exp(-3j * math.pi / 4)))
+    return _normalised(_ejm_elements(_check_angles(s, 0.0, math.pi / 2, "s"))[:, 0].copy())
 
 
 def ejm_channel(s: float) -> BipartiteState:

@@ -168,12 +168,14 @@ def _qubit_block(sc: Scenario, lo: int, t: np.ndarray, x: np.ndarray) -> dict:
             "tradeoff_lhs": spec.tradeoff, "completeness": completeness,
             "reversal": spec.reversal}
     if sc.mc_samples:
+        t0 = time.perf_counter()
         est = [estimate_performance(Instrument(2, tuple(kraus[i]), f"{sc.name}[{lo + i}]"),
                                     spec.plan(i), sc.mc_samples,
                                     RngSpec(sc.rng.seed, lo + i))["p_succ"]
                for i in range(len(kraus))]
         cols["P_succ_mc"] = [e.mean for e in est]
         cols["P_succ_mc_stderr"] = [e.std_error for e in est]
+        cols["mc_s"] = [time.perf_counter() - t0]
     return cols
 
 
@@ -227,7 +229,7 @@ def run(sc: Scenario, out_dir, fmt: str = "csv") -> RunResult:
     t0 = time.perf_counter()
     columns = _qubit_columns if entry.measurement is not None else _thm2_columns
     cols, comp_max, rev_max = columns(sc)
-    n_rows = len(cols["param1"])
+    n_rows, mc_s = len(cols["param1"]), float(np.sum(cols.pop("mc_s", 0.0)))
     t1 = time.perf_counter()
     cells = _cells(cols, n_rows)
     if fmt == "csv":
@@ -258,7 +260,7 @@ def run(sc: Scenario, out_dir, fmt: str = "csv") -> RunResult:
         "rows": n_rows,
         "columns": COLUMNS,
         "wall_time_s": t1 - t0,
-        "phase_times_s": {"rows": t1 - t0, "format": t2 - t1, "write": t3 - t2},
+        "phase_times_s": {"rows": t1 - t0, "mc": mc_s, "format": t2 - t1, "write": t3 - t2},
         "residuals": {"completeness_max": comp_max, "reversal_max": rev_max},
         "residual_ok": residual_ok,
         "data_file": data_path.name,

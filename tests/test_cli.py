@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from telerev.cli import main
+from telerev.montecarlo import MC_BUDGET_BYTES
 from telerev.scenarios import COLUMNS, GridSpec, Scenario, run
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -138,6 +139,16 @@ def test_nonpositive_samples_rejected(tmp_path):
                  "--out", str(tmp_path)]) == 2
 
 
+def test_oversized_samples_rejected_before_allocating(tmp_path, capsys):
+    # 10^15 samples would need 24 PB of per-sample arrays; the refusal comes
+    # before any of them is allocated, so the test needs no memory.
+    for n in (MC_BUDGET_BYTES // 24 + 1, 10 ** 15):
+        assert main(["--scenario", "ejm-scan", "--grid", "0:1:3", "--samples", str(n),
+                     "--out", str(tmp_path)]) == 2
+        assert f"{n} samples need {24 * n} B, over the" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_scan_writes_data_and_manifest(tmp_path):
     assert main(["--scenario", "xx-scan", "--grid", "0:0.7:8", "--seed", "7",
                  "--out", str(tmp_path)]) == 0
@@ -152,9 +163,10 @@ def test_scan_writes_data_and_manifest(tmp_path):
     assert manifest["residuals"]["reversal_max"] < 1e-9
     assert manifest["wall_time_s"] >= 0.0
     phases = manifest["phase_times_s"]
-    assert sorted(phases) == ["format", "rows", "write"]
+    assert sorted(phases) == ["format", "mc", "rows", "write"]
     assert all(v >= 0.0 for v in phases.values())
     assert phases["rows"] == manifest["wall_time_s"]
+    assert phases["mc"] == 0.0
 
 
 def test_xx_scan_columns_match_closed_forms(tmp_path):
@@ -217,6 +229,8 @@ def test_mc_runs_are_deterministic(tmp_path):
 def test_mc_cells_present_with_samples(tmp_path):
     assert main(["--scenario", "ejm-scan", "--grid", "0:1.0:3", "--samples", "300",
                  "--seed", "5", "--out", str(tmp_path)]) == 0
+    phases = json.loads((tmp_path / "ejm-scan_manifest.json").read_text())["phase_times_s"]
+    assert 0.0 < phases["mc"] <= phases["rows"]
     for row in _rows(tmp_path / "ejm-scan.csv"):
         p_mc = float(row["P_succ_mc"])
         assert abs(p_mc - float(row["P_succ_svd"])) < 0.05

@@ -9,6 +9,9 @@ from telerev import (RngSpec, build_instrument, ejm, estimate_leakage,
                      schmidt_channel, standard_fidelity, xx_deformed,
                      bell_basis)
 from telerev.errors import DomainError
+from telerev.linalg import polar_unitary, svd
+from telerev.montecarlo import CHUNK, MC_BUDGET_BYTES, _haar_batch
+from telerev.theorems import random_basis
 
 # Statistical gates use five standard errors plus a tiny absolute floor for
 # estimators whose per-sample values are constant up to rounding.
@@ -182,3 +185,116 @@ def test_estimates_carry_sample_count():
     est = estimate_performance(inst, plan, 123, RngSpec(seed=1))
     assert est["p_succ"].n == 123
     assert est["f_cond"].n == 123
+
+
+# Frozen copy of the unchunked estimators (one n-row draw, numpy reductions
+# over the d columns), kept as the reference for the chunked kernel.
+def _ref_haar_batch(d, n, rng):
+    z = rng.standard_normal((n, d, 2))
+    v = z[..., 0] + 1j * z[..., 1]
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def _ref_estimate(samples):
+    n = samples.size
+    se = float(np.std(samples, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    return (float(np.mean(samples)), se)
+
+
+def _ref_performance(inst, plan, n, rng):
+    phi = _ref_haar_batch(inst.d, n, rng.generator())
+    succ = np.zeros(n)
+    overlap = np.zeros(n)
+    for m, rev, deg in zip(inst.kraus, plan.reversers, plan.degenerate):
+        if deg:
+            continue
+        out = phi @ (rev @ m).T
+        succ += np.sum(np.abs(out) ** 2, axis=1)
+        overlap += np.abs(np.sum(phi.conj() * out, axis=1)) ** 2
+    f_cond = np.where(succ > 0.0, overlap / np.where(succ > 0.0, succ, 1.0), 1.0)
+    return [_ref_estimate(succ), _ref_estimate(f_cond)]
+
+
+def _ref_leakage(inst, n, rng):
+    phi = _ref_haar_batch(inst.d, n, rng.generator())
+    acc = np.zeros(n)
+    for m in inst.kraus:
+        guess = svd(m).right[:, 0]
+        prob = np.sum(np.abs(phi @ m.T) ** 2, axis=1)
+        acc += prob * np.abs(phi @ guess.conj()) ** 2
+    return [_ref_estimate(acc)]
+
+
+def _ref_standard_fidelity(inst, n, rng):
+    phi = _ref_haar_batch(inst.d, n, rng.generator())
+    acc = np.zeros(n)
+    for m in inst.kraus:
+        corrected = polar_unitary(m) @ m
+        acc += np.abs(np.sum(phi.conj() * (phi @ corrected.T), axis=1)) ** 2
+    return [_ref_estimate(acc)]
+
+
+def _pairs(inst, n, rng):
+    """(chunked, reference) (mean, std_error) lists of all three estimators."""
+    plan = optimal_reversal(inst)
+    new = [*estimate_performance(inst, plan, n, rng).values(),
+           estimate_leakage(inst, n, rng), estimate_standard_fidelity(inst, n, rng)]
+    ref = (_ref_performance(inst, plan, n, rng) + _ref_leakage(inst, n, rng)
+           + _ref_standard_fidelity(inst, n, rng))
+    assert all(e.n == n for e in new)
+    return [(e.mean, e.std_error) for e in new], ref
+
+
+def _qudit(d, seed):
+    return build_instrument(max_entangled(d), random_basis(d, np.random.default_rng(seed)))
+
+
+_QUBITS = [_elegant(0.3)[0],
+           build_instrument(schmidt_channel(0.3, "z"), xx_deformed(0.25))]
+_SIZES = [1, 2, 2000, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1, 100_000]
+
+
+@pytest.mark.parametrize("n", _SIZES)
+def test_chunked_estimators_are_bit_identical_for_qubits_and_qutrits(n):
+    for inst in _QUBITS + [_qudit(3, 31)]:
+        for seed in (5, 6):
+            new, ref = _pairs(inst, n, RngSpec(seed, stream=n))
+            assert new == ref
+
+
+@pytest.mark.parametrize("d", [4, 8])
+def test_chunked_estimators_match_reference_for_larger_d(d):
+    for n in (2000, CHUNK + 1):
+        new, ref = _pairs(_qudit(d, 40 + d), n, RngSpec(7, stream=d))
+        assert np.max(np.abs(np.subtract(new, ref))) <= 1e-15
+
+
+@pytest.mark.parametrize("d, n", [(2, 1), (2, CHUNK + 1), (3, 2 * CHUNK + 1), (8, 3 * CHUNK - 1)])
+def test_chunked_draws_replay_the_one_shot_draw(d, n):
+    from telerev.montecarlo import _sample
+    one_shot = _haar_batch(d, n, RngSpec(seed=61).generator())
+    chunks = []
+
+    def kernel(phi, acc):
+        assert acc.shape == (2, phi.shape[0])
+        chunks.append(phi.copy())
+        acc += phi.shape[0]
+    acc = _sample(d, n, RngSpec(seed=61), kernel, 2)
+    sizes = [phi.shape[0] for phi in chunks]
+    assert len(chunks) == max(n // CHUNK, 1) and (n == 1 or min(sizes) > 1)
+    assert np.array_equal(acc, np.repeat(sizes, sizes)[None].repeat(2, axis=0))
+    assert np.array_equal(np.concatenate(chunks), one_shot)
+    ref = _ref_haar_batch(d, n, RngSpec(seed=61).generator())
+    if d <= 3:
+        assert np.array_equal(one_shot, ref)
+    assert np.max(np.abs(one_shot - ref)) <= 1e-15
+
+
+def test_oversized_sample_count_is_refused_before_allocating():
+    inst, plan = _elegant(0.0)
+    n = MC_BUDGET_BYTES // 24 + 1
+    for call in (lambda: estimate_performance(inst, plan, n, RngSpec(1)),
+                 lambda: estimate_leakage(inst, n, RngSpec(1)),
+                 lambda: estimate_standard_fidelity(inst, n, RngSpec(1))):
+        with pytest.raises(DomainError, match=f"over the {MC_BUDGET_BYTES} B budget"):
+            call()

@@ -9,8 +9,8 @@ from telerev import (BipartiteState, DimensionError, channel_bloch, concurrence,
                      ejm_channel, g_concurrence, max_entangled, reduced_bloch,
                      schmidt_channel)
 from telerev.errors import DomainError
-from telerev.jointmeas import ejm, element_bloch, xx_deformed
-from telerev.qstate import channel_operator
+from telerev.jointmeas import ejm, ejm_stack, element_bloch, xx_deformed
+from telerev.qstate import channel_operator, ejm_channel_stack
 
 from helpers import random_coeff
 
@@ -79,6 +79,17 @@ def test_ejm_channel_direction_antiparallel_to_element0():
         for t in (0.0, 0.7):
             n0 = element_bloch(ejm(t), 0).direction
             assert abs(np.dot(u, n0) + 1.0) < 1e-10
+
+
+def test_ejm_channel_stack_is_element0_of_ejm_stack():
+    s = np.linspace(0.0, math.pi / 2, 101)
+    chan = ejm_channel_stack(s)
+    assert np.array_equal(chan, ejm_stack(s)[:, 0])
+    # the channel's own entries before it shared the measurement's definition
+    pm, pp = (1.0 - np.exp(-1j * s)) / math.sqrt(2), (1.0 + np.exp(-1j * s)) / math.sqrt(2)
+    old = 0.5 * np.stack([np.full(101, np.exp(-1j * math.pi / 4)), pm, pp,
+                          np.full(101, np.exp(-3j * math.pi / 4))], axis=1).reshape(101, 2, 2)
+    assert np.array_equal(chan, old)
 
 
 def test_ejm_channel_rejects_out_of_range():
