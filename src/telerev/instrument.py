@@ -122,8 +122,7 @@ def spectrum(kraus: np.ndarray) -> Spectrum:
     d = kraus.shape[-1]
     res = svd(kraus)
     s = res.sigmas
-    smin = s[..., -1]
-    degenerate = smin == 0.0
+    smin, degenerate = s[..., -1], res.rank_deficient
     inv = np.divide(1.0, s, out=np.zeros_like(s), where=~degenerate[..., None])
     # Keep the order sigma_min ((V Sigma^-1) U^dag): Monte Carlo cells replay
     # bit for bit only from bit-identical reversers, and a reordered product

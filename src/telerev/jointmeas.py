@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import CMatrix
-from .qstate import (BlochPoint, _check_angles, _ejm_elements, _g_concurrence, _pack,
-                     concurrences, reduced_bloch)
+from .qstate import (BipartiteState, BlochPoint, _check_angles, _ejm_elements, _pack,
+                     channel_bloch, g_concurrence)
 
 ZX_ZZ_LIMIT = math.sqrt(3) * math.pi / 4
 
@@ -119,12 +119,10 @@ def validate(jm: JointMeasurement) -> BasisReport:
 
 
 def element_entanglement(jm: JointMeasurement, r: int) -> float:
-    """Entanglement of element r: concurrence for d=2, G-concurrence otherwise."""
-    w = jm.elements[r]
-    return float(concurrences(w)) if jm.d == 2 else _g_concurrence(w)
+    """G-concurrence of element r (the concurrence for d=2), checked like a state."""
+    return g_concurrence(BipartiteState(d=jm.d, coeff=jm.elements[r]))
 
 
 def element_bloch(jm: JointMeasurement, r: int) -> BlochPoint:
-    """Bloch point of the reduced element operator B_r = W_r^dag W_r."""
-    w = jm.elements[r]
-    return reduced_bloch(w.conj().T @ w)
+    """Bloch point of B_r = W_r^dag W_r, the reduced operator conj(E) @ E.T of E = W_r^T."""
+    return channel_bloch(BipartiteState(d=2, coeff=jm.elements[r].T))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .linalg import CMatrix, as_matrix, svd
+from .linalg import CMatrix, as_matrix
 
 NORM_TOL = 1e-10
 # Bloch radii below this have no meaningful direction (reported as None).
@@ -28,7 +28,6 @@ _RANGE_TOL = 1e-12
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
-PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
 
 
 @dataclass(frozen=True)
@@ -87,7 +86,7 @@ def _check_angles(values, lo: float, hi: float, name: str,
 def _normalised(coeffs: np.ndarray) -> np.ndarray:
     """Check Tr(E^dag E) = 1 for a stack of coefficient matrices at once."""
     norms = np.real(np.einsum("nij,nij->n", coeffs.conj(), coeffs))
-    bad = np.abs(norms - 1.0) > NORM_TOL
+    bad = ~(np.abs(norms - 1.0) <= NORM_TOL)  # NaN fails
     if bad.any():
         raise DomainError(
             f"state is not normalized: Tr(E^dag E) = {float(norms[bad][0])!r}")
@@ -169,9 +168,11 @@ def ejm_channel(s: float) -> BipartiteState:
 
 
 def concurrences(coeffs: np.ndarray) -> np.ndarray:
-    """Two-qubit concurrence 2|ad - bc| of each matrix in a stack, elementwise."""
+    """G-concurrence d |det E|^(2/d) of each matrix of a stack; for d = 2, 2|ad - bc|."""
     e = np.asarray(coeffs)
-    return 2.0 * np.abs(e[..., 0, 0] * e[..., 1, 1] - e[..., 0, 1] * e[..., 1, 0])
+    d = e.shape[-1]
+    det = e[..., 0, 0] * e[..., 1, 1] - e[..., 0, 1] * e[..., 1, 0] if d == 2 else np.linalg.det(e)
+    return d * np.abs(det) ** (2.0 / d)
 
 
 def bloch_vectors(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -183,6 +184,15 @@ def bloch_vectors(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return 2.0 * off.real, -2.0 * off.imag, z
 
 
+def _radius(x, y, z):  # every BlochPoint radius and Theorem 1's u and v
+    return np.sqrt(x * x + y * y + z * z)
+
+
+def _bloch_point(x, y, z) -> BlochPoint:
+    radius = float(_radius(x, y, z))
+    return BlochPoint(radius, None if radius < DIR_FLOOR else np.array([x, y, z]) / radius)
+
+
 def concurrence(state: BipartiteState) -> float:
     """Two-qubit concurrence 2|det E| of a pure state."""
     if state.d != 2:
@@ -191,17 +201,9 @@ def concurrence(state: BipartiteState) -> float:
 
 
 def g_concurrence(state: BipartiteState) -> float:
-    """G-concurrence d * (prod of singular values of E)^(2/d).
-
-    Coincides with the concurrence for d = 2 and vanishes on rank-deficient
-    coefficient matrices.
-    """
-    return _g_concurrence(state.coeff)
-
-
-def _g_concurrence(coeff: CMatrix) -> float:
-    d = coeff.shape[-1]
-    return d * float(np.prod(svd(coeff).sigmas)) ** (2.0 / d)
+    """G-concurrence d |det E|^(2/d) = d (prod of singular values of E)^(2/d): the
+    concurrence for d = 2, zero on rank-deficient coefficient matrices."""
+    return float(concurrences(state.coeff))
 
 
 def channel_operator(state: BipartiteState) -> CMatrix:
@@ -214,7 +216,7 @@ def reduced_bloch(op: CMatrix) -> BlochPoint:
     """Bloch decomposition op = (I + r n.sigma)/2 of a positive 2x2 operator.
 
     Raises DomainError when ``op`` is not Hermitian positive with unit trace
-    (all within 1e-10).
+    (all within 1e-10); its eigenvalues are (Tr +- r)/2, so positive means Tr >= r.
     """
     a = as_matrix(op)
     if a.shape != (2, 2):
@@ -223,15 +225,15 @@ def reduced_bloch(op: CMatrix) -> BlochPoint:
         raise DomainError("operator is not Hermitian")
     if abs(np.trace(a).real - 1.0) > NORM_TOL or abs(np.trace(a).imag) > NORM_TOL:
         raise DomainError("operator does not have unit trace")
-    if np.linalg.eigvalsh(a)[0] < -NORM_TOL:
+    (a00, a01), (a10, a11) = a  # Re Tr(a sigma_k) read off the entries
+    point = _bloch_point((a01 + a10).real, (a10 - a01).imag, (a00 - a11).real)
+    if np.trace(a).real - point.radius < -2.0 * NORM_TOL:
         raise DomainError("operator is not positive semidefinite")
-    vec = np.array([np.trace(a @ p).real for p in PAULIS])
-    radius = float(np.linalg.norm(vec))
-    if radius < DIR_FLOOR:
-        return BlochPoint(radius=radius, direction=None)
-    return BlochPoint(radius=radius, direction=vec / radius)
+    return point
 
 
 def channel_bloch(state: BipartiteState) -> BlochPoint:
     """Bloch point of the reduced channel operator A = conj(E) @ E.T."""
-    return reduced_bloch(channel_operator(state))
+    if state.d != 2:
+        raise DimensionError("Bloch points are defined for qubits only")
+    return _bloch_point(*bloch_vectors(state.coeff))

@@ -43,6 +43,12 @@ REVERSAL_GATE = 1e-9
 # 2601-row batch raised the peak RSS of a zz-scan run by 13%.
 BLOCK_ROWS = 256
 
+# Grid rows per run.  A run holds its columns and their text whole.  The
+# costliest output, a 2-D scan with Monte Carlo cells written as JSON, peaked
+# at 258 MiB RSS at 80,000 rows (about 2.8 KiB per row against 1.1 KiB for a
+# 1-D CSV scan), so the limit keeps any run near MC_BUDGET_BYTES (256 MiB).
+MAX_ROWS = 80_000
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -128,7 +134,8 @@ def _rows(entry: ScenarioSpec, t: np.ndarray, second: np.ndarray | None):
 
 
 def validate_scenario(sc: Scenario) -> None:
-    """Check the scenario name and grids: the qubit factories check their
+    """Check the scenario name and grids, before anything the size of a grid is
+    allocated: the row count against MAX_ROWS; the qubit factories check their
     domains on the grid corners; thm2-bounds checks e and the dimensions."""
     entry = SCENARIOS.get(sc.name)
     if entry is None:
@@ -137,6 +144,9 @@ def validate_scenario(sc: Scenario) -> None:
         raise DomainError(f"{sc.name} takes no second grid")
     if sc.mc_samples and entry.measurement is None:
         raise DomainError(f"{sc.name} takes no Monte Carlo samples: it has no instrument")
+    rows = sc.grid.steps * (1 if sc.grid2 is None else sc.grid2.steps)
+    if rows > MAX_ROWS:
+        raise DomainError(f"{sc.name}: {rows} grid rows, over the {MAX_ROWS}-row limit")
     ends = [None if g is None else np.array([g.start, g.stop]) for g in (sc.grid, sc.grid2)]
     try:
         if entry.measurement is not None:
@@ -219,10 +229,10 @@ def run(sc: Scenario, out_dir, fmt: str = "csv") -> RunResult:
     """Evaluate a scenario and write its data file plus run manifest."""
     if fmt not in ("csv", "json"):
         raise DomainError(f"unknown output format {fmt!r}")
+    entry = SCENARIOS.get(sc.name)
+    if entry is not None and sc.grid2 is None and entry.measurement is None:
+        sc = replace(sc, grid2=entry.grid2)  # thm2-bounds runs its default dimensions
     validate_scenario(sc)
-    entry = SCENARIOS[sc.name]
-    if sc.grid2 is None and entry.measurement is None:
-        sc = replace(sc, grid2=entry.grid2)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

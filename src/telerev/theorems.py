@@ -16,10 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .jointmeas import JointMeasurement, element_bloch
-from .linalg import as_matrix
-from .qstate import (DIR_FLOOR, BipartiteState, _normalised, bloch_vectors,
-                     channel_bloch, concurrences)
+from .jointmeas import JointMeasurement
+from .qstate import DIR_FLOOR, BipartiteState, _normalised, _radius, bloch_vectors, concurrences
 
 __all__ = ["Thm1Inputs", "Thm2Bounds", "thm1_outcome_success", "alignment_x",
            "thm1_success_stack", "thm1_total_success", "g_of_t", "solve_tr",
@@ -78,8 +76,8 @@ def thm1_outcome_success(inp: Thm1Inputs) -> float:
 def _closed_form(e_c, e_r, u, v, x):
     # Elementwise over broadcastable arrays; x = 0 where the alignment is
     # undefined.  u, v are the Bloch radii sqrt(1 - E^2); passing them
-    # explicitly lets callers that know them to full precision (from operator
-    # traces) avoid the ill-conditioned sqrt near E = 1.
+    # explicitly lets callers that know them to full precision (from Bloch
+    # vectors) avoid the ill-conditioned sqrt near E = 1.
     # snapping |x| near or above 1 to +-1 (unit-vector dot products cannot exceed
     # 1) keeps the (anti)parallel discriminant (u -+ v)^2 free of sqrt-amplified noise
     x = np.where(1.0 - np.abs(x) < 1e-12, np.copysign(1.0, x), x)
@@ -91,6 +89,16 @@ def _closed_form(e_c, e_r, u, v, x):
     return np.divide(b * b, den, out=np.zeros(np.broadcast(b, den).shape), where=den > 0.0)
 
 
+def _alignment(channels: np.ndarray, elements: np.ndarray):
+    """Bloch radii u, v, alignment x (0 where undefined) and the mask where x is defined."""
+    # B_r = W_r^dag W_r is the reduced operator conj(E) @ E.T of E = W_r^T
+    (xc, yc, zc), (xr, yr, zr) = bloch_vectors(channels), bloch_vectors(elements.swapaxes(-1, -2))
+    u, v = _radius(xc, yc, zc), _radius(xr, yr, zr)
+    aligned = (u >= DIR_FLOOR) & (v >= DIR_FLOOR)
+    x = np.divide(xc * xr + yc * yr + zc * zr, u * v, out=np.zeros(v.shape), where=aligned)
+    return u, v, x, aligned
+
+
 def thm1_success_stack(coeffs: np.ndarray, elements: np.ndarray):
     """Theorem 1 over stacks of qubit channels (rows, 2, 2) and measurements
     (rows, n, 2, 2): channel concurrences (rows,), element concurrences
@@ -99,12 +107,7 @@ def thm1_success_stack(coeffs: np.ndarray, elements: np.ndarray):
     _normalised(elements.reshape(-1, 2, 2))
     channels = coeffs[:, None]  # broadcasts against the n elements of its row
     e_c, e_r = concurrences(channels), concurrences(elements)
-    # B_r = W_r^dag W_r is the reduced operator conj(E) @ E.T of E = W_r^T
-    (xc, yc, zc), (xr, yr, zr) = bloch_vectors(channels), bloch_vectors(elements.swapaxes(-1, -2))
-    u = np.sqrt(xc * xc + yc * yc + zc * zc)
-    v = np.sqrt(xr * xr + yr * yr + zr * zr)
-    aligned = (u >= DIR_FLOOR) & (v >= DIR_FLOOR)
-    x = np.divide(xc * xr + yc * yr + zc * zr, u * v, out=np.zeros(v.shape), where=aligned)
+    u, v, x, _ = _alignment(channels, elements)
     p = _closed_form(np.minimum(e_c, 1.0), np.minimum(e_r, 1.0), u, v, x)
     return e_c[:, 0], e_r, np.add.reduce(p, axis=-1)
 
@@ -116,19 +119,16 @@ def alignment_x(channel: BipartiteState, jm: JointMeasurement, r: int) -> float 
     """
     if channel.d != 2 or jm.d != 2:
         raise DimensionError("alignment is defined for qubits only")
-    u = channel_bloch(channel)
-    n = element_bloch(jm, r)
-    if u.direction is None or n.direction is None:
-        return None
-    return float(np.dot(u.direction, n.direction))
+    element = BipartiteState(d=2, coeff=jm.elements[r]).coeff  # checked like a channel
+    _, _, x, aligned = _alignment(channel.coeff, element)
+    return float(x) if aligned else None
 
 
 def thm1_total_success(channel: BipartiteState, jm: JointMeasurement) -> float:
     """Closed-form total success probability summed over the four outcomes."""
     if channel.d != 2 or jm.d != 2:
         raise DimensionError("the closed form is defined for qubits only")
-    elements = as_matrix(jm.elements, batched=True)
-    return float(thm1_success_stack(channel.coeff[None], elements[None])[2][0])
+    return float(thm1_success_stack(channel.coeff[None], np.stack(jm.elements)[None])[2][0])
 
 
 def g_of_t(d: int, t: float) -> float:

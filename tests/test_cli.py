@@ -6,8 +6,10 @@ from pathlib import Path
 import pytest
 
 from telerev.cli import main
+from telerev.errors import DomainError
 from telerev.montecarlo import MC_BUDGET_BYTES
-from telerev.scenarios import COLUMNS, GridSpec, Scenario, run
+from telerev.scenarios import (COLUMNS, MAX_ROWS, GridSpec, Scenario, run,
+                               validate_scenario)
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -147,6 +149,31 @@ def test_oversized_samples_rejected_before_allocating(tmp_path, capsys):
                      "--out", str(tmp_path)]) == 2
         assert f"{n} samples need {24 * n} B, over the" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, rows", [
+    (["--scenario", "ejm-scan", "--grid", "0:1:1000000000000"], 10 ** 12),
+    (["--scenario", "xx-scan", "--grid", f"0:0.7:{MAX_ROWS + 1}"], MAX_ROWS + 1),
+    (["--scenario", "zz-scan", "--grid", "0:1:1000000", "--grid2", "0:0.5:1000000"], 10 ** 12),
+    (["--scenario", "thm2-bounds", "--grid", "0:1:3", "--grid2", "3:4:1000000000"], 3 * 10 ** 9),
+    # thm2-bounds counts its default dimension grid {3, 4}
+    (["--scenario", "thm2-bounds", "--grid", f"0:1:{MAX_ROWS // 2 + 1}"], MAX_ROWS + 2),
+])
+def test_oversized_grids_rejected_before_allocating(argv, rows, tmp_path, capsys, monkeypatch):
+    # no grid is ever expanded: a call to GridSpec.values would escape main
+    def refuse(self):
+        raise AssertionError("grid values allocated")
+    monkeypatch.setattr(GridSpec, "values", refuse)
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert f"{rows} grid rows, over the {MAX_ROWS}-row limit" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_row_limit_is_inclusive():
+    grid2 = GridSpec(0.0, 0.5, MAX_ROWS // 400)
+    validate_scenario(Scenario("zz-scan", GridSpec(0.0, 1.0, 400), grid2))
+    with pytest.raises(DomainError, match="over the"):
+        validate_scenario(Scenario("zz-scan", GridSpec(0.0, 1.0, 401), grid2))
 
 
 def test_scan_writes_data_and_manifest(tmp_path):

@@ -290,6 +290,16 @@ def test_chunked_draws_replay_the_one_shot_draw(d, n):
     assert np.max(np.abs(one_shot - ref)) <= 1e-15
 
 
+@pytest.mark.parametrize("n", [0, -5])
+def test_sample_counts_below_one_are_refused(n):
+    inst, plan = _elegant(0.0)
+    for call in (lambda: estimate_performance(inst, plan, n, RngSpec(1)),
+                 lambda: estimate_leakage(inst, n, RngSpec(1)),
+                 lambda: estimate_standard_fidelity(inst, n, RngSpec(1))):
+        with pytest.raises(DomainError, match=f"sample count must be >= 1, got {n}"):
+            call()
+
+
 def test_oversized_sample_count_is_refused_before_allocating():
     inst, plan = _elegant(0.0)
     n = MC_BUDGET_BYTES // 24 + 1

@@ -9,8 +9,11 @@ from telerev import (BipartiteState, DimensionError, channel_bloch, concurrence,
                      ejm_channel, g_concurrence, max_entangled, reduced_bloch,
                      schmidt_channel)
 from telerev.errors import DomainError
-from telerev.jointmeas import ejm, ejm_stack, element_bloch, xx_deformed
-from telerev.qstate import channel_operator, ejm_channel_stack
+from telerev.jointmeas import ejm, ejm_stack, element_bloch, element_entanglement, xx_deformed
+from telerev.linalg import svd
+from telerev.qstate import (NORM_TOL, PAULI_X, PAULI_Y, PAULI_Z, _bloch_point,
+                            channel_operator, ejm_channel_stack)
+from telerev.theorems import random_basis
 
 from helpers import random_coeff
 
@@ -123,6 +126,30 @@ def test_g_concurrence_matches_concurrence_for_qubits():
         assert abs(concurrence(state) - g_concurrence(state)) < 1e-10
 
 
+def _svd_g_concurrence(coeff) -> float:
+    """The G-concurrence as the product of the singular values, d (prod sigma)^(2/d),
+    the formula g_concurrence used before the determinant form replaced it."""
+    d = coeff.shape[-1]
+    return d * float(np.prod(svd(coeff).sigmas)) ** (2.0 / d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(2, 8), seed=st.integers(0, 2 ** 32 - 1))
+def test_g_concurrence_matches_the_singular_value_product(d, seed):
+    rng = np.random.default_rng(seed)
+    coeff = random_coeff(d, rng)
+    assert abs(g_concurrence(BipartiteState(d=d, coeff=coeff)) - _svd_g_concurrence(coeff)) <= 1e-12
+    jm = random_basis(d, rng)
+    for r in range(d * d):
+        assert abs(element_entanglement(jm, r) - _svd_g_concurrence(jm.elements[r])) <= 1e-12
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_g_concurrence_is_exactly_zero_on_a_rank_deficient_diagonal(d):
+    coeff = np.diag([1.0] * (d - 1) + [0.0]) / math.sqrt(d - 1)
+    assert g_concurrence(BipartiteState(d=d, coeff=coeff)) == 0.0 == _svd_g_concurrence(coeff)
+
+
 def test_channel_bloch_radius_complements_concurrence():
     rng = np.random.default_rng(12)
     for _ in range(300):
@@ -161,6 +188,45 @@ def test_reduced_bloch_rejects_bad_operators():
         reduced_bloch(np.diag([1.5, -0.5]))  # not positive
     with pytest.raises(DimensionError):
         reduced_bloch(np.eye(3) / 3)
+
+
+def _pauli_traces(a):
+    """Re Tr(A sigma_k), the trace loop reduced_bloch ran before it read the
+    components off the entries."""
+    return [np.trace(a @ p).real for p in (PAULI_X, PAULI_Y, PAULI_Z)]
+
+
+def test_reduced_bloch_components_are_the_pauli_traces():
+    rng = np.random.default_rng(13)
+    for _ in range(10_000):
+        m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        a = m @ m.conj().T
+        a /= np.trace(a).real
+        got, want = reduced_bloch(a), _bloch_point(*_pauli_traces(a))
+        assert got.radius == want.radius
+        assert np.array_equal(got.direction, want.direction)
+        # the radius was np.linalg.norm of the traces; the shared sqrt(x^2 + y^2 + z^2)
+        # differs from it in the last bits only (1,220 of these 10,000 radii, <= 2 ulp)
+        vec = np.array(_pauli_traces(a))
+        old = float(np.linalg.norm(vec))
+        assert abs(got.radius - old) <= 2 * np.spacing(old)
+        assert np.max(np.abs(got.direction - vec / old)) <= 2 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("smallest, rejected", [(-3e-10, True), (-0.5e-10, False)])
+def test_reduced_bloch_positivity_matches_the_smallest_eigenvalue(smallest, rejected):
+    # a Hermitian 2x2 operator has eigenvalues (Tr +- r)/2, so Tr - r < -2 NORM_TOL
+    # is the test eigvalsh(op)[0] < -NORM_TOL
+    rng = np.random.default_rng(14)
+    for _ in range(200):
+        q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+        op = q @ np.diag([1.0 - smallest, smallest]) @ q.conj().T
+        assert (np.linalg.eigvalsh(op)[0] < -NORM_TOL) == rejected
+        if rejected:
+            with pytest.raises(DomainError, match="not positive semidefinite"):
+                reduced_bloch(op)
+        else:
+            assert reduced_bloch(op).radius > 1.0
 
 
 def test_constructor_normalization_over_sweeps():

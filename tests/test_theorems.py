@@ -6,16 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from telerev import (DimensionError, Thm1Inputs, alignment_x,
-                     build_instrument, ejm, ejm_channel, g_of_t, max_entangled,
+                     build_instrument, channel_bloch, ejm, ejm_channel, g_of_t, max_entangled,
                      optimal_reversal, saturating_spectrum, schmidt_channel,
                      solve_tr, success_probability, svd, thm1_outcome_success,
                      thm1_total_success, thm2_bounds, tr_closed_form_d3,
                      xx_deformed, zx_zz)
 from telerev.errors import DomainError
 from telerev.jointmeas import (ZX_ZZ_LIMIT, JointMeasurement, element_bloch,
-                               element_entanglement)
-from telerev.qstate import reduced_bloch
-from telerev.theorems import random_basis
+                               element_entanglement, xx_deformed_stack)
+from telerev.qstate import BipartiteState, max_entangled_stack, reduced_bloch
+from telerev.scenarios import SCENARIOS, _rows
+from telerev.theorems import _alignment, _closed_form, random_basis, thm1_success_stack
 
 from helpers import random_coeff
 
@@ -85,6 +86,30 @@ def test_alignment_requires_qubits():
         alignment_x(max_entangled(3), random_basis(3, np.random.default_rng(0)), 0)
 
 
+@pytest.mark.parametrize("name", [n for n, e in SCENARIOS.items() if e.measurement])
+def test_alignment_is_the_x_of_the_stacked_law(name):
+    # on the scenario's default grid, alignment_x is bit for bit the x from
+    # which thm1_success_stack computes P_succ, and the Bloch accessors' radii
+    # are its u and v
+    entry = SCENARIOS[name]
+    _, t, x_angle = _rows(entry, entry.grid.values(),
+                          None if entry.grid2 is None else entry.grid2.values())
+    coeffs, elements = entry.channel(x_angle), entry.measurement(t)
+    e_c, e_r, total = thm1_success_stack(coeffs, elements)
+    u, v, x, aligned = _alignment(coeffs[:, None], elements)
+    p = _closed_form(np.minimum(e_c, 1.0)[:, None], np.minimum(e_r, 1.0), u, v, x)
+    assert np.array_equal(np.add.reduce(p, axis=-1), total)
+    for i in range(t.size):
+        channel = BipartiteState(d=2, coeff=coeffs[i])
+        jm = JointMeasurement(d=2, elements=tuple(elements[i]), label=name)
+        assert channel_bloch(channel).radius == u[i, 0]
+        for r in range(4):
+            assert element_bloch(jm, r).radius == v[i, r]
+            got = alignment_x(channel, jm, r)
+            assert (got is None) == (not aligned[i, r])
+            assert got is None or got == x[i, r]
+
+
 def test_closed_form_matches_svd_on_random_pairs():
     rng = np.random.default_rng(41)
     worst = 0.0
@@ -142,6 +167,44 @@ def test_total_success_rejects_unnormalised_elements():
                            label="scaled")
     with pytest.raises(DomainError):
         thm1_total_success(max_entangled(2), bad)
+
+
+def test_bloch_accessors_reject_bad_elements():
+    jm = xx_deformed(0.3)
+    scaled = JointMeasurement(d=2, elements=(1.1 * jm.elements[0],) + jm.elements[1:],
+                              label="scaled")
+    with pytest.raises(DomainError):
+        element_bloch(scaled, 0)
+    with pytest.raises(DomainError):
+        alignment_x(schmidt_channel(math.pi / 8, "z"), scaled, 0)
+    with pytest.raises(DimensionError):
+        element_bloch(random_basis(3, np.random.default_rng(0)), 0)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_element_entanglement_rejects_bad_elements(d):
+    # the SVD the determinant form replaced refused these for d > 2
+    jm = random_basis(d, np.random.default_rng(5))
+    nan = jm.elements[0].copy()
+    nan[0, 0] = np.nan
+    with pytest.raises(DomainError, match="finite"):
+        element_entanglement(JointMeasurement(d=d, elements=(nan,) + jm.elements[1:],
+                                              label="nan"), 0)
+    flat = JointMeasurement(d=d, elements=(jm.elements[0][:, :-1],) + jm.elements[1:],
+                            label="non-square")
+    with pytest.raises(DimensionError, match="shape"):
+        element_entanglement(flat, 0)
+    scaled = JointMeasurement(d=d, elements=(1.1 * jm.elements[0],) + jm.elements[1:],
+                              label="scaled")
+    with pytest.raises(DomainError, match="not normalized"):
+        element_entanglement(scaled, 0)
+
+
+def test_stacked_law_rejects_non_finite_elements():
+    elements = xx_deformed_stack([0.3])
+    elements[0, 1, 0, 0] = np.nan
+    with pytest.raises(DomainError):
+        thm1_success_stack(max_entangled_stack(2, 1), elements)
 
 
 def test_antiparallel_alignment_is_optimal_for_elegant_measurement():
