@@ -5,9 +5,9 @@ Outcome r of the joint measurement maps the input through the Kraus operator
 M_r = E^T W_r^dag.  The reversing filter R_r = sigma_min Q_r Sigma_r^-1 P_r^dag
 (from the SVD M_r = P_r Sigma_r Q_r^dag) restores any input exactly with
 probability sigma_min^2, independent of the input.  Every metric derives
-from the singular spectrum, so :func:`spectrum` computes them all for a stack
-of instruments from one SVD; the scalar functions are that core on a batch
-of one.
+from the singular values alone: :func:`spectrum` adds the reversers of a
+stack from one full SVD, the scalar metrics run a values-only SVD of a batch
+of one, and only the readers of the reversal residual compute it.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError
 from .jointmeas import JointMeasurement
-from .linalg import CMatrix, svd
+from .linalg import CMatrix, singular_values, svd
 from .qstate import BipartiteState
 
 COMPLETENESS_TOL = 1e-10
@@ -65,7 +65,7 @@ class PerformanceReport:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Every figure of a stack of instruments, from one stacked SVD.
+    """Metrics and reversers of a stack of instruments, from one stacked SVD.
 
     Arrays are indexed [row] or [row, outcome]; row i's reversers and
     degenerate flags equal, bit for bit, ``optimal_reversal`` on that row.
@@ -78,7 +78,10 @@ class Spectrum:
     leakage: np.ndarray
     f_standard: np.ndarray
     tradeoff: np.ndarray
-    reversal: np.ndarray
+
+    def residual(self, kraus: np.ndarray) -> np.ndarray:
+        """Each row's reversal residual (see :func:`reversal_residual`)."""
+        return _reversal(kraus, self.reversers, self.degenerate, self.sigmas[..., -1])
 
     def plan(self, row: int) -> ReversalPlan:
         smin = self.sigmas[row, :, -1]
@@ -104,6 +107,15 @@ def _tradeoff(d: int, leakage, p_succ):
     return d * (d + 1) * leakage + (d - 1) * p_succ
 
 
+def _metrics(d: int, s: np.ndarray):
+    """P, L, F_standard and the trade-off of singular values s (..., n, d)."""
+    smin, top, nuclear = s[..., -1], s[..., 0], np.sum(s, axis=-1)
+    p_succ = np.sum(smin * smin, axis=-1)
+    leakage = (d + np.sum(top * top, axis=-1)) / (d * (d + 1))
+    f_ent = np.sum(nuclear * nuclear, axis=-1) / d ** 2  # polar-unitary correction
+    return p_succ, leakage, (d * f_ent + 1.0) / (d + 1.0), _tradeoff(d, leakage, p_succ)
+
+
 def kraus_stack(coeffs: np.ndarray, elements: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Kraus stack M_r = E^T W_r^dag (rows, d^2, d, d) of channel stack
     (rows, d, d) and measurement stack (rows, d^2, d, d), with each row's
@@ -117,8 +129,8 @@ def kraus_stack(coeffs: np.ndarray, elements: np.ndarray) -> tuple[np.ndarray, n
 
 
 def spectrum(kraus: np.ndarray) -> Spectrum:
-    """All metrics, reversers and reversal residuals of a Kraus stack
-    (rows, n, d, d) from a single stacked SVD."""
+    """All metrics and reversers of a Kraus stack (rows, n, d, d) from a
+    single stacked SVD."""
     d = kraus.shape[-1]
     res = svd(kraus)
     s = res.sigmas
@@ -129,19 +141,11 @@ def spectrum(kraus: np.ndarray) -> Spectrum:
     # (an einsum, say) rounds differently.  Degenerate outcomes get zeros.
     reversers = smin[..., None, None] * (
         res.right @ (inv[..., None] * np.eye(d)) @ res.left.conj().swapaxes(-1, -2))
-    top, nuclear = s[..., 0], np.sum(s, axis=-1)
-    p_succ = np.sum(smin * smin, axis=-1)
-    leakage = (d + np.sum(top * top, axis=-1)) / (d * (d + 1))
-    f_ent = np.sum(nuclear * nuclear, axis=-1) / d ** 2  # polar-unitary correction
-    return Spectrum(sigmas=s, reversers=reversers, degenerate=degenerate,
-                    p_succ=p_succ, leakage=leakage,
-                    f_standard=(d * f_ent + 1.0) / (d + 1.0),
-                    tradeoff=_tradeoff(d, leakage, p_succ),
-                    reversal=_reversal(kraus, reversers, degenerate, smin))
+    return Spectrum(s, reversers, degenerate, *_metrics(d, s))
 
 
 def _one(matrices) -> np.ndarray:  # per-outcome matrices as a batch of one row
-    return np.stack(matrices)[None]
+    return np.array([matrices])
 
 
 def completeness_residual(kraus, d: int) -> float:
@@ -202,7 +206,7 @@ def leakage_max(inst: Instrument) -> float:
     Equals (d + sum_r sigma_max^2) / (d (d + 1)); the optimal per-outcome
     guess is the top eigenvector of M_r^dag M_r.
     """
-    return float(spectrum(_one(inst.kraus)).leakage[0])
+    return performance_report(inst).leakage_max
 
 
 def standard_fidelity(inst: Instrument) -> float:
@@ -212,7 +216,7 @@ def standard_fidelity(inst: Instrument) -> float:
     entanglement fidelity is sum_r nu_r^2 / d^2 with nu_r the nuclear norm of
     M_r, and the average fidelity is (d F_ent + 1)/(d + 1).
     """
-    return float(spectrum(_one(inst.kraus)).f_standard[0])
+    return performance_report(inst).f_tele_standard
 
 
 def tradeoff_lhs(inst: Instrument, plan: ReversalPlan) -> float:
@@ -228,10 +232,11 @@ def reversal_residual(inst: Instrument, plan: ReversalPlan) -> float:
 
 
 def performance_report(inst: Instrument, plan: ReversalPlan | None = None) -> PerformanceReport:
-    """Evaluate all scalar metrics for one instrument."""
-    spec = spectrum(_one(inst.kraus))
-    p_succ = float(spec.p_succ[0]) if plan is None else success_probability(plan)
-    leakage = float(spec.leakage[0])
-    return PerformanceReport(p_succ_max=p_succ, f_tele_standard=float(spec.f_standard[0]),
-                             f_tele_mr=1.0, leakage_max=leakage,
-                             tradeoff_lhs=_tradeoff(inst.d, leakage, p_succ))
+    """Evaluate all scalar metrics for one instrument, from sigma alone."""
+    p_succ, leakage, f_standard, tradeoff = (
+        float(m[0]) for m in _metrics(inst.d, singular_values(_one(inst.kraus))))
+    if plan is not None:
+        p_succ = success_probability(plan)
+        tradeoff = _tradeoff(inst.d, leakage, p_succ)
+    return PerformanceReport(p_succ_max=p_succ, f_tele_standard=f_standard,
+                             f_tele_mr=1.0, leakage_max=leakage, tradeoff_lhs=tradeoff)

@@ -20,13 +20,15 @@ CMatrix = np.ndarray
 
 
 def as_matrix(m, batched: bool = False) -> CMatrix:
-    """Coerce ``m`` to a complex matrix (a stack of them if ``batched``),
+    """Coerce ``m`` to a complex matrix (a stack of square ones if ``batched``),
     rejecting non-finite entries with one check over the whole array."""
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim < 2 or (a.ndim != 2 and not batched):
         raise DimensionError(f"expected a matrix, got ndim={a.ndim}")
     if not np.isfinite(a).all():
         raise DomainError("matrix entries must be finite")
+    if batched and a.shape[-2] != a.shape[-1]:
+        raise DimensionError(f"expected a square matrix, got shape {a.shape}")
     return a
 
 
@@ -49,13 +51,18 @@ def svd(m: CMatrix) -> SvdResult:
     """SVD of a square matrix, or of a stack of them along leading axes: one
     call for the stack, matrix for matrix the same bits as separate calls."""
     a = as_matrix(m, batched=True)
-    if a.shape[-2] != a.shape[-1]:
-        raise DimensionError(f"expected a square matrix, got shape {a.shape}")
     u, s, vh = np.linalg.svd(a)
     s = np.where(s < SIGMA_FLOOR, 0.0, s)
     deficient = s[..., -1] == 0.0
     return SvdResult(left=u, sigmas=s, right=vh.conj().swapaxes(-1, -2),
                      rank_deficient=bool(deficient) if a.ndim == 2 else deficient)
+
+
+def singular_values(m: CMatrix) -> np.ndarray:
+    """The ``sigmas`` of :func:`svd`, checked and clamped alike, from a values-only
+    SVD (no U, no V); they may differ from svd's by a few ulps (4e-16 seen)."""
+    s = np.linalg.svd(as_matrix(m, batched=True), compute_uv=False)
+    return np.where(s < SIGMA_FLOOR, 0.0, s)
 
 
 def polar_unitary(m: CMatrix) -> CMatrix:

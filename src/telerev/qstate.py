@@ -45,7 +45,8 @@ class BipartiteState:
         if e.shape != (self.d, self.d):
             raise DimensionError(
                 f"coefficient matrix has shape {e.shape}, expected {(self.d, self.d)}")
-        _normalised(e[None])
+        if not abs(np.vdot(e, e).real - 1.0) <= NORM_TOL:  # cheaper than the stacked einsum
+            _normalised(e[None])  # raises, naming the norm
         object.__setattr__(self, "coeff", e)
 
     @classmethod

@@ -176,7 +176,7 @@ def _qubit_block(sc: Scenario, lo: int, t: np.ndarray, x: np.ndarray) -> dict:
             "F_standard": spec.f_standard, "P_succ_closed": closed,
             "P_succ_svd": spec.p_succ, "L_max": spec.leakage,
             "tradeoff_lhs": spec.tradeoff, "completeness": completeness,
-            "reversal": spec.reversal}
+            "reversal": spec.residual(kraus)}
     if sc.mc_samples:
         t0 = time.perf_counter()
         est = [estimate_performance(Instrument(2, tuple(kraus[i]), f"{sc.name}[{lo + i}]"),
@@ -202,8 +202,7 @@ def _qubit_columns(sc: Scenario):
 
 def _thm2_columns(sc: Scenario):
     cols, e, d = _rows(SCENARIOS[sc.name], sc.grid.values(), np.round(sc.grid2.values()))
-    lower = [dim * solve_tr(int(dim), ev) for ev, dim in zip(e.tolist(), d.tolist())]
-    cols.update(E_c=np.ones(e.size), E_M=e, thm2_lower=lower, thm2_upper=e)
+    cols.update(E_c=np.ones(e.size), E_M=e, thm2_lower=d * solve_tr(d, e), thm2_upper=e)
     return cols, 0.0, 0.0
 
 

@@ -48,10 +48,19 @@ class Thm2Bounds:
     t_values: tuple[float, ...]
 
 
-def _unit_interval(value: float, name: str) -> float:
-    if not (-_RANGE_TOL <= value <= 1.0 + _RANGE_TOL):
-        raise DomainError(f"{name}={value!r} outside [0, 1]")
-    return min(max(float(value), 0.0), 1.0)
+def _unit_interval(value, name: str):
+    """Check a scalar, or a sequence at once naming its first bad index, against
+    [0, 1] (NaN fails); returns it clipped."""
+    if isinstance(value, (float, int, np.number)):
+        if not (-_RANGE_TOL <= value <= 1.0 + _RANGE_TOL):
+            raise DomainError(f"{name}={value!r} outside [0, 1]")
+        return min(max(float(value), 0.0), 1.0)
+    v = np.asarray(value, dtype=np.float64)
+    bad = ~((-_RANGE_TOL <= v) & (v <= 1.0 + _RANGE_TOL))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DomainError(f"{name}[{i}]={float(v.flat[i])!r} outside [0, 1]")
+    return np.clip(v, 0.0, 1.0)
 
 
 def thm1_outcome_success(inp: Thm1Inputs) -> float:
@@ -128,7 +137,7 @@ def thm1_total_success(channel: BipartiteState, jm: JointMeasurement) -> float:
     """Closed-form total success probability summed over the four outcomes."""
     if channel.d != 2 or jm.d != 2:
         raise DimensionError("the closed form is defined for qubits only")
-    return float(thm1_success_stack(channel.coeff[None], np.stack(jm.elements)[None])[2][0])
+    return float(thm1_success_stack(channel.coeff[None], np.array([jm.elements]))[2][0])
 
 
 def g_of_t(d: int, t: float) -> float:
@@ -136,24 +145,37 @@ def g_of_t(d: int, t: float) -> float:
     return t * ((1.0 - t) / (d - 1)) ** (d - 1)
 
 
-def solve_tr(d: int, e_r: float) -> float:
-    """Unique t in [0, 1/d] with g(t) = (e_r/d)^d, by bisection."""
+def solve_tr(d, e_r):
+    """Unique t in [0, 1/d] with g(t) = (e_r/d)^d, to a relative 2e-14, over arrays
+    d and e_r at once (a float for scalar e_r).  With w = log(d t) and F(w) =
+    w + (d-1) log1p((1 - e^w)/(d-1)) = d log e_r, Newton on sqrt(-d log e_r) -
+    sqrt(-F) keeps a simple root as e_r -> 1, and bisection on [log(d t0), 0]
+    guards it (t0 = (e_r/d)^d (d-1)^(d-1) <= t, as g(t) <= t/(d-1)^(d-1)).  A step
+    s in w, relative in t, leaves an error near s^2/3: steps below 1e-7 end it."""
     e_r = _unit_interval(e_r, "e_r")
-    if e_r == 0.0:
-        return 0.0
-    if e_r == 1.0:
-        return 1.0 / d
-    target = (e_r / d) ** d
-    lo, hi = 0.0, 1.0 / d
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if g_of_t(d, mid) < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-17:
+    e = np.atleast_1d(e_r)
+    inner = (0.0 < e) & (e < 1.0)  # e = 0 and e = 1 are set at the end
+    k, r2 = d - 1.0, -d * np.log(np.where(inner, e, 0.5))
+    s = np.sqrt(r2)
+    lo, hi = -r2 - k * np.log1p(1.0 / k), np.zeros_like(r2)
+    # start from the series of F at the top where d t0 > 0.2, else from one
+    # fixed-point step w <- d log e_r - (F(w) - w) up from log(d t0)
+    y = s * np.sqrt(2.0 * k / d)
+    w = np.where(lo > math.log(0.2), -y * (1.0 + (k + 2.0) / (6.0 * k) * y),
+                 lo - k * np.log1p(-np.exp(lo) / d))
+    for _ in range(64):
+        um = -np.expm1(w)  # 1 - d t
+        rho = np.sqrt(np.maximum(-w - k * np.log1p(um / k), 0.0))
+        psi = s - rho
+        lo, hi = np.where(psi <= 0.0, w, lo), np.where(psi <= 0.0, hi, w)
+        step = psi * rho * (k + um) / (0.5 * d * um)
+        if np.abs(step).max() <= 1e-7:
+            w = np.minimum(np.maximum(w - step, lo), hi)
             break
-    return 0.5 * (lo + hi)
+        w = w - step
+        w = np.where((lo <= w) & (w < hi), w, 0.5 * (lo + hi))
+    t = np.where(inner, np.exp(w) / d, np.where(e == 1.0, 1.0 / d, 0.0))
+    return float(t[0]) if isinstance(e_r, float) and np.ndim(d) == 0 else t
 
 
 def tr_closed_form_d3(e_r: float) -> float:
@@ -172,11 +194,11 @@ def thm2_bounds(d: int, e_list) -> Thm2Bounds:
     """
     if d < 2:
         raise DomainError(f"dimension must be >= 2, got {d}")
-    es = [_unit_interval(e, f"e_list[{i}]") for i, e in enumerate(e_list)]
-    if len(es) != d * d:
-        raise DomainError(f"expected {d * d} entanglement values, got {len(es)}")
-    ts = tuple(solve_tr(d, e) for e in es)
-    return Thm2Bounds(lower=sum(ts) / d, upper=sum(es) / d ** 2, t_values=ts)
+    es = _unit_interval(e_list, "e_list")
+    if np.size(es) != d * d:
+        raise DomainError(f"expected {d * d} entanglement values, got {np.size(es)}")
+    ts = tuple(solve_tr(d, es).tolist())
+    return Thm2Bounds(lower=sum(ts) / d, upper=sum(es.tolist()) / d ** 2, t_values=ts)
 
 
 def saturating_spectrum(d: int, e_r: float) -> np.ndarray:

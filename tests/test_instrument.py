@@ -2,13 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from telerev import (BipartiteState, DimensionError, apply_kraus_oracle,
                      bell_basis, build_instrument, ejm, leakage_max,
                      max_entangled, optimal_reversal, performance_report,
                      schmidt_channel, standard_fidelity, success_probability,
                      tradeoff_lhs, xx_deformed, zx_zz)
-from telerev.instrument import completeness_residual, reversal_residual
+from telerev.instrument import (completeness_residual, kraus_stack, reversal_residual,
+                                spectrum)
+from telerev.jointmeas import JointMeasurement, zx_zz_stack
+from telerev.qstate import schmidt_stack
 from telerev.qstate import PAULI_X, PAULI_Y, PAULI_Z
 from telerev.theorems import random_basis
 
@@ -277,3 +282,47 @@ def test_performance_report_bundle():
     assert rep.leakage_max == pytest.approx(0.5 + math.sqrt(3) / 12, abs=1e-12)
     assert rep.tradeoff_lhs == pytest.approx(4.0, abs=1e-9)
     assert 0.0 <= rep.p_succ_max <= 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(2, 8), seed=st.integers(0, 2 ** 32 - 1), entangled=st.booleans())
+def test_sigma_only_metrics_agree_with_the_full_spectrum(d, seed, entangled):
+    # the scalar metrics take sigma from a values-only SVD, whose values may
+    # differ from the full decomposition's by a few ulps: 1e-15 absolute for
+    # the metrics in [0, 1], relative for the trade-off (about 2d)
+    rng = np.random.default_rng(seed)
+    channel = max_entangled(d) if entangled else BipartiteState(d=d, coeff=random_coeff(d, rng))
+    inst = build_instrument(channel, random_basis(d, rng))
+    spec = spectrum(np.array([inst.kraus]))
+    plan = optimal_reversal(inst)
+    full = {"p": spec.p_succ[0], "l": spec.leakage[0], "f": spec.f_standard[0],
+            "trade": spec.tradeoff[0]}
+    for report in (performance_report(inst), performance_report(inst, plan)):
+        got = {"p": report.p_succ_max, "l": report.leakage_max, "f": report.f_tele_standard,
+               "trade": report.tradeoff_lhs}
+        for key, want in full.items():
+            assert abs(got[key] - want) <= 1e-15 * max(1.0, abs(want)), key
+    assert leakage_max(inst) == performance_report(inst).leakage_max
+    assert standard_fidelity(inst) == performance_report(inst).f_tele_standard
+    assert abs(tradeoff_lhs(inst, plan) - full["trade"]) <= 1e-15 * full["trade"]
+    assert all(np.array_equal(a, b) for a, b in zip(plan.reversers, spec.reversers[0]))
+
+
+@pytest.mark.parametrize("d", [2, 3, 8])
+def test_reversal_residual_is_the_block_residual_bit_for_bit(d):
+    # the block engine computes the residual of a whole stack of rows; the
+    # scalar reversal_residual of each row's instrument is the same number
+    rng = np.random.default_rng(90 + d)
+    if d == 2:  # zz-scan rows, with rank-deficient (phi = 0) and Bell rows
+        phi, t = np.repeat(np.linspace(0.0, math.pi / 4, 7), 6), np.tile(np.linspace(0.0, 1.3, 6), 7)
+        coeffs, elements = schmidt_stack(phi, "y"), zx_zz_stack(t)
+    else:
+        coeffs = np.stack([random_coeff(d, rng) for _ in range(12)])
+        elements = np.stack([np.stack(random_basis(d, rng).elements) for _ in range(12)])
+    kraus, _ = kraus_stack(coeffs, elements)
+    block = spectrum(kraus).residual(kraus)
+    for i in range(len(kraus)):
+        inst = build_instrument(BipartiteState(d=d, coeff=coeffs[i]),
+                                JointMeasurement(d=d, elements=tuple(elements[i]), label="row"))
+        assert reversal_residual(inst, optimal_reversal(inst)) == block[i], i
+    assert np.max(block) <= 1e-9

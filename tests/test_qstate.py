@@ -247,6 +247,27 @@ def test_state_validation():
         BipartiteState(d=3, coeff=np.eye(2) / math.sqrt(2))
 
 
+@pytest.mark.parametrize("d", range(2, 9))
+def test_state_check_refuses_with_the_messages_of_the_full_checks(d):
+    # the one-norm pass lets only normalised d x d matrices through; the rest
+    # take the full checks, so each refusal keeps its message
+    good = random_coeff(d, np.random.default_rng(d))
+    assert np.array_equal(BipartiteState(d=d, coeff=good).coeff, good)
+    for entry in (np.nan, np.inf):
+        bad = good.copy()
+        bad[0, 0] = entry
+        with pytest.raises(DomainError, match="matrix entries must be finite"):
+            BipartiteState(d=d, coeff=bad)
+    with pytest.raises(DimensionError, match=r"coefficient matrix has shape \(%d, %d\)" % (d, d - 1)):
+        BipartiteState(d=d, coeff=good[:, :-1] / np.linalg.norm(good[:, :-1]))
+    with pytest.raises(DimensionError, match="expected a matrix, got ndim=1"):
+        BipartiteState(d=d, coeff=good.ravel())
+    with pytest.raises(DomainError, match=r"not normalized: Tr\(E\^dag E\) = 1\.21"):
+        BipartiteState(d=d, coeff=1.1 * good)
+    with pytest.raises(DimensionError, match="local dimension must be >= 2, got 1"):
+        BipartiteState(d=1, coeff=np.ones((1, 1)))
+
+
 def test_from_vector_round_trip():
     rng = np.random.default_rng(3)
     coeff = random_coeff(2, rng)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -252,6 +253,70 @@ def test_solve_tr_residual(d, e):
     assert abs(g_of_t(d, t) - (e / d) ** d) < 1e-14
 
 
+def _mp_root(d, e):
+    """Root t of g(t) = (e/d)^d to a relative 1e-32: Newton from log t0 on
+    h(u) = log g(e^u) - log (e/d)^d (increasing and concave, so the steps
+    rise monotonically to the root) at 50 digits, certified by the sign change
+    of h across u -+ 1e-32."""
+    import mpmath as mp
+    with mp.workdps(50):
+        c = d * mp.log(mp.mpf(e) / d) + (d - 1) * mp.log(d - 1)  # log t0 and log (d-1)^(d-1) (e/d)^d
+        h = lambda u: u + (d - 1) * mp.log1p(-mp.exp(u)) - c
+        u = c
+        for _ in range(200):
+            step = h(u) / (1 - (d - 1) / mp.expm1(-u))
+            u -= step
+            if abs(step) < mp.mpf(10) ** -40:
+                break
+        width = mp.mpf(10) ** -32
+        assert h(u - width) < 0 < h(u + width)
+        return mp.exp(u)
+
+
+def _bisection_root(d, e):
+    """The bisection solve_tr ran before, stopping at hi - lo <= 1e-17."""
+    target, lo, hi = (e / d) ** d, 0.0, 1.0 / d
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if g_of_t(d, mid) < target else (lo, mid)
+        if hi - lo <= 1e-17:
+            break
+    return 0.5 * (lo + hi)
+
+
+E_INTERIOR = np.concatenate([np.geomspace(1e-6, 0.4, 12), 1.0 - np.geomspace(1e-6, 0.4, 12)])
+E_NEAR_ONE = 1.0 - np.array([1e-12, 3e-13, 1e-13, 2.0 ** -52, 2.0 ** -53])
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_solve_tr_against_mpmath_root(d):
+    # relative 1e-12 on [1e-6, 1 - 1e-6], scalar and stacked, where the
+    # absolute stop of the old bisection left solve_tr(8, 1e-6) off by 7e31;
+    # within 1e-12 of 1, at least as close as that bisection
+    import mpmath as mp
+    refs = [_mp_root(d, e) for e in E_INTERIOR.tolist()]
+    for e, ref in zip(E_INTERIOR.tolist(), refs):
+        assert abs(mp.mpf(solve_tr(d, e)) - ref) <= 1e-12 * ref, (e, ref)
+    stacked = solve_tr(np.full(E_INTERIOR.size, d), E_INTERIOR)
+    for e, t, ref in zip(E_INTERIOR.tolist(), stacked.tolist(), refs):
+        assert abs(mp.mpf(t) - ref) <= 1e-12 * ref, (e, ref)
+    for e in E_NEAR_ONE.tolist():
+        ref = _mp_root(d, e)
+        assert abs(mp.mpf(solve_tr(d, e)) - ref) <= abs(mp.mpf(_bisection_root(d, e)) - ref)
+
+
+def test_solve_tr_stacks_over_dimensions_and_endpoints():
+    d = np.array([2.0, 3.0, 8.0, 4.0, 5.0])
+    e = np.array([0.0, 1.0, 1.0, 0.3, 1.0 + 1e-10])
+    t = solve_tr(d, e)
+    assert t[0] == 0.0 and t[1] == 1.0 / 3.0 and t[2] == 0.125 and t[4] == 0.2
+    assert t[3] == pytest.approx(solve_tr(4, 0.3), rel=1e-14)
+    with pytest.raises(DomainError, match=re.escape("e_r[1]=1.5 outside [0, 1]")):
+        solve_tr(3, [0.2, 1.5, -1.0])
+    with pytest.raises(DomainError, match=re.escape("e_r=-0.5 outside [0, 1]")):
+        solve_tr(3, -0.5)
+
+
 def test_d3_closed_form_matches_bisection():
     for e in np.linspace(0.0, 1.0, 1000):
         assert abs(tr_closed_form_d3(float(e)) - solve_tr(3, float(e))) < 1e-12
@@ -309,6 +374,23 @@ def test_bounds_validate_inputs():
         thm2_bounds(3, [1.5] * 9)
     with pytest.raises(DomainError):
         thm2_bounds(1, [])
+
+
+def test_bounds_input_messages():
+    # one stacked check names the first bad value by index, NaN included
+    es = [0.5] * 9
+    es[2], es[6] = 1.5, -0.5
+    with pytest.raises(DomainError, match=re.escape("e_list[2]=1.5 outside [0, 1]")):
+        thm2_bounds(3, es)
+    es[2] = float("nan")
+    with pytest.raises(DomainError, match=re.escape("e_list[2]=nan outside [0, 1]")):
+        thm2_bounds(3, es)
+    with pytest.raises(DomainError, match=re.escape("expected 9 entanglement values, got 8")):
+        thm2_bounds(3, [0.5] * 8)
+    with pytest.raises(DomainError, match=re.escape("dimension must be >= 2, got 1")):
+        thm2_bounds(1, [])
+    # values within the tolerance of [0, 1] are clipped onto it
+    assert thm2_bounds(2, [1.0 + 1e-10] * 3 + [-1e-10]).upper == 0.75
 
 
 def test_saturating_spectrum_examples():
