@@ -20,7 +20,7 @@ from .theorems import (Thm1Inputs, Thm2Bounds, alignment_x, g_of_t,
                        thm1_total_success, thm2_bounds, tr_closed_form_d3)
 from .montecarlo import (McEstimate, RngSpec, estimate_leakage,
                          estimate_performance, estimate_standard_fidelity,
-                         haar_state)
+                         estimate_success, haar_state)
 from .scenarios import COLUMNS, GridSpec, Scenario, run
 
 __all__ = [
@@ -39,6 +39,6 @@ __all__ = [
     "thm1_total_success", "g_of_t", "solve_tr", "tr_closed_form_d3",
     "thm2_bounds", "saturating_spectrum",
     "RngSpec", "McEstimate", "haar_state", "estimate_performance",
-    "estimate_leakage", "estimate_standard_fidelity",
+    "estimate_success", "estimate_leakage", "estimate_standard_fidelity",
     "Scenario", "GridSpec", "COLUMNS", "run",
 ]

@@ -13,6 +13,7 @@ of one, and only the readers of the reversal residual compute it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -69,15 +70,22 @@ class Spectrum:
 
     Arrays are indexed [row] or [row, outcome]; row i's reversers and
     degenerate flags equal, bit for bit, ``optimal_reversal`` on that row.
+    The metrics p_succ, leakage, f_standard and tradeoff are computed on
+    first read, so a caller that takes only the reversers never pays for them.
     """
 
     sigmas: np.ndarray
     reversers: np.ndarray
     degenerate: np.ndarray
-    p_succ: np.ndarray
-    leakage: np.ndarray
-    f_standard: np.ndarray
-    tradeoff: np.ndarray
+
+    @cached_property
+    def _values(self) -> tuple[np.ndarray, ...]:
+        return _metrics(self.sigmas.shape[-1], self.sigmas)
+
+    p_succ = cached_property(lambda self: self._values[0])
+    leakage = cached_property(lambda self: self._values[1])
+    f_standard = cached_property(lambda self: self._values[2])
+    tradeoff = cached_property(lambda self: self._values[3])
 
     def residual(self, kraus: np.ndarray) -> np.ndarray:
         """Each row's reversal residual (see :func:`reversal_residual`)."""
@@ -141,7 +149,7 @@ def spectrum(kraus: np.ndarray) -> Spectrum:
     # (an einsum, say) rounds differently.  Degenerate outcomes get zeros.
     reversers = smin[..., None, None] * (
         res.right @ (inv[..., None] * np.eye(d)) @ res.left.conj().swapaxes(-1, -2))
-    return Spectrum(s, reversers, degenerate, *_metrics(d, s))
+    return Spectrum(s, reversers, degenerate)
 
 
 def _one(matrices) -> np.ndarray:  # per-outcome matrices as a batch of one row

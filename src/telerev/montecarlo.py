@@ -21,8 +21,10 @@ from .linalg import polar_unitary, svd
 _KEY_LIMIT = 1 << 64
 
 # Samples per chunk of a Haar draw, sized for cache (more than the goldens'
-# 2000).  The per-sample arrays succ, overlap and f_cond stay whole, 24 B per
-# sample, so a count over MC_BUDGET_BYTES / 24 (about 11.2 million) is refused.
+# 2000).  The per-sample arrays stay whole: estimate_performance holds succ,
+# overlap and f_cond, 24 B per sample; estimate_success, the scenario
+# estimator, holds succ alone, 8 B.  Every estimator refuses a count over
+# MC_BUDGET_BYTES / 24 (about 11.2 million), so one limit serves them all.
 CHUNK = 8192
 MC_BUDGET_BYTES = 1 << 28
 
@@ -97,6 +99,13 @@ def _estimate(samples: np.ndarray) -> McEstimate:
     return McEstimate(mean=float(np.mean(samples)), std_error=se, n=n)
 
 
+def _reversed_ops(inst: Instrument, plan: ReversalPlan) -> list[np.ndarray]:
+    """(R_r M_r)^T of the recoverable outcomes, in outcome order, to right-multiply
+    a batch of input rows."""
+    return [(r @ m).T for m, r, deg in zip(inst.kraus, plan.reversers, plan.degenerate)
+            if not deg]
+
+
 def estimate_performance(inst: Instrument, plan: ReversalPlan, n: int,
                          rng: RngSpec) -> dict[str, McEstimate]:
     """Empirical success probability and conditional fidelity over Haar inputs.
@@ -105,7 +114,7 @@ def estimate_performance(inst: Instrument, plan: ReversalPlan, n: int,
     is the success-weighted output fidelity; it is 1 up to rounding whenever
     the resources are pure.
     """
-    ops = [(r @ m).T for m, r, deg in zip(inst.kraus, plan.reversers, plan.degenerate) if not deg]
+    ops = _reversed_ops(inst, plan)
     def kernel(phi, acc):
         phic = phi.conj()
         for op in ops:
@@ -115,6 +124,17 @@ def estimate_performance(inst: Instrument, plan: ReversalPlan, n: int,
     succ, overlap = _sample(inst.d, n, rng, kernel, 2)
     f_cond = np.where(succ > 0.0, overlap / np.where(succ > 0.0, succ, 1.0), 1.0)
     return {"p_succ": _estimate(succ), "f_cond": _estimate(f_cond)}
+
+
+def estimate_success(inst: Instrument, plan: ReversalPlan, n: int, rng: RngSpec) -> McEstimate:
+    """Empirical success probability alone: equal, bit for bit, to
+    ``estimate_performance(inst, plan, n, rng)["p_succ"]``, without the
+    overlap and conditional-fidelity work."""
+    ops = _reversed_ops(inst, plan)
+    def kernel(phi, acc):
+        for op in ops:
+            acc[0] += _rowsum(np.abs(phi @ op) ** 2)
+    return _estimate(_sample(inst.d, n, rng, kernel)[0])
 
 
 def estimate_leakage(inst: Instrument, n: int, rng: RngSpec) -> McEstimate:

@@ -23,7 +23,7 @@ from . import __version__
 from .errors import DomainError
 from .instrument import Instrument, kraus_stack, spectrum
 from .jointmeas import ejm_stack, xx_deformed_stack, zx_zz_stack
-from .montecarlo import RngSpec, estimate_performance
+from .montecarlo import RngSpec, estimate_success
 from .qstate import _check_angles, ejm_channel_stack, max_entangled_stack, schmidt_stack
 from .theorems import solve_tr, thm1_success_stack
 
@@ -179,9 +179,8 @@ def _qubit_block(sc: Scenario, lo: int, t: np.ndarray, x: np.ndarray) -> dict:
             "reversal": spec.residual(kraus)}
     if sc.mc_samples:
         t0 = time.perf_counter()
-        est = [estimate_performance(Instrument(2, tuple(kraus[i]), f"{sc.name}[{lo + i}]"),
-                                    spec.plan(i), sc.mc_samples,
-                                    RngSpec(sc.rng.seed, lo + i))["p_succ"]
+        est = [estimate_success(Instrument(2, tuple(kraus[i]), f"{sc.name}[{lo + i}]"),
+                                spec.plan(i), sc.mc_samples, RngSpec(sc.rng.seed, lo + i))
                for i in range(len(kraus))]
         cols["P_succ_mc"] = [e.mean for e in est]
         cols["P_succ_mc_stderr"] = [e.std_error for e in est]

@@ -3,14 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from telerev import (RngSpec, build_instrument, ejm, estimate_leakage,
-                     estimate_performance, estimate_standard_fidelity,
-                     haar_state, leakage_max, max_entangled, optimal_reversal,
+from telerev import (McEstimate, RngSpec, build_instrument, ejm,
+                     estimate_leakage, estimate_performance,
+                     estimate_standard_fidelity, estimate_success, haar_state,
+                     leakage_max, max_entangled, optimal_reversal,
                      schmidt_channel, standard_fidelity, xx_deformed,
                      bell_basis)
 from telerev.errors import DomainError
+from telerev.instrument import Instrument, kraus_stack, spectrum
+from telerev.jointmeas import JointMeasurement, zx_zz_stack
 from telerev.linalg import polar_unitary, svd
 from telerev.montecarlo import CHUNK, MC_BUDGET_BYTES, _haar_batch
+from telerev.qstate import schmidt_stack
 from telerev.theorems import random_basis
 
 # Statistical gates use five standard errors plus a tiny absolute floor for
@@ -308,3 +312,62 @@ def test_oversized_sample_count_is_refused_before_allocating():
                  lambda: estimate_standard_fidelity(inst, n, RngSpec(1))):
         with pytest.raises(DomainError, match=f"over the {MC_BUDGET_BYTES} B budget"):
             call()
+
+
+def _zz_row(phi, t):
+    """A zz-scan grid row as an instrument and its plan, from the block engine."""
+    kraus, _ = kraus_stack(schmidt_stack(np.array([phi]), "y"), zx_zz_stack(np.array([t])))
+    return Instrument(2, tuple(kraus[0]), f"zz[{phi}, {t}]"), spectrum(kraus).plan(0)
+
+
+def _half_degenerate():
+    """A maximally entangled channel measured in |00>, |11> and two Bell states:
+    the two product outcomes are degenerate, the Bell outcomes recoverable."""
+    b = math.sqrt(0.5)
+    elements = (np.diag([1.0 + 0j, 0.0]), np.diag([0.0 + 0j, 1.0]),
+                np.array([[0, b], [b, 0]], dtype=complex),
+                np.array([[0, b], [-b, 0]], dtype=complex))
+    inst = build_instrument(max_entangled(2), JointMeasurement(2, elements, "product+bell"))
+    return inst, optimal_reversal(inst)
+
+
+def _success_cases():
+    cases = [(inst, optimal_reversal(inst)) for inst in _QUBITS]
+    cases += [(q, optimal_reversal(q)) for q in (_qudit(3, 31), _qudit(4, 44), _qudit(8, 48))]
+    cases += [_zz_row(0.0, 0.52), _zz_row(math.pi / 4, 0.52), _half_degenerate()]
+    return cases
+
+
+def test_success_cases_cover_every_dimension_and_degenerate_outcomes():
+    cases = _success_cases()
+    assert {inst.d for inst, _ in cases} == {2, 3, 4, 8}
+    flags = [plan.degenerate for _, plan in cases]
+    assert all(flags[-3]) and not any(flags[-2]) and flags[-1] == (True, True, False, False)
+
+
+@pytest.mark.parametrize("n", _SIZES)
+def test_estimate_success_is_estimate_performance_p_succ_bit_for_bit(n):
+    for k, (inst, plan) in enumerate(_success_cases()):
+        spec = RngSpec(seed=70 + k, stream=n)
+        got = estimate_success(inst, plan, n, spec)
+        assert got == estimate_performance(inst, plan, n, spec)["p_succ"], inst.provenance
+        assert got.n == n
+
+
+def test_estimate_success_of_an_unrecoverable_instrument_is_zero():
+    inst, plan = _zz_row(0.0, 0.52)
+    assert estimate_success(inst, plan, 2000, RngSpec(3)) == McEstimate(0.0, 0.0, 2000)
+
+
+@pytest.mark.parametrize("n", [0, -5])
+def test_estimate_success_refuses_sample_counts_below_one(n):
+    inst, plan = _elegant(0.0)
+    with pytest.raises(DomainError, match=f"sample count must be >= 1, got {n}"):
+        estimate_success(inst, plan, n, RngSpec(1))
+
+
+def test_estimate_success_refuses_an_oversized_count_at_the_shared_budget():
+    inst, plan = _elegant(0.0)
+    n = MC_BUDGET_BYTES // 24 + 1
+    with pytest.raises(DomainError, match=f"over the {MC_BUDGET_BYTES} B budget"):
+        estimate_success(inst, plan, n, RngSpec(1))

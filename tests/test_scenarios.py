@@ -5,14 +5,21 @@ for each channel and measurement family.  They serve as reference oracles for
 the one stacked law that fills the ``P_succ_closed`` column.
 """
 
+import csv
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from telerev import montecarlo, scenarios
 from telerev.errors import DomainError
+from telerev.montecarlo import RngSpec
 from telerev.scenarios import (SCENARIOS, GridSpec, Scenario, _qubit_columns,
                                validate_scenario)
+
+GOLDEN_DIR = Path(__file__).parent / "goldens"
 
 PI4, PI2 = math.pi / 4, math.pi / 2
 ORACLE_TOL = 1e-12
@@ -101,3 +108,33 @@ def test_factories_reject_a_grid_end_outside_their_domain(name):
     # ejm-aligned-scan sets its channel angle s = t without a second grid
     with pytest.raises(DomainError, match=rf"^{name}: (t|s)=-0\.5 outside \[0\.0, "):
         validate_scenario(Scenario(name, GridSpec(-0.5, 0.5, 3)))
+
+
+def _golden_scenario(name: str) -> Scenario:
+    """The golden run of ``name``, rebuilt from its CLI arguments."""
+    runs = json.loads((GOLDEN_DIR / "invocations.json").read_text())
+    argv = next(r["argv"] for r in runs if r["name"] == name)
+    opts = dict(zip(argv[::2], argv[1::2]))
+    start, stop, steps = opts["--grid"].split(":")
+    return Scenario(name, GridSpec(float(start), float(stop), int(steps)),
+                    mc_samples=int(opts["--samples"]), rng=RngSpec(int(opts["--seed"])))
+
+
+def _mc_cells(path: Path) -> list[tuple[str, str]]:
+    with path.open(newline="") as f:
+        return [(row["P_succ_mc"], row["P_succ_mc_stderr"]) for row in csv.DictReader(f)]
+
+
+@pytest.mark.parametrize("name", ["ejm-scan", "xx-scan"])
+def test_scenario_monte_carlo_runs_without_the_full_estimator(name, tmp_path, monkeypatch):
+    # Only P_succ is written, so the overlap and f_cond work must not run.
+    def refuse(*args, **kwargs):
+        raise AssertionError("scenario Monte Carlo called estimate_performance")
+    monkeypatch.setattr(montecarlo, "estimate_performance", refuse)
+    monkeypatch.setattr(scenarios, "estimate_performance", refuse, raising=False)
+    sc = _golden_scenario(name)
+    assert sc.mc_samples == 2000
+    result = scenarios.run(sc, tmp_path)
+    assert result.residual_ok
+    got, want = _mc_cells(result.data_path), _mc_cells(GOLDEN_DIR / f"{name}.csv")
+    assert len(got) == sc.grid.steps and got == want
