@@ -3,12 +3,15 @@
 
 Roughly a minute of CPU; pass an output directory to override ./out.
 The CSVs feed any external plotter; see the column schema in the README.
+Each scenario's exit line also gives its end-to-end wall time (CLI call,
+rows, formatting and writing).
 """
 
 from __future__ import annotations
 
 import math
 import sys
+import time
 
 from telerev.cli import main
 
@@ -34,8 +37,9 @@ def run_all(out_dir: str) -> int:
     worst = 0
     for subdir, argv in RUNS:
         target = f"{out_dir}/{subdir}" if subdir else out_dir
+        t0 = time.perf_counter()
         code = main(argv + ["--seed", "20240101", "--out", target])
-        print(f"scenario {argv[1]}: exit {code}")
+        print(f"scenario {argv[1]}: exit {code}, {time.perf_counter() - t0:.3f} s")
         worst = max(worst, code)
     return worst
 

@@ -81,8 +81,6 @@ def main(argv=None) -> int:
 
         samples = pick(args.samples, "samples")
         samples = int(samples) if samples is not None else None
-        if samples is not None and samples < 1:
-            raise DomainError(f"--samples must be >= 1, got {samples}")
 
         grid_text = pick(args.grid, "grid")
         grid = _parse_grid(grid_text) if grid_text is not None else SCENARIOS[name].grid

@@ -6,8 +6,9 @@ M_r = E^T W_r^dag.  The reversing filter R_r = sigma_min Q_r Sigma_r^-1 P_r^dag
 (from the SVD M_r = P_r Sigma_r Q_r^dag) restores any input exactly with
 probability sigma_min^2, independent of the input.  Every metric derives
 from the singular values alone: :func:`spectrum` adds the reversers of a
-stack from one full SVD, the scalar metrics run a values-only SVD of a batch
-of one, and only the readers of the reversal residual compute it.
+stack from one full SVD, whose sigmas each plan keeps for its metrics; only a
+plan-less metric runs a values-only SVD, and only the readers of the reversal
+residual compute it.
 """
 
 from __future__ import annotations
@@ -40,11 +41,13 @@ class ReversalPlan:
 
     Degenerate outcomes (smallest singular value exactly zero) are
     unrecoverable: they carry a zero reverser and zero success probability.
+    ``sigmas`` (d^2, d) are the singular values of the spectrum row it came from.
     """
 
     reversers: tuple[CMatrix, ...]
     outcome_success: np.ndarray
     degenerate: tuple[bool, ...]
+    sigmas: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -95,7 +98,8 @@ class Spectrum:
         smin = self.sigmas[row, :, -1]
         return ReversalPlan(reversers=tuple(self.reversers[row]),
                             outcome_success=smin * smin,
-                            degenerate=tuple(self.degenerate[row].tolist()))
+                            degenerate=tuple(self.degenerate[row].tolist()),
+                            sigmas=self.sigmas[row])
 
 
 def _completeness(kraus: np.ndarray) -> np.ndarray:
@@ -229,22 +233,18 @@ def standard_fidelity(inst: Instrument) -> float:
 
 def tradeoff_lhs(inst: Instrument, plan: ReversalPlan) -> float:
     """Left-hand side d(d+1) L_max + (d-1) P_max of the no-cloning bound."""
-    return _tradeoff(inst.d, leakage_max(inst), success_probability(plan))
+    return performance_report(inst, plan).tradeoff_lhs
 
 
 def reversal_residual(inst: Instrument, plan: ReversalPlan) -> float:
     """Max-abs deviation of R_r M_r from sigma_min^r I over recoverable outcomes."""
     return float(_reversal(_one(inst.kraus), _one(plan.reversers),
-                           np.array(plan.degenerate)[None],
-                           np.sqrt(plan.outcome_success)[None])[0])
+                           np.array(plan.degenerate)[None], plan.sigmas[None, :, -1])[0])
 
 
 def performance_report(inst: Instrument, plan: ReversalPlan | None = None) -> PerformanceReport:
-    """Evaluate all scalar metrics for one instrument, from sigma alone."""
-    p_succ, leakage, f_standard, tradeoff = (
-        float(m[0]) for m in _metrics(inst.d, singular_values(_one(inst.kraus))))
-    if plan is not None:
-        p_succ = success_probability(plan)
-        tradeoff = _tradeoff(inst.d, leakage, p_succ)
+    """All scalar metrics of one instrument, from sigma alone: the plan's if given."""
+    sigmas = singular_values(_one(inst.kraus)) if plan is None else plan.sigmas[None]
+    p_succ, leakage, f_standard, tradeoff = (float(m[0]) for m in _metrics(inst.d, sigmas))
     return PerformanceReport(p_succ_max=p_succ, f_tele_standard=f_standard,
                              f_tele_mr=1.0, leakage_max=leakage, tradeoff_lhs=tradeoff)

@@ -11,23 +11,35 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .linalg import CMatrix
-from .qstate import (BipartiteState, BlochPoint, _check_angles, _ejm_elements, _pack,
-                     channel_bloch, g_concurrence)
+from .errors import DimensionError
+from .linalg import CMatrix, as_matrix
+from .qstate import (BipartiteState, BlochPoint, _check_angles, _ejm_elements, _normalised,
+                     _pack, channel_bloch, concurrences)
 
 ZX_ZZ_LIMIT = math.sqrt(3) * math.pi / 4
 
 
 @dataclass(frozen=True)
 class JointMeasurement:
-    """d^2 rank-one measurement elements as coefficient matrices W_r."""
+    """d^2 rank-one measurement elements as coefficient matrices W_r, unchecked
+    until :func:`element_entanglement` first reads them as states (see :func:`validate`)."""
 
     d: int
     elements: tuple[CMatrix, ...]
     label: str
+
+    @cached_property
+    def _concurrences(self) -> np.ndarray:
+        # each element checked as a BipartiteState would be, shapes before stacking
+        for w in self.elements:
+            if np.shape(w) != (self.d, self.d):
+                raise DimensionError(f"coefficient matrix has shape {np.shape(w)}, "
+                                     f"expected {(self.d, self.d)}")
+        return concurrences(_normalised(as_matrix(self.elements, batched=True)))
 
 
 @dataclass(frozen=True)
@@ -120,7 +132,7 @@ def validate(jm: JointMeasurement) -> BasisReport:
 
 def element_entanglement(jm: JointMeasurement, r: int) -> float:
     """G-concurrence of element r (the concurrence for d=2), checked like a state."""
-    return g_concurrence(BipartiteState(d=jm.d, coeff=jm.elements[r]))
+    return float(jm._concurrences[r])
 
 
 def element_bloch(jm: JointMeasurement, r: int) -> BlochPoint:

@@ -134,12 +134,14 @@ def _rows(entry: ScenarioSpec, t: np.ndarray, second: np.ndarray | None):
 
 
 def validate_scenario(sc: Scenario) -> None:
-    """Check the scenario name and grids, before anything the size of a grid is
-    allocated: the row count against MAX_ROWS; the qubit factories check their
+    """Check the scenario name, sample count and grids, before anything the size of a grid
+    is allocated: the row count against MAX_ROWS; the qubit factories check their
     domains on the grid corners; thm2-bounds checks e and the dimensions."""
     entry = SCENARIOS.get(sc.name)
     if entry is None:
         raise DomainError(f"unknown scenario {sc.name!r}")
+    if sc.mc_samples is not None and sc.mc_samples < 1:
+        raise DomainError(f"--samples must be >= 1, got {sc.mc_samples}")
     if sc.grid2 is not None and not entry.takes_grid2:
         raise DomainError(f"{sc.name} takes no second grid")
     if sc.mc_samples and entry.measurement is None:

@@ -326,3 +326,26 @@ def test_reversal_residual_is_the_block_residual_bit_for_bit(d):
                                 JointMeasurement(d=d, elements=tuple(elements[i]), label="row"))
         assert reversal_residual(inst, optimal_reversal(inst)) == block[i], i
     assert np.max(block) <= 1e-9
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_plan_metrics_reuse_the_plan_spectrum(d, monkeypatch):
+    # a plan carries the singular values of its spectrum row, and every metric
+    # of the planned instrument comes from them, bit for bit, with no new SVD
+    import telerev.instrument as instrument
+    rng = np.random.default_rng(700 + d)
+    inst = build_instrument(BipartiteState(d=d, coeff=random_coeff(d, rng)), random_basis(d, rng))
+    spec = spectrum(np.array([inst.kraus]))
+    plan = optimal_reversal(inst)
+    assert np.array_equal(plan.sigmas, spec.sigmas[0])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a planned metric ran an SVD")
+    monkeypatch.setattr(instrument, "svd", refuse)
+    monkeypatch.setattr(instrument, "singular_values", refuse)
+    report = performance_report(inst, plan)
+    assert report.p_succ_max == spec.p_succ[0]
+    assert report.leakage_max == spec.leakage[0]
+    assert report.f_tele_standard == spec.f_standard[0]
+    assert report.tradeoff_lhs == spec.tradeoff[0] == tradeoff_lhs(inst, plan)
+    assert reversal_residual(inst, plan) == spec.residual(np.array([inst.kraus]))[0]

@@ -167,3 +167,40 @@ def test_element_examples():
     bp = element_bloch(jm, 0)
     assert abs(bp.radius - math.sin(2 * t)) < 1e-12
     assert np.allclose(bp.direction, [0, 0, -1], atol=1e-12)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_element_entanglement_is_one_stack_per_measurement(d, monkeypatch):
+    import telerev.jointmeas as jointmeas
+    from telerev.qstate import BipartiteState, concurrences, g_concurrence
+    from telerev.theorems import random_basis
+    jm = random_basis(d, np.random.default_rng(60 + d))
+    calls = []
+    checked = jointmeas._normalised
+    monkeypatch.setattr(jointmeas, "_normalised", lambda e: calls.append(1) or checked(e))
+    stack = concurrences(np.array(jm.elements))
+    for r in range(d * d):
+        got = element_entanglement(jm, r)
+        assert got == stack[r], r
+        # the one-matrix determinant path may round abs and ** differently
+        one = g_concurrence(BipartiteState(d=d, coeff=jm.elements[r]))
+        assert abs(got - one) <= 1e-15 * one, r
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_element_entanglement_refuses_a_bad_element_at_any_index(d):
+    # every element is checked once, so element 1 is refused when 0 is asked for
+    from telerev.errors import DimensionError
+    from telerev.theorems import random_basis
+    jm = random_basis(d, np.random.default_rng(7))
+    nan = jm.elements[1].copy()
+    nan[0, 0] = np.nan
+    bad = {"finite": nan, "not normalized": 1.1 * jm.elements[1],
+           "shape": jm.elements[1][:, :-1]}
+    for message, element in bad.items():
+        broken = JointMeasurement(d=d, elements=jm.elements[:1] + (element,) + jm.elements[2:],
+                                  label=message)
+        error = DimensionError if message == "shape" else DomainError
+        with pytest.raises(error, match=message):
+            element_entanglement(broken, 0)

@@ -138,3 +138,17 @@ def test_scenario_monte_carlo_runs_without_the_full_estimator(name, tmp_path, mo
     assert result.residual_ok
     got, want = _mc_cells(result.data_path), _mc_cells(GOLDEN_DIR / f"{name}.csv")
     assert len(got) == sc.grid.steps and got == want
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_nonpositive_samples_refused_before_any_row(samples, tmp_path, monkeypatch):
+    # refused by validation, so no row is evaluated and no file written
+    def refuse(*args, **kwargs):
+        raise AssertionError("a row was evaluated")
+    monkeypatch.setattr(scenarios, "_qubit_block", refuse)
+    sc = Scenario("ejm-scan", GridSpec(0.0, 1.0, 3), mc_samples=samples)
+    with pytest.raises(DomainError, match=rf"^--samples must be >= 1, got {samples}$"):
+        scenarios.run(sc, tmp_path / "out")
+    with pytest.raises(DomainError, match="--samples must be >= 1"):
+        validate_scenario(sc)
+    assert not (tmp_path / "out").exists()
