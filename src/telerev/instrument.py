@@ -6,9 +6,9 @@ M_r = E^T W_r^dag.  The reversing filter R_r = sigma_min Q_r Sigma_r^-1 P_r^dag
 (from the SVD M_r = P_r Sigma_r Q_r^dag) restores any input exactly with
 probability sigma_min^2, independent of the input.  Every metric derives
 from the singular values alone: :func:`spectrum` adds the reversers of a
-stack from one full SVD, whose sigmas each plan keeps for its metrics; only a
-plan-less metric runs a values-only SVD, and only the readers of the reversal
-residual compute it.
+stack from one full SVD, whose sigmas each plan keeps, and every scalar metric
+reads them off a plan (a plan-less one makes its own); only the readers of the
+reversal residual compute it.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError
 from .jointmeas import JointMeasurement
-from .linalg import CMatrix, singular_values, svd
+from .linalg import CMatrix, svd
 from .qstate import BipartiteState
 
 COMPLETENESS_TOL = 1e-10
@@ -115,17 +115,14 @@ def _reversal(kraus, reversers, degenerate, smin) -> np.ndarray:
     return np.max(np.where(degenerate, 0.0, dev), axis=-1)
 
 
-def _tradeoff(d: int, leakage, p_succ):
-    return d * (d + 1) * leakage + (d - 1) * p_succ
-
-
 def _metrics(d: int, s: np.ndarray):
     """P, L, F_standard and the trade-off of singular values s (..., n, d)."""
     smin, top, nuclear = s[..., -1], s[..., 0], np.sum(s, axis=-1)
     p_succ = np.sum(smin * smin, axis=-1)
     leakage = (d + np.sum(top * top, axis=-1)) / (d * (d + 1))
     f_ent = np.sum(nuclear * nuclear, axis=-1) / d ** 2  # polar-unitary correction
-    return p_succ, leakage, (d * f_ent + 1.0) / (d + 1.0), _tradeoff(d, leakage, p_succ)
+    tradeoff = d * (d + 1) * leakage + (d - 1) * p_succ
+    return p_succ, leakage, (d * f_ent + 1.0) / (d + 1.0), tradeoff
 
 
 def kraus_stack(coeffs: np.ndarray, elements: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -135,7 +132,7 @@ def kraus_stack(coeffs: np.ndarray, elements: np.ndarray) -> tuple[np.ndarray, n
     kraus = coeffs.swapaxes(-1, -2)[:, None] @ elements.conj().swapaxes(-1, -2)
     residual = _completeness(kraus)
     worst = float(np.max(residual))
-    if worst > COMPLETENESS_TOL:
+    if not worst <= COMPLETENESS_TOL:  # NaN fails too
         raise DomainError(f"instrument is not complete: residual {worst:.3e}")
     return kraus, residual
 
@@ -243,8 +240,8 @@ def reversal_residual(inst: Instrument, plan: ReversalPlan) -> float:
 
 
 def performance_report(inst: Instrument, plan: ReversalPlan | None = None) -> PerformanceReport:
-    """All scalar metrics of one instrument, from sigma alone: the plan's if given."""
-    sigmas = singular_values(_one(inst.kraus)) if plan is None else plan.sigmas[None]
-    p_succ, leakage, f_standard, tradeoff = (float(m[0]) for m in _metrics(inst.d, sigmas))
+    """All scalar metrics of one instrument, from the sigma of its plan (made if not given)."""
+    sigmas = (optimal_reversal(inst) if plan is None else plan).sigmas
+    p_succ, leakage, f_standard, tradeoff = (float(m) for m in _metrics(inst.d, sigmas))
     return PerformanceReport(p_succ_max=p_succ, f_tele_standard=f_standard,
                              f_tele_mr=1.0, leakage_max=leakage, tradeoff_lhs=tradeoff)

@@ -58,13 +58,6 @@ def svd(m: CMatrix) -> SvdResult:
                      rank_deficient=bool(deficient) if a.ndim == 2 else deficient)
 
 
-def singular_values(m: CMatrix) -> np.ndarray:
-    """The ``sigmas`` of :func:`svd`, checked and clamped alike, from a values-only
-    SVD (no U, no V); they may differ from svd's by a few ulps (4e-16 seen)."""
-    s = np.linalg.svd(as_matrix(m, batched=True), compute_uv=False)
-    return np.where(s < SIGMA_FLOOR, 0.0, s)
-
-
 def polar_unitary(m: CMatrix) -> CMatrix:
     """Unitary U maximizing |Tr(U m)|; the maximum equals the nuclear norm of m."""
     res = svd(m)

@@ -77,14 +77,19 @@ def _rowsum(a: np.ndarray) -> np.ndarray:
     return reduce(np.add, a.T)
 
 
+def check_budget(n: int) -> None:
+    """Refuse a sample count whose per-sample arrays would exceed MC_BUDGET_BYTES."""
+    if 24 * n > MC_BUDGET_BYTES:
+        raise DomainError(f"{n} samples need {24 * n} B, over the {MC_BUDGET_BYTES} B budget")
+
+
 def _sample(d: int, n: int, rng: RngSpec, kernel, k: int = 1) -> np.ndarray:
     """k per-sample arrays over n Haar states, which ``kernel(phi, acc)`` fills
     chunk by chunk.  The near-equal chunks replay the one-shot draw; none holds
     one sample unless n = 1, as a one-row matmul rounds differently."""
     if n < 1:
         raise DomainError(f"sample count must be >= 1, got {n}")
-    if 24 * n > MC_BUDGET_BYTES:
-        raise DomainError(f"{n} samples need {24 * n} B, over the {MC_BUDGET_BYTES} B budget")
+    check_budget(n)
     gen, parts = rng.generator(), max(n // CHUNK, 1)
     ends = [n * j // parts for j in range(parts + 1)]
     acc = np.zeros((k, n))

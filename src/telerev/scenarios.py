@@ -21,9 +21,9 @@ import numpy as np
 
 from . import __version__
 from .errors import DomainError
-from .instrument import Instrument, kraus_stack, spectrum
+from .instrument import COMPLETENESS_TOL, Instrument, kraus_stack, spectrum
 from .jointmeas import ejm_stack, xx_deformed_stack, zx_zz_stack
-from .montecarlo import RngSpec, estimate_success
+from .montecarlo import RngSpec, check_budget, estimate_success
 from .qstate import _check_angles, ejm_channel_stack, max_entangled_stack, schmidt_stack
 from .theorems import solve_tr, thm1_success_stack
 
@@ -35,7 +35,6 @@ COLUMNS = [
 
 DEFAULT_SEED = 20240101
 
-COMPLETENESS_GATE = 1e-10
 REVERSAL_GATE = 1e-9
 
 # Grid rows per stacked SVD.  Blocks keep the speed of one whole-grid batch
@@ -135,8 +134,9 @@ def _rows(entry: ScenarioSpec, t: np.ndarray, second: np.ndarray | None):
 
 def validate_scenario(sc: Scenario) -> None:
     """Check the scenario name, sample count and grids, before anything the size of a grid
-    is allocated: the row count against MAX_ROWS; the qubit factories check their
-    domains on the grid corners; thm2-bounds checks e and the dimensions."""
+    is allocated: the row count against MAX_ROWS and, with Monte Carlo, the sample budget
+    and the last row's stream; the qubit factories check their domains on the grid
+    corners; thm2-bounds checks e and the dimensions."""
     entry = SCENARIOS.get(sc.name)
     if entry is None:
         raise DomainError(f"unknown scenario {sc.name!r}")
@@ -149,6 +149,9 @@ def validate_scenario(sc: Scenario) -> None:
     rows = sc.grid.steps * (1 if sc.grid2 is None else sc.grid2.steps)
     if rows > MAX_ROWS:
         raise DomainError(f"{sc.name}: {rows} grid rows, over the {MAX_ROWS}-row limit")
+    if sc.mc_samples:
+        check_budget(sc.mc_samples)
+        RngSpec(sc.rng.seed, sc.rng.stream + rows - 1)  # row k draws from stream base + k
     ends = [None if g is None else np.array([g.start, g.stop]) for g in (sc.grid, sc.grid2)]
     try:
         if entry.measurement is not None:
@@ -168,7 +171,7 @@ def validate_scenario(sc: Scenario) -> None:
 def _qubit_block(sc: Scenario, lo: int, t: np.ndarray, x: np.ndarray) -> dict:
     """Columns of the grid rows lo, lo+1, ... from one stacked SVD and one
     stacked Theorem 1, plus each row's residuals; Monte Carlo row k draws
-    from its own stream k, using that row's reversers from the block."""
+    from its own stream sc.rng.stream + k, with that row's reversers from the block."""
     entry = SCENARIOS[sc.name]
     coeffs, elements = entry.channel(x), entry.measurement(t)
     kraus, completeness = kraus_stack(coeffs, elements)
@@ -181,8 +184,9 @@ def _qubit_block(sc: Scenario, lo: int, t: np.ndarray, x: np.ndarray) -> dict:
             "reversal": spec.residual(kraus)}
     if sc.mc_samples:
         t0 = time.perf_counter()
+        seed, base = sc.rng.seed, sc.rng.stream + lo
         est = [estimate_success(Instrument(2, tuple(kraus[i]), f"{sc.name}[{lo + i}]"),
-                                spec.plan(i), sc.mc_samples, RngSpec(sc.rng.seed, lo + i))
+                                spec.plan(i), sc.mc_samples, RngSpec(seed, base + i))
                for i in range(len(kraus))]
         cols["P_succ_mc"] = [e.mean for e in est]
         cols["P_succ_mc_stderr"] = [e.std_error for e in est]
@@ -256,7 +260,7 @@ def run(sc: Scenario, out_dir, fmt: str = "csv") -> RunResult:
     _write_atomic(data_path, text)
     t3 = time.perf_counter()
 
-    residual_ok = comp_max <= COMPLETENESS_GATE and rev_max <= REVERSAL_GATE
+    residual_ok = comp_max <= COMPLETENESS_TOL and rev_max <= REVERSAL_GATE
     manifest = {
         "scenario": sc.name,
         "grid": asdict(sc.grid),

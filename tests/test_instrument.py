@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from telerev import (BipartiteState, DimensionError, apply_kraus_oracle,
+from telerev import (BipartiteState, DimensionError, DomainError, apply_kraus_oracle,
                      bell_basis, build_instrument, ejm, leakage_max,
                      max_entangled, optimal_reversal, performance_report,
                      schmidt_channel, standard_fidelity, success_probability,
@@ -287,9 +287,9 @@ def test_performance_report_bundle():
 @settings(max_examples=60, deadline=None)
 @given(d=st.integers(2, 8), seed=st.integers(0, 2 ** 32 - 1), entangled=st.booleans())
 def test_sigma_only_metrics_agree_with_the_full_spectrum(d, seed, entangled):
-    # the scalar metrics take sigma from a values-only SVD, whose values may
-    # differ from the full decomposition's by a few ulps: 1e-15 absolute for
-    # the metrics in [0, 1], relative for the trade-off (about 2d)
+    # the scalar metrics take sigma from a plan, made by the stacked full SVD
+    # when none is given; held to 1e-15 absolute for the metrics in [0, 1],
+    # relative for the trade-off (about 2d)
     rng = np.random.default_rng(seed)
     channel = max_entangled(d) if entangled else BipartiteState(d=d, coeff=random_coeff(d, rng))
     inst = build_instrument(channel, random_basis(d, rng))
@@ -342,10 +342,34 @@ def test_plan_metrics_reuse_the_plan_spectrum(d, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a planned metric ran an SVD")
     monkeypatch.setattr(instrument, "svd", refuse)
-    monkeypatch.setattr(instrument, "singular_values", refuse)
     report = performance_report(inst, plan)
     assert report.p_succ_max == spec.p_succ[0]
     assert report.leakage_max == spec.leakage[0]
     assert report.f_tele_standard == spec.f_standard[0]
     assert report.tradeoff_lhs == spec.tradeoff[0] == tradeoff_lhs(inst, plan)
     assert reversal_residual(inst, plan) == spec.residual(np.array([inst.kraus]))[0]
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_planless_metrics_equal_the_spectrum_bit_for_bit(d):
+    # a report without a plan makes one, so its sigma are the spectrum's own
+    rng = np.random.default_rng(800 + d)
+    inst = build_instrument(BipartiteState(d=d, coeff=random_coeff(d, rng)), random_basis(d, rng))
+    spec = spectrum(np.array([inst.kraus]))
+    report = performance_report(inst)
+    assert report.p_succ_max == spec.p_succ[0]
+    assert report.leakage_max == spec.leakage[0] == leakage_max(inst)
+    assert report.f_tele_standard == spec.f_standard[0] == standard_fidelity(inst)
+    assert report.tradeoff_lhs == spec.tradeoff[0]
+
+
+def test_a_nan_element_is_refused_as_incomplete():
+    # NaN compares False with the tolerance, so the check must fail on it
+    elements = list(bell_basis().elements)
+    elements[1] = np.full((2, 2), np.nan + 0j)
+    with pytest.raises(DomainError, match="instrument is not complete: residual nan"):
+        build_instrument(max_entangled(2), JointMeasurement(2, tuple(elements), "nan"))
+    coeffs = np.stack([max_entangled(2).coeff] * 2)
+    stack = np.stack([np.stack(bell_basis().elements), np.stack(elements)])
+    with pytest.raises(DomainError, match="instrument is not complete"):
+        kraus_stack(coeffs, stack)

@@ -15,7 +15,8 @@ import pytest
 
 from telerev import montecarlo, scenarios
 from telerev.errors import DomainError
-from telerev.montecarlo import RngSpec
+from telerev.instrument import Instrument, kraus_stack, spectrum
+from telerev.montecarlo import MC_BUDGET_BYTES, RngSpec, estimate_success
 from telerev.scenarios import (SCENARIOS, GridSpec, Scenario, _qubit_columns,
                                validate_scenario)
 
@@ -151,4 +152,49 @@ def test_nonpositive_samples_refused_before_any_row(samples, tmp_path, monkeypat
         scenarios.run(sc, tmp_path / "out")
     with pytest.raises(DomainError, match="--samples must be >= 1"):
         validate_scenario(sc)
+    assert not (tmp_path / "out").exists()
+
+
+def _refuse_rows(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a row was evaluated")
+    monkeypatch.setattr(scenarios, "_qubit_block", refuse)
+
+
+def test_oversized_samples_refused_before_any_row(tmp_path, monkeypatch):
+    _refuse_rows(monkeypatch)
+    n = MC_BUDGET_BYTES // 24 + 1
+    sc = Scenario("ejm-scan", GridSpec(0.0, 1.0, 3), mc_samples=n)
+    with pytest.raises(DomainError, match=rf"^{n} samples need {24 * n} B, over the "):
+        scenarios.run(sc, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+def test_stream_base_offsets_every_monte_carlo_row(tmp_path):
+    # row k draws from stream base + k, so the base recorded in the manifest
+    # is the one the cells were drawn with
+    grid, seed = GridSpec(0.0, 1.0, 3), 99
+    cells = {}
+    for base in (0, 5):
+        sc = Scenario("ejm-scan", grid, mc_samples=500, rng=RngSpec(seed, base))
+        result = scenarios.run(sc, tmp_path / str(base))
+        cells[base] = _mc_cells(result.data_path)
+        assert json.loads(result.manifest_path.read_text())["stream_base"] == base
+    entry, t = SCENARIOS["ejm-scan"], grid.values()
+    kraus, _ = kraus_stack(entry.channel(t), entry.measurement(t))
+    spec = spectrum(kraus)
+    for k in range(t.size):
+        est = estimate_success(Instrument(2, tuple(kraus[k]), "row"), spec.plan(k), 500,
+                               RngSpec(seed, 5 + k))
+        assert cells[5][k] == (format(est.mean, ".15g"), format(est.std_error, ".15g"))
+    assert cells[0] != cells[5]
+
+
+def test_stream_base_past_the_last_key_refused_before_any_row(tmp_path, monkeypatch):
+    grid = GridSpec(0.0, 1.0, 3)
+    validate_scenario(Scenario("ejm-scan", grid, mc_samples=10, rng=RngSpec(1, 2 ** 64 - 3)))
+    _refuse_rows(monkeypatch)
+    sc = Scenario("ejm-scan", grid, mc_samples=10, rng=RngSpec(1, 2 ** 64 - 2))
+    with pytest.raises(DomainError, match=r"stream 18446744073709551616 outside \[0, 2\^64\)"):
+        scenarios.run(sc, tmp_path / "out")
     assert not (tmp_path / "out").exists()
