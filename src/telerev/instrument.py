@@ -5,10 +5,10 @@ Outcome r of the joint measurement maps the input through the Kraus operator
 M_r = E^T W_r^dag.  The reversing filter R_r = sigma_min Q_r Sigma_r^-1 P_r^dag
 (from the SVD M_r = P_r Sigma_r Q_r^dag) restores any input exactly with
 probability sigma_min^2, independent of the input.  Every metric derives
-from the singular values alone: :func:`spectrum` adds the reversers of a
-stack from one full SVD, whose sigmas each plan keeps, and every scalar metric
-reads them off a plan (a plan-less one makes its own); only the readers of the
-reversal residual compute it.
+from the singular values alone.  One type, :class:`ReversalPlan`, holds the
+spectrum of one instrument or of a stack of them, from one full SVD
+(:func:`spectrum`); every metric and the reversal residual are read off it,
+the metrics on first read and the residual only by its readers.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError
 from .jointmeas import JointMeasurement
-from .linalg import CMatrix, svd
+from .linalg import svd
 from .qstate import BipartiteState
 
 COMPLETENESS_TOL = 1e-10
@@ -28,26 +28,11 @@ COMPLETENESS_TOL = 1e-10
 
 @dataclass(frozen=True)
 class Instrument:
-    """The d^2 effective Kraus operators with sum_r M_r^dag M_r = I."""
+    """The d^2 effective Kraus operators (d^2, d, d) with sum_r M_r^dag M_r = I."""
 
     d: int
-    kraus: tuple[CMatrix, ...]
+    kraus: np.ndarray
     provenance: str
-
-
-@dataclass(frozen=True)
-class ReversalPlan:
-    """Per-outcome optimal reversers and their success probabilities.
-
-    Degenerate outcomes (smallest singular value exactly zero) are
-    unrecoverable: they carry a zero reverser and zero success probability.
-    ``sigmas`` (d^2, d) are the singular values of the spectrum row it came from.
-    """
-
-    reversers: tuple[CMatrix, ...]
-    outcome_success: np.ndarray
-    degenerate: tuple[bool, ...]
-    sigmas: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -68,13 +53,16 @@ class PerformanceReport:
 
 
 @dataclass(frozen=True)
-class Spectrum:
-    """Metrics and reversers of a stack of instruments, from one stacked SVD.
+class ReversalPlan:
+    """Singular values, optimal reversers and degenerate flags of one
+    instrument, indexed [outcome], or of a stack, indexed [row, outcome].
 
-    Arrays are indexed [row] or [row, outcome]; row i's reversers and
-    degenerate flags equal, bit for bit, ``optimal_reversal`` on that row.
-    The metrics p_succ, leakage, f_standard and tradeoff are computed on
-    first read, so a caller that takes only the reversers never pays for them.
+    Degenerate outcomes (smallest singular value exactly zero) are
+    unrecoverable: they carry a zero reverser and zero success probability.
+    A stack's row i equals, bit for bit, the plan of that row's instrument.
+    ``outcome_success`` and the metrics p_succ, leakage, f_standard and
+    tradeoff are computed on first read, so a caller that takes only the
+    reversers never pays for them.
     """
 
     sigmas: np.ndarray
@@ -82,8 +70,19 @@ class Spectrum:
     degenerate: np.ndarray
 
     @cached_property
+    def outcome_success(self) -> np.ndarray:
+        smin = self.sigmas[..., -1]
+        return smin * smin
+
+    @cached_property
     def _values(self) -> tuple[np.ndarray, ...]:
-        return _metrics(self.sigmas.shape[-1], self.sigmas)
+        s, d = self.sigmas, self.sigmas.shape[-1]
+        top, nuclear = s[..., 0], np.sum(s, axis=-1)
+        p_succ = np.sum(self.outcome_success, axis=-1)
+        leakage = (d + np.sum(top * top, axis=-1)) / (d * (d + 1))
+        f_ent = np.sum(nuclear * nuclear, axis=-1) / d ** 2  # polar-unitary correction
+        tradeoff = d * (d + 1) * leakage + (d - 1) * p_succ
+        return p_succ, leakage, (d * f_ent + 1.0) / (d + 1.0), tradeoff
 
     p_succ = cached_property(lambda self: self._values[0])
     leakage = cached_property(lambda self: self._values[1])
@@ -91,15 +90,16 @@ class Spectrum:
     tradeoff = cached_property(lambda self: self._values[3])
 
     def residual(self, kraus: np.ndarray) -> np.ndarray:
-        """Each row's reversal residual (see :func:`reversal_residual`)."""
-        return _reversal(kraus, self.reversers, self.degenerate, self.sigmas[..., -1])
+        """Max-abs deviation of R_r M_r from sigma_min^r I over the recoverable
+        outcomes, per row of a stack."""
+        d = kraus.shape[-1]
+        dev = np.max(np.abs(self.reversers @ kraus
+                            - self.sigmas[..., -1, None, None] * np.eye(d)), axis=(-2, -1))
+        return np.max(np.where(self.degenerate, 0.0, dev), axis=-1)
 
     def plan(self, row: int) -> ReversalPlan:
-        smin = self.sigmas[row, :, -1]
-        return ReversalPlan(reversers=tuple(self.reversers[row]),
-                            outcome_success=smin * smin,
-                            degenerate=tuple(self.degenerate[row].tolist()),
-                            sigmas=self.sigmas[row])
+        """Row ``row`` of a stack, as the plan of that row's instrument."""
+        return ReversalPlan(self.sigmas[row], self.reversers[row], self.degenerate[row])
 
 
 def _completeness(kraus: np.ndarray) -> np.ndarray:
@@ -108,28 +108,11 @@ def _completeness(kraus: np.ndarray) -> np.ndarray:
     return np.max(np.abs(acc - np.eye(d)), axis=(-2, -1))
 
 
-def _reversal(kraus, reversers, degenerate, smin) -> np.ndarray:
-    d = kraus.shape[-1]
-    dev = np.max(np.abs(reversers @ kraus - smin[..., None, None] * np.eye(d)),
-                 axis=(-2, -1))
-    return np.max(np.where(degenerate, 0.0, dev), axis=-1)
-
-
-def _metrics(d: int, s: np.ndarray):
-    """P, L, F_standard and the trade-off of singular values s (..., n, d)."""
-    smin, top, nuclear = s[..., -1], s[..., 0], np.sum(s, axis=-1)
-    p_succ = np.sum(smin * smin, axis=-1)
-    leakage = (d + np.sum(top * top, axis=-1)) / (d * (d + 1))
-    f_ent = np.sum(nuclear * nuclear, axis=-1) / d ** 2  # polar-unitary correction
-    tradeoff = d * (d + 1) * leakage + (d - 1) * p_succ
-    return p_succ, leakage, (d * f_ent + 1.0) / (d + 1.0), tradeoff
-
-
 def kraus_stack(coeffs: np.ndarray, elements: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Kraus stack M_r = E^T W_r^dag (rows, d^2, d, d) of channel stack
-    (rows, d, d) and measurement stack (rows, d^2, d, d), with each row's
-    completeness residual; raises DomainError if any row is incomplete."""
-    kraus = coeffs.swapaxes(-1, -2)[:, None] @ elements.conj().swapaxes(-1, -2)
+    """Kraus stack M_r = E^T W_r^dag (..., d^2, d, d) of channels (..., d, d)
+    and measurements (..., d^2, d, d), with each one's completeness residual;
+    raises DomainError if any is incomplete."""
+    kraus = coeffs.swapaxes(-1, -2)[..., None, :, :] @ elements.conj().swapaxes(-1, -2)
     residual = _completeness(kraus)
     worst = float(np.max(residual))
     if not worst <= COMPLETENESS_TOL:  # NaN fails too
@@ -137,9 +120,9 @@ def kraus_stack(coeffs: np.ndarray, elements: np.ndarray) -> tuple[np.ndarray, n
     return kraus, residual
 
 
-def spectrum(kraus: np.ndarray) -> Spectrum:
-    """All metrics and reversers of a Kraus stack (rows, n, d, d) from a
-    single stacked SVD."""
+def spectrum(kraus: np.ndarray) -> ReversalPlan:
+    """The plan of Kraus operators (..., n, d, d), one instrument or a stack,
+    from a single SVD."""
     d = kraus.shape[-1]
     res = svd(kraus)
     s = res.sigmas
@@ -150,16 +133,12 @@ def spectrum(kraus: np.ndarray) -> Spectrum:
     # (an einsum, say) rounds differently.  Degenerate outcomes get zeros.
     reversers = smin[..., None, None] * (
         res.right @ (inv[..., None] * np.eye(d)) @ res.left.conj().swapaxes(-1, -2))
-    return Spectrum(s, reversers, degenerate)
-
-
-def _one(matrices) -> np.ndarray:  # per-outcome matrices as a batch of one row
-    return np.array([matrices])
+    return ReversalPlan(s, reversers, degenerate)
 
 
 def completeness_residual(kraus, d: int) -> float:
     """Max-abs deviation of sum_r M_r^dag M_r from the identity."""
-    return float(_completeness(np.reshape(kraus, (1, -1, d, d)))[0])
+    return float(_completeness(np.reshape(kraus, (-1, d, d))))
 
 
 def build_instrument(channel: BipartiteState, jm: JointMeasurement) -> Instrument:
@@ -167,8 +146,8 @@ def build_instrument(channel: BipartiteState, jm: JointMeasurement) -> Instrumen
     if channel.d != jm.d:
         raise DimensionError(
             f"channel dimension {channel.d} != measurement dimension {jm.d}")
-    kraus, _ = kraus_stack(channel.coeff[None], _one(jm.elements))
-    return Instrument(d=channel.d, kraus=tuple(kraus[0]),
+    kraus, _ = kraus_stack(channel.coeff, np.asarray(jm.elements))
+    return Instrument(d=channel.d, kraus=kraus,
                       provenance=f"{channel.label or 'channel'}+{jm.label}")
 
 
@@ -201,7 +180,7 @@ def apply_kraus_oracle(channel: BipartiteState, jm: JointMeasurement,
 
 def optimal_reversal(inst: Instrument) -> ReversalPlan:
     """Optimal reversing filter and success probability for every outcome."""
-    return spectrum(_one(inst.kraus)).plan(0)
+    return spectrum(np.asarray(inst.kraus))
 
 
 def success_probability(plan: ReversalPlan) -> float:
@@ -235,13 +214,12 @@ def tradeoff_lhs(inst: Instrument, plan: ReversalPlan) -> float:
 
 def reversal_residual(inst: Instrument, plan: ReversalPlan) -> float:
     """Max-abs deviation of R_r M_r from sigma_min^r I over recoverable outcomes."""
-    return float(_reversal(_one(inst.kraus), _one(plan.reversers),
-                           np.array(plan.degenerate)[None], plan.sigmas[None, :, -1])[0])
+    return float(plan.residual(np.asarray(inst.kraus)))
 
 
 def performance_report(inst: Instrument, plan: ReversalPlan | None = None) -> PerformanceReport:
-    """All scalar metrics of one instrument, from the sigma of its plan (made if not given)."""
-    sigmas = (optimal_reversal(inst) if plan is None else plan).sigmas
-    p_succ, leakage, f_standard, tradeoff = (float(m) for m in _metrics(inst.d, sigmas))
-    return PerformanceReport(p_succ_max=p_succ, f_tele_standard=f_standard,
-                             f_tele_mr=1.0, leakage_max=leakage, tradeoff_lhs=tradeoff)
+    """All scalar metrics of one instrument, read off its plan (made if not given)."""
+    plan = optimal_reversal(inst) if plan is None else plan
+    return PerformanceReport(p_succ_max=float(plan.p_succ), f_tele_standard=float(plan.f_standard),
+                             f_tele_mr=1.0, leakage_max=float(plan.leakage),
+                             tradeoff_lhs=float(plan.tradeoff))

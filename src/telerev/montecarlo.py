@@ -9,6 +9,7 @@ stream indices are independent.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import reduce
 
@@ -33,8 +34,8 @@ MC_BUDGET_BYTES = 1 << 28
 class RngSpec:
     """Reproducible randomness source: 64-bit seed plus shard index.
 
-    Both are Philox key words and must lie in [0, 2^64); a wider value would
-    silently replay another key's stream.
+    Both are Philox key words: integers (numpy ones too) in [0, 2^64).  A
+    wider or fractional value would silently replay another key's stream.
     """
 
     seed: int
@@ -42,6 +43,10 @@ class RngSpec:
 
     def __post_init__(self):
         for name, value in (("seed", self.seed), ("stream", self.stream)):
+            try:
+                operator.index(value)
+            except TypeError:
+                raise DomainError(f"{name} {value!r} is not an integer") from None
             if not 0 <= value < _KEY_LIMIT:
                 raise DomainError(f"{name} {value} outside [0, 2^64)")
 

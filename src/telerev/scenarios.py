@@ -185,7 +185,7 @@ def _qubit_block(sc: Scenario, lo: int, t: np.ndarray, x: np.ndarray) -> dict:
     if sc.mc_samples:
         t0 = time.perf_counter()
         seed, base = sc.rng.seed, sc.rng.stream + lo
-        est = [estimate_success(Instrument(2, tuple(kraus[i]), f"{sc.name}[{lo + i}]"),
+        est = [estimate_success(Instrument(2, kraus[i], f"{sc.name}[{lo + i}]"),
                                 spec.plan(i), sc.mc_samples, RngSpec(seed, base + i))
                for i in range(len(kraus))]
         cols["P_succ_mc"] = [e.mean for e in est]

@@ -109,16 +109,16 @@ def _alignment(channels: np.ndarray, elements: np.ndarray):
 
 
 def thm1_success_stack(coeffs: np.ndarray, elements: np.ndarray):
-    """Theorem 1 over stacks of qubit channels (rows, 2, 2) and measurements
-    (rows, n, 2, 2): channel concurrences (rows,), element concurrences
-    (rows, n) and total success probabilities (rows,), all from elementwise
+    """Theorem 1 over qubit channels (..., 2, 2) and measurements
+    (..., n, 2, 2): channel concurrences (...), element concurrences
+    (..., n) and total success probabilities (...), all from elementwise
     2x2 invariants.  Raises DomainError if an element is not normalised."""
     _normalised(elements.reshape(-1, 2, 2))
-    channels = coeffs[:, None]  # broadcasts against the n elements of its row
+    channels = coeffs[..., None, :, :]  # broadcasts against the n elements of its row
     e_c, e_r = concurrences(channels), concurrences(elements)
     u, v, x, _ = _alignment(channels, elements)
     p = _closed_form(np.minimum(e_c, 1.0), np.minimum(e_r, 1.0), u, v, x)
-    return e_c[:, 0], e_r, np.add.reduce(p, axis=-1)
+    return e_c[..., 0], e_r, np.add.reduce(p, axis=-1)
 
 
 def alignment_x(channel: BipartiteState, jm: JointMeasurement, r: int) -> float | None:
@@ -137,7 +137,7 @@ def thm1_total_success(channel: BipartiteState, jm: JointMeasurement) -> float:
     """Closed-form total success probability summed over the four outcomes."""
     if channel.d != 2 or jm.d != 2:
         raise DimensionError("the closed form is defined for qubits only")
-    return float(thm1_success_stack(channel.coeff[None], np.array([jm.elements]))[2][0])
+    return float(thm1_success_stack(channel.coeff, np.asarray(jm.elements))[2])
 
 
 def g_of_t(d: int, t: float) -> float:
@@ -152,6 +152,8 @@ def solve_tr(d, e_r):
     sqrt(-F) keeps a simple root as e_r -> 1, and bisection on [log(d t0), 0]
     guards it (t0 = (e_r/d)^d (d-1)^(d-1) <= t, as g(t) <= t/(d-1)^(d-1)).  A step
     s in w, relative in t, leaves an error near s^2/3: steps below 1e-7 end it."""
+    if not np.all(np.asarray(d) >= 2):  # NaN fails too
+        raise DomainError(f"dimension must be >= 2, got {np.min(d)}")
     e_r = _unit_interval(e_r, "e_r")
     e = np.atleast_1d(e_r)
     inner = (0.0 < e) & (e < 1.0)  # e = 0 and e = 1 are set at the end

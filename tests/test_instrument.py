@@ -363,6 +363,30 @@ def test_planless_metrics_equal_the_spectrum_bit_for_bit(d):
     assert report.tradeoff_lhs == spec.tradeoff[0]
 
 
+@pytest.mark.parametrize("d", range(2, 9))
+def test_one_instrument_is_its_row_of_the_stack_bit_for_bit(d):
+    # kraus_stack and spectrum take any leading shape, so one instrument's
+    # (d^2, d, d) stack and plan are its row of a stacked block, bit for bit
+    rng = np.random.default_rng(900 + d)
+    channels = [BipartiteState(d=d, coeff=random_coeff(d, rng)) for _ in range(3)]
+    channels.append(max_entangled(d))
+    channels.append(BipartiteState(d=d, coeff=np.diag(np.eye(d)[0]) + 0j))  # all degenerate
+    bases = [random_basis(d, rng) for _ in channels]
+    kraus, _ = kraus_stack(np.stack([c.coeff for c in channels]),
+                           np.stack([np.array(jm.elements) for jm in bases]))
+    block = spectrum(kraus)
+    residuals = block.residual(kraus)
+    for i, (channel, jm) in enumerate(zip(channels, bases)):
+        one, _ = kraus_stack(channel.coeff, np.array(jm.elements))
+        plan = spectrum(one)
+        assert np.array_equal(one, kraus[i]), i
+        for name in ("sigmas", "reversers", "degenerate", "outcome_success",
+                     "p_succ", "leakage", "f_standard", "tradeoff"):
+            assert np.array_equal(getattr(plan, name), getattr(block, name)[i]), (i, name)
+        assert plan.residual(one) == residuals[i], i
+    assert block.degenerate[-1].all() and not block.degenerate[-2].any()
+
+
 def test_a_nan_element_is_refused_as_incomplete():
     # NaN compares False with the tolerance, so the check must fail on it
     elements = list(bell_basis().elements)

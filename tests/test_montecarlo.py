@@ -170,6 +170,19 @@ def test_keys_outside_64_bits_are_rejected(seed, stream):
         RngSpec(seed, stream)
 
 
+@pytest.mark.parametrize("seed, stream", [(1.5, 0), (1.0, 0), (1, 2.5), (1, "2"),
+                                          (np.float64(3.0), 0)])
+def test_non_integer_keys_are_rejected(seed, stream):
+    # RngSpec(1.5) would otherwise draw RngSpec(1)'s Philox stream
+    with pytest.raises(DomainError, match="is not an integer"):
+        RngSpec(seed, stream)
+
+
+def test_numpy_integer_keys_draw_the_python_integer_stream():
+    got = RngSpec(np.int64(3), np.uint64(4)).generator().standard_normal(4)
+    assert np.array_equal(got, RngSpec(3, 4).generator().standard_normal(4))
+
+
 def test_extreme_keys_draw_distinct_streams():
     top = RngSpec(2 ** 64 - 1, 2 ** 64 - 1).generator().standard_normal(4)
     zero = RngSpec(0, 0).generator().standard_normal(4)
@@ -342,7 +355,7 @@ def test_success_cases_cover_every_dimension_and_degenerate_outcomes():
     cases = _success_cases()
     assert {inst.d for inst, _ in cases} == {2, 3, 4, 8}
     flags = [plan.degenerate for _, plan in cases]
-    assert all(flags[-3]) and not any(flags[-2]) and flags[-1] == (True, True, False, False)
+    assert all(flags[-3]) and not any(flags[-2]) and list(flags[-1]) == [True, True, False, False]
 
 
 @pytest.mark.parametrize("n", _SIZES)

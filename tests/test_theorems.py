@@ -317,6 +317,18 @@ def test_solve_tr_stacks_over_dimensions_and_endpoints():
         solve_tr(3, -0.5)
 
 
+@pytest.mark.parametrize("call, got", [
+    (lambda: solve_tr(1, 0.5), "1"), (lambda: solve_tr(0, 0.5), "0"),
+    (lambda: solve_tr(-3, [0.5, 0.2]), "-3"), (lambda: saturating_spectrum(1, 0.5), "1"),
+    (lambda: solve_tr(np.array([3.0, 1.0, 0.0]), np.array([0.5, 0.5, 0.5])), "0.0"),
+    (lambda: solve_tr(np.array([3.0, float("nan")]), 0.5), "nan")],
+    ids=["d=1", "d=0", "d=-3", "saturating d=1", "stacked", "nan"])
+def test_solve_tr_refuses_dimensions_below_two(call, got):
+    # d = 1 and d = 0 would divide by d - 1 = 0 or by d = 0; a stack names its smallest d
+    with pytest.raises(DomainError, match=re.escape(f"dimension must be >= 2, got {got}")):
+        call()
+
+
 def test_d3_closed_form_matches_bisection():
     for e in np.linspace(0.0, 1.0, 1000):
         assert abs(tr_closed_form_d3(float(e)) - solve_tr(3, float(e))) < 1e-12
