@@ -2,13 +2,18 @@
 probabilistic reversal, and the derived performance metrics.
 
 Outcome r of the joint measurement maps the input through the Kraus operator
-M_r = E^T W_r^dag.  The reversing filter R_r = sigma_min Q_r Sigma_r^-1 P_r^dag
-(from the SVD M_r = P_r Sigma_r Q_r^dag) restores any input exactly with
-probability sigma_min^2, independent of the input.  Every metric derives
-from the singular values alone.  One type, :class:`ReversalPlan`, holds the
-spectrum of one instrument or of a stack of them, from one full SVD
-(:func:`spectrum`); every metric and the reversal residual are read off it,
-the metrics on first read and the residual only by its readers.
+M_r = E^T W_r^dag.  The reversing filter R_r = sigma_min M_r^-1 restores any
+input exactly with probability sigma_min^2, independent of the input.  Every
+metric derives from the singular values alone.  One type,
+:class:`ReversalPlan`, holds the spectrum of one instrument or of a stack of
+them (:func:`spectrum`); every metric and the reversal residual are read off
+it, the metrics on first read and the residual only by its readers.
+
+At d = 2 the whole chain (Kraus products, singular values, reversers and
+residuals) is a closed form in elementwise real arithmetic, so its bits do
+not depend on the BLAS kernel or on numpy's SIMD dispatch.  For d >= 3 the
+products are ``@`` and the spectrum is one LAPACK SVD, with
+R_r = sigma_min Q_r Sigma_r^-1 P_r^dag from M_r = P_r Sigma_r Q_r^dag.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError
 from .jointmeas import JointMeasurement
-from .linalg import svd
+from .linalg import SIGMA_FLOOR, complex_from, real_matmul, svd
 from .qstate import BipartiteState
 
 COMPLETENESS_TOL = 1e-10
@@ -93,7 +98,7 @@ class ReversalPlan:
         """Max-abs deviation of R_r M_r from sigma_min^r I over the recoverable
         outcomes, per row of a stack."""
         d = kraus.shape[-1]
-        dev = np.max(np.abs(self.reversers @ kraus
+        dev = np.max(np.abs(_matmul(self.reversers, kraus)
                             - self.sigmas[..., -1, None, None] * np.eye(d)), axis=(-2, -1))
         return np.max(np.where(self.degenerate, 0.0, dev), axis=-1)
 
@@ -102,9 +107,14 @@ class ReversalPlan:
         return ReversalPlan(self.sigmas[row], self.reversers[row], self.degenerate[row])
 
 
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b, in real arithmetic for 2 x 2 stacks (see the module docstring)."""
+    return real_matmul(a, b) if a.shape[-1] == 2 else a @ b
+
+
 def _completeness(kraus: np.ndarray) -> np.ndarray:
     d = kraus.shape[-1]
-    acc = np.sum(kraus.conj().swapaxes(-1, -2) @ kraus, axis=-3)
+    acc = np.sum(_matmul(kraus.conj().swapaxes(-1, -2), kraus), axis=-3)
     return np.max(np.abs(acc - np.eye(d)), axis=(-2, -1))
 
 
@@ -112,7 +122,7 @@ def kraus_stack(coeffs: np.ndarray, elements: np.ndarray) -> tuple[np.ndarray, n
     """Kraus stack M_r = E^T W_r^dag (..., d^2, d, d) of channels (..., d, d)
     and measurements (..., d^2, d, d), with each one's completeness residual;
     raises DomainError if any is incomplete."""
-    kraus = coeffs.swapaxes(-1, -2)[..., None, :, :] @ elements.conj().swapaxes(-1, -2)
+    kraus = _matmul(coeffs.swapaxes(-1, -2)[..., None, :, :], elements.conj().swapaxes(-1, -2))
     residual = _completeness(kraus)
     worst = float(np.max(residual))
     if not worst <= COMPLETENESS_TOL:  # NaN fails too
@@ -120,10 +130,46 @@ def kraus_stack(coeffs: np.ndarray, elements: np.ndarray) -> tuple[np.ndarray, n
     return kraus, residual
 
 
+def _qubit_spectrum(kraus: np.ndarray) -> ReversalPlan:
+    """Closed-form plan of 2 x 2 Kraus operators M = [[a, b], [c, e]], in
+    real arithmetic.  With F = |M|_F^2 and M M^dag = [[m11, m12], [m12*, m22]],
+    disc = (m11 - m22)^2 + 4|m12|^2 is a sum of squares, so
+    sigma_min^2 = 2 |det M|^2 / (F + sqrt(disc)) keeps its precision where
+    sigma_1 = sigma_2; sigma_max^2 = F - sigma_min^2, and
+    R = sigma_min adj(M) / det M."""
+    (ar, br), (cr, er) = np.moveaxis(kraus.real, (-2, -1), (0, 1))
+    (ai, bi), (ci, ei) = np.moveaxis(kraus.imag, (-2, -1), (0, 1))
+    top = (ar * ar + ai * ai) + (br * br + bi * bi)
+    bottom = (cr * cr + ci * ci) + (er * er + ei * ei)
+    frob = top + bottom
+    det_r = (ar * er - ai * ei) - (br * cr - bi * ci)
+    det_i = (ar * ei + ai * er) - (br * ci + bi * cr)
+    det2 = det_r * det_r + det_i * det_i
+    off_r = (ar * cr + ai * ci) + (br * er + bi * ei)  # m12 = a c* + b e*
+    off_i = (ai * cr - ar * ci) + (bi * er - br * ei)
+    gap = top - bottom
+    big = frob + np.sqrt(gap * gap + 4.0 * (off_r * off_r + off_i * off_i))
+    smin2 = np.divide(2.0 * det2, big, out=np.zeros_like(big), where=big > 0.0)
+    s = np.sqrt(np.stack([frob - smin2, smin2], axis=-1))
+    s[s < SIGMA_FLOOR] = 0.0
+    smin = s[..., 1]
+    degenerate = smin == 0.0
+    # sigma_min / det M = q conj(det M); degenerate outcomes get zeros
+    q = np.divide(smin, det2, out=np.zeros_like(smin), where=~degenerate)
+    kr, ki = (q * det_r)[..., None, None], (q * det_i)[..., None, None]
+    adj = kraus[..., ::-1, ::-1].swapaxes(-1, -2).copy()  # [[e, -b], [-c, a]]
+    adj[..., 0, 1] = -adj[..., 0, 1]
+    adj[..., 1, 0] = -adj[..., 1, 0]
+    reversers = complex_from(kr * adj.real + ki * adj.imag, kr * adj.imag - ki * adj.real)
+    return ReversalPlan(s, reversers, degenerate)
+
+
 def spectrum(kraus: np.ndarray) -> ReversalPlan:
-    """The plan of Kraus operators (..., n, d, d), one instrument or a stack,
-    from a single SVD."""
+    """The plan of Kraus operators (..., n, d, d), one instrument or a stack:
+    the closed form at d = 2, else a single SVD."""
     d = kraus.shape[-1]
+    if d == 2:
+        return _qubit_spectrum(kraus)
     res = svd(kraus)
     s = res.sigmas
     smin, degenerate = s[..., -1], res.rank_deficient

@@ -58,6 +58,26 @@ def svd(m: CMatrix) -> SvdResult:
                      rank_deficient=bool(deficient) if a.ndim == 2 else deficient)
 
 
+def real_matmul(a: CMatrix, b: CMatrix) -> CMatrix:
+    """a @ b for complex stacks (broadcast along leading axes), in real float
+    arithmetic: each entry's inner sum is added term by term in index order.
+    Neither BLAS nor numpy's complex multiply (whose SIMD loops fuse into FMA
+    on some CPUs) is involved, so the bits are the same on every kernel."""
+    for k in range(a.shape[-1]):
+        xr, xi = a.real[..., :, k, None], a.imag[..., :, k, None]
+        yr, yi = b.real[..., None, k, :], b.imag[..., None, k, :]
+        tr, ti = xr * yr - xi * yi, xr * yi + xi * yr
+        cr, ci = (tr, ti) if k == 0 else (cr + tr, ci + ti)
+    return complex_from(cr, ci)
+
+
+def complex_from(re: np.ndarray, im: np.ndarray) -> CMatrix:
+    """The complex array re + i im, assembled without arithmetic."""
+    out = np.empty(np.broadcast_shapes(re.shape, im.shape), dtype=np.complex128)
+    out.real, out.imag = re, im
+    return out
+
+
 def polar_unitary(m: CMatrix) -> CMatrix:
     """Unitary U maximizing |Tr(U m)|; the maximum equals the nuclear norm of m."""
     res = svd(m)

@@ -17,14 +17,17 @@ import numpy as np
 
 from .errors import DomainError
 from .instrument import Instrument, ReversalPlan
-from .linalg import polar_unitary, svd
+from .linalg import polar_unitary, real_matmul, svd
 
 _KEY_LIMIT = 1 << 64
 
 # Samples per chunk of a Haar draw, sized for cache (more than the goldens'
-# 2000).  The per-sample arrays stay whole: estimate_performance holds succ,
-# overlap and f_cond, 24 B per sample; estimate_success, the scenario
-# estimator, holds succ alone, 8 B.  Every estimator refuses a count over
+# 2000).  The success kernel is elementwise, so its values do not depend on
+# where the chunks split; the overlap, leakage and fidelity kernels multiply
+# through BLAS, which rounds a one-row product differently (see _sample).
+# The per-sample arrays stay whole: estimate_performance holds succ, overlap
+# and f_cond, 24 B per sample; estimate_success, the scenario estimator,
+# holds succ alone, 8 B.  Every estimator refuses a count over
 # MC_BUDGET_BYTES / 24 (about 11.2 million), so one limit serves them all.
 CHUNK = 8192
 MC_BUDGET_BYTES = 1 << 28
@@ -71,8 +74,11 @@ def haar_state(d: int, rng: np.random.Generator) -> np.ndarray:
 
 def _haar_batch(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
     # Draw order matches n sequential haar_state calls on the same generator.
-    v = rng.standard_normal((n, d, 2)).view(np.complex128)[..., 0]
-    v /= np.sqrt(_rowsum((v.conj() * v).real))[:, None]
+    # Scaling the normals by 1/|v| gives the bits of dividing v by |v| + 0j,
+    # as numpy's complex division multiplies by the reciprocal, only faster.
+    z = rng.standard_normal((n, d, 2))
+    v = z.view(np.complex128)[..., 0]
+    z *= (1.0 / np.sqrt(_rowsum((v.conj() * v).real)))[:, None, None]
     return v
 
 
@@ -91,7 +97,8 @@ def check_budget(n: int) -> None:
 def _sample(d: int, n: int, rng: RngSpec, kernel, k: int = 1) -> np.ndarray:
     """k per-sample arrays over n Haar states, which ``kernel(phi, acc)`` fills
     chunk by chunk.  The near-equal chunks replay the one-shot draw; none holds
-    one sample unless n = 1, as a one-row matmul rounds differently."""
+    one sample unless n = 1, as a one-row matmul in the BLAS kernels rounds
+    differently."""
     if n < 1:
         raise DomainError(f"sample count must be >= 1, got {n}")
     check_budget(n)
@@ -109,6 +116,29 @@ def _estimate(samples: np.ndarray) -> McEstimate:
     return McEstimate(mean=float(np.mean(samples)), std_error=se, n=n)
 
 
+def _success_gram(inst: Instrument, plan: ReversalPlan) -> np.ndarray:
+    """G = sum_r (R_r M_r)^dag (R_r M_r) over the recoverable outcomes, so a
+    state's success probability sum_r |R_r M_r phi|^2 is phi^dag G phi; real
+    arithmetic throughout, at every d."""
+    keep = ~np.asarray(plan.degenerate)
+    if not keep.any():
+        return np.zeros((inst.d, inst.d), dtype=np.complex128)
+    a = real_matmul(plan.reversers[keep], np.asarray(inst.kraus)[keep])
+    return reduce(np.add, real_matmul(a.conj().swapaxes(-1, -2), a))
+
+
+def _success(g: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """phi^dag G phi of every row of phi for Hermitian G, in real arithmetic:
+    sum_i G_ii |phi_i|^2 + 2 sum_{i<j} Re(G_ij conj(phi_i) phi_j), each sum
+    added in index order, one column of samples at a time."""
+    x, y, d = phi.real.T, phi.imag.T, g.shape[-1]
+    diag = reduce(np.add, (g[k, k].real * (x[k] * x[k] + y[k] * y[k]) for k in range(d)))
+    cross = reduce(np.add, (g[i, j].real * (x[i] * x[j] + y[i] * y[j])
+                            - g[i, j].imag * (x[i] * y[j] - y[i] * x[j])
+                            for i in range(d) for j in range(i + 1, d)))
+    return diag + 2.0 * cross
+
+
 def _reversed_ops(inst: Instrument, plan: ReversalPlan) -> list[np.ndarray]:
     """(R_r M_r)^T of the recoverable outcomes, in outcome order, to right-multiply
     a batch of input rows."""
@@ -124,13 +154,12 @@ def estimate_performance(inst: Instrument, plan: ReversalPlan, n: int,
     is the success-weighted output fidelity; it is 1 up to rounding whenever
     the resources are pure.
     """
-    ops = _reversed_ops(inst, plan)
+    g, ops = _success_gram(inst, plan), _reversed_ops(inst, plan)
     def kernel(phi, acc):
+        acc[0] = _success(g, phi)
         phic = phi.conj()
         for op in ops:
-            out = phi @ op
-            acc[0] += _rowsum(np.abs(out) ** 2)
-            acc[1] += np.abs(_rowsum(phic * out)) ** 2
+            acc[1] += np.abs(_rowsum(phic * (phi @ op))) ** 2
     succ, overlap = _sample(inst.d, n, rng, kernel, 2)
     f_cond = np.where(succ > 0.0, overlap / np.where(succ > 0.0, succ, 1.0), 1.0)
     return {"p_succ": _estimate(succ), "f_cond": _estimate(f_cond)}
@@ -140,10 +169,9 @@ def estimate_success(inst: Instrument, plan: ReversalPlan, n: int, rng: RngSpec)
     """Empirical success probability alone: equal, bit for bit, to
     ``estimate_performance(inst, plan, n, rng)["p_succ"]``, without the
     overlap and conditional-fidelity work."""
-    ops = _reversed_ops(inst, plan)
+    g = _success_gram(inst, plan)
     def kernel(phi, acc):
-        for op in ops:
-            acc[0] += _rowsum(np.abs(phi @ op) ** 2)
+        acc[0] = _success(g, phi)
     return _estimate(_sample(inst.d, n, rng, kernel)[0])
 
 

@@ -13,7 +13,8 @@ from telerev.errors import DomainError
 from telerev.instrument import Instrument, kraus_stack, spectrum
 from telerev.jointmeas import JointMeasurement, zx_zz_stack
 from telerev.linalg import polar_unitary, svd
-from telerev.montecarlo import CHUNK, MC_BUDGET_BYTES, _haar_batch
+from telerev.montecarlo import (CHUNK, MC_BUDGET_BYTES, _haar_batch, _success,
+                                 _success_gram)
 from telerev.qstate import schmidt_stack
 from telerev.theorems import random_basis
 
@@ -205,7 +206,9 @@ def test_estimates_carry_sample_count():
 
 
 # Frozen copy of the unchunked estimators (one n-row draw, numpy reductions
-# over the d columns), kept as the reference for the chunked kernel.
+# over the d columns), kept as the reference for the chunked kernel.  Success
+# is the Gram form phi^dag G phi, G = sum_r (R_r M_r)^dag (R_r M_r), written
+# out here in Python complex scalars with every sum taken in index order.
 def _ref_haar_batch(d, n, rng):
     z = rng.standard_normal((n, d, 2))
     v = z[..., 0] + 1j * z[..., 1]
@@ -218,15 +221,57 @@ def _ref_estimate(samples):
     return (float(np.mean(samples)), se)
 
 
+def _ref_product(a, b):
+    """a @ b of nested lists of Python complex numbers, summed k = 0, 1, ..."""
+    out = []
+    for i in range(len(a)):
+        row = []
+        for j in range(len(b[0])):
+            acc = a[i][0] * b[0][j]
+            for k in range(1, len(b)):
+                acc = acc + a[i][k] * b[k][j]
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def _ref_gram(inst, plan):
+    g = None
+    for m, rev, deg in zip(inst.kraus, plan.reversers, plan.degenerate):
+        if deg:
+            continue
+        a = _ref_product([[complex(v) for v in row] for row in rev],
+                         [[complex(v) for v in row] for row in m])
+        adag = [[a[k][i].conjugate() for k in range(inst.d)] for i in range(inst.d)]
+        term = _ref_product(adag, a)
+        g = term if g is None else [[x + y for x, y in zip(gr, tr)] for gr, tr in zip(g, term)]
+    return np.zeros((inst.d, inst.d), complex) if g is None else np.array(g)
+
+
+def _ref_success(g, phi):
+    """phi^dag G phi per row: the diagonal terms, then twice the i < j terms."""
+    d = g.shape[0]
+    x, y = phi.real, phi.imag
+    diag = g[0, 0].real * (x[:, 0] * x[:, 0] + y[:, 0] * y[:, 0])
+    for i in range(1, d):
+        diag = diag + g[i, i].real * (x[:, i] * x[:, i] + y[:, i] * y[:, i])
+    cross = None
+    for i in range(d):
+        for j in range(i + 1, d):
+            term = (g[i, j].real * (x[:, i] * x[:, j] + y[:, i] * y[:, j])
+                    - g[i, j].imag * (x[:, i] * y[:, j] - y[:, i] * x[:, j]))
+            cross = term if cross is None else cross + term
+    return diag + 2.0 * cross
+
+
 def _ref_performance(inst, plan, n, rng):
     phi = _ref_haar_batch(inst.d, n, rng.generator())
-    succ = np.zeros(n)
+    succ = _ref_success(_ref_gram(inst, plan), phi)
     overlap = np.zeros(n)
     for m, rev, deg in zip(inst.kraus, plan.reversers, plan.degenerate):
         if deg:
             continue
         out = phi @ (rev @ m).T
-        succ += np.sum(np.abs(out) ** 2, axis=1)
         overlap += np.abs(np.sum(phi.conj() * out, axis=1)) ** 2
     f_cond = np.where(succ > 0.0, overlap / np.where(succ > 0.0, succ, 1.0), 1.0)
     return [_ref_estimate(succ), _ref_estimate(f_cond)]
@@ -365,6 +410,22 @@ def test_estimate_success_is_estimate_performance_p_succ_bit_for_bit(n):
         got = estimate_success(inst, plan, n, spec)
         assert got == estimate_performance(inst, plan, n, spec)["p_succ"], inst.provenance
         assert got.n == n
+
+
+def _direct_success(inst, plan, phi):
+    """sum_r |R_r M_r phi|^2 per sample, the zgemm kernel the Gram form replaced."""
+    succ = np.zeros(phi.shape[0])
+    for m, rev, deg in zip(inst.kraus, plan.reversers, plan.degenerate):
+        if not deg:
+            succ += np.sum(np.abs(phi @ (rev @ m).T) ** 2, axis=1)
+    return succ
+
+
+def test_gram_success_matches_the_direct_sum_per_sample():
+    for k, (inst, plan) in enumerate(_success_cases()):
+        phi = _haar_batch(inst.d, 2000, RngSpec(seed=90 + k).generator())
+        gram = _success(_success_gram(inst, plan), phi)
+        assert np.max(np.abs(gram - _direct_success(inst, plan, phi))) <= 1e-15, inst.provenance
 
 
 def test_estimate_success_of_an_unrecoverable_instrument_is_zero():

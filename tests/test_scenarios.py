@@ -8,6 +8,9 @@ the one stacked law that fills the ``P_succ_closed`` column.
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -139,6 +142,26 @@ def test_scenario_monte_carlo_runs_without_the_full_estimator(name, tmp_path, mo
     assert result.residual_ok
     got, want = _mc_cells(result.data_path), _mc_cells(GOLDEN_DIR / f"{name}.csv")
     assert len(got) == sc.grid.steps and got == want
+
+
+def test_monte_carlo_goldens_replay_on_an_avx2_blas_kernel(tmp_path):
+    # OpenBLAS picks its kernels by CPU; Haswell is the one AVX2-only hosts
+    # get.  The qubit chain uses no BLAS, so the Monte Carlo goldens replay
+    # byte for byte on it (a no-op where OpenBLAS is not DYNAMIC_ARCH).
+    runs = json.loads((GOLDEN_DIR / "invocations.json").read_text())
+    argvs = {r["name"]: r["argv"] for r in runs if r["name"] in ("xx-scan", "ejm-scan")}
+    script = ("import sys; from telerev.cli import main; "
+              "sys.exit(max(main(argv + ['--out', sys.argv[1]]) for argv in %r))"
+              % list(argvs.values()))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    for name in argvs:
+        got = (tmp_path / f"{name}.csv").read_bytes()
+        assert got == (GOLDEN_DIR / f"{name}.csv").read_bytes(), name
 
 
 @pytest.mark.parametrize("samples", [0, -5])

@@ -1,10 +1,14 @@
 """The stacked spectrum engine against a per-matrix reference.
 
-The reference rebuilds every grid row on its own: scalar factories, one
-``np.linalg.svd`` per Kraus operator, and reversers in the documented order
-sigma_min ((V Sigma^-1) U^dag).  Metrics must agree to 1e-12.  Kraus
-operators and reversers must be bit-identical, because the Monte Carlo cells
-replay bit for bit only from identical reversers.
+The reference rebuilds every grid row on its own from scalar factories.  At
+d = 2 it writes out the Kraus products and the closed-form plan in Python
+complex scalars; at d >= 3 it takes one ``np.linalg.svd`` per Kraus operator
+and builds reversers in the documented order sigma_min ((V Sigma^-1) U^dag).
+Kraus operators and reversers must be bit-identical to the reference, because
+the Monte Carlo cells replay bit for bit only from identical reversers.  At
+every d, sigma and the metrics must agree with LAPACK to 1e-12, the
+degenerate flags must equal LAPACK's, and the reversers must pass the
+reversal residual gate.
 """
 
 import math
@@ -15,13 +19,14 @@ import pytest
 from telerev import (BipartiteState, build_instrument, ejm, ejm_channel,
                      estimate_performance, max_entangled, optimal_reversal,
                      performance_report, schmidt_channel, xx_deformed, zx_zz)
-from telerev.instrument import kraus_stack, reversal_residual, spectrum
+from telerev.instrument import ReversalPlan, kraus_stack, reversal_residual, spectrum
 from telerev.jointmeas import ejm_stack, xx_deformed_stack, zx_zz_stack
-from telerev.linalg import SIGMA_FLOOR
+from telerev.linalg import SIGMA_FLOOR, svd
 from telerev.montecarlo import RngSpec
 from telerev.qstate import (ejm_channel_stack, max_entangled_stack,
                             schmidt_stack)
-from telerev.scenarios import BLOCK_ROWS, GridSpec, Scenario, _qubit_columns
+from telerev.scenarios import (BLOCK_ROWS, REVERSAL_GATE, GridSpec, Scenario,
+                               _qubit_columns)
 from telerev.theorems import random_basis
 
 from helpers import random_coeff
@@ -44,27 +49,92 @@ FAMILIES = {
 FAMILIES["tradeoff-scan"] = FAMILIES["ejm-scan"]
 
 
-def _reference(channel, jm):
-    """Kraus operators, reversers, degenerate flags and metrics of one row."""
-    d = channel.d
-    kraus = [channel.coeff.T @ w.conj().T for w in jm.elements]
-    reversers, degenerate, smin2, top2, nuclear2 = [], [], 0.0, 0.0, 0.0
-    for m in kraus:
-        u, s, vh = np.linalg.svd(m)
-        s = np.where(s < SIGMA_FLOOR, 0.0, s)
-        degenerate.append(bool(s[-1] == 0.0))
-        if degenerate[-1]:
-            reversers.append(np.zeros_like(m))
-        else:
-            reversers.append(float(s[-1]) * (vh.conj().T @ np.diag(1.0 / s) @ u.conj().T))
-        smin2 += float(s[-1]) ** 2
-        top2 += float(s[0]) ** 2
-        nuclear2 += float(np.sum(s)) ** 2
+def _lapack(m):
+    """Singular values (floored as the engine floors them), degenerate flag
+    and reverser of one operator, by np.linalg.svd."""
+    u, s, vh = np.linalg.svd(m)
+    s = np.where(s < SIGMA_FLOOR, 0.0, s)
+    if s[-1] == 0.0:
+        return s, True, np.zeros_like(m)
+    return s, False, float(s[-1]) * (vh.conj().T @ np.diag(1.0 / s) @ u.conj().T)
+
+
+def _lapack_sigmas(kraus):
+    """Floored singular values of each operator, by np.linalg.svd."""
+    return [np.where(s < SIGMA_FLOOR, 0.0, s)
+            for s in (np.linalg.svd(m, compute_uv=False) for m in kraus)]
+
+
+def _sq(z):
+    return (z * z.conjugate()).real
+
+
+def _closed_form(m):
+    """Singular values, degenerate flag and reverser of one 2 x 2 operator
+    [[a, b], [c, e]], from the closed form in Python complex scalars:
+    sigma_min^2 = 2 |det|^2 / (F + sqrt((m11 - m22)^2 + 4 |m12|^2)) for
+    M M^dag = [[m11, m12], [m12*, m22]], sigma_max^2 = F - sigma_min^2 and
+    R = sigma_min adj(M) / det."""
+    (a, b), (c, e) = [[complex(v) for v in row] for row in m]
+    top, bottom = _sq(a) + _sq(b), _sq(c) + _sq(e)
+    frob, gap = top + bottom, top - bottom
+    det = a * e - b * c
+    m12 = a * c.conjugate() + b * e.conjugate()
+    big = frob + math.sqrt(gap * gap + 4.0 * _sq(m12))
+    smin2 = 2.0 * _sq(det) / big if big > 0.0 else 0.0
+    s = np.array([math.sqrt(frob - smin2), math.sqrt(smin2)])
+    s = np.where(s < SIGMA_FLOOR, 0.0, s)
+    if s[-1] == 0.0:
+        return s, True, np.zeros((2, 2), complex)
+    coef = (float(s[-1]) / _sq(det) * det).conjugate()
+    return s, False, np.array([[coef * e, coef * -b], [coef * -c, coef * a]])
+
+
+def _kraus(channel, jm):
+    """M_r = E^T W_r^dag: written out in Python complex scalars (summed over
+    k = 0, 1) at d = 2, one ``@`` at d >= 3."""
+    if channel.d > 2:
+        return [channel.coeff.T @ w.conj().T for w in jm.elements]
+    e = [[complex(v) for v in row] for row in channel.coeff]
+    return [np.array([[e[0][i] * complex(w[j, 0]).conjugate()
+                       + e[1][i] * complex(w[j, 1]).conjugate() for j in range(2)]
+                      for i in range(2)]) for w in jm.elements]
+
+
+def _metrics(d, sigmas):
+    smin2 = sum(float(s[-1]) ** 2 for s in sigmas)
+    top2 = sum(float(s[0]) ** 2 for s in sigmas)
+    nuclear2 = sum(float(np.sum(s)) ** 2 for s in sigmas)
     leakage = (d + top2) / (d * (d + 1))
-    metrics = {"p_succ": smin2, "leakage": leakage,
-               "f_standard": (nuclear2 / d + 1.0) / (d + 1.0),
-               "tradeoff": d * (d + 1) * leakage + (d - 1) * smin2}
-    return kraus, reversers, degenerate, metrics
+    return {"p_succ": smin2, "leakage": leakage,
+            "f_standard": (nuclear2 / d + 1.0) / (d + 1.0),
+            "tradeoff": d * (d + 1) * leakage + (d - 1) * smin2}
+
+
+def _reference(channel, jm):
+    """Kraus operators, sigma, degenerate flags and reversers of one row (the
+    closed form at d = 2, LAPACK at d >= 3), LAPACK's sigma and flags, and
+    the metrics from LAPACK's sigma."""
+    kraus = _kraus(channel, jm)
+    plan = [_closed_form(m) if channel.d == 2 else _lapack(m) for m in kraus]
+    lapack = _lapack_sigmas(kraus)
+    return {"kraus": kraus, "sigmas": [p[0] for p in plan],
+            "degenerate": [p[1] for p in plan], "reversers": [p[2] for p in plan],
+            "lapack_sigmas": np.array(lapack),
+            "lapack_degenerate": [bool(s[-1] == 0.0) for s in lapack],
+            "metrics": _metrics(channel.d, lapack)}
+
+
+def _matches_reference(kraus, plan, ref):
+    """The engine's Kraus operators and plan of one row against its reference
+    (the caller checks the reversal residual)."""
+    assert np.array_equal(kraus, ref["kraus"])
+    assert np.array_equal(plan.sigmas, ref["sigmas"])
+    assert np.array_equal(plan.reversers, ref["reversers"])
+    assert list(plan.degenerate) == ref["degenerate"] == ref["lapack_degenerate"]
+    assert np.max(np.abs(plan.sigmas - ref["lapack_sigmas"])) <= METRIC_TOL
+    for key, want in ref["metrics"].items():
+        assert abs(getattr(plan, key) - want) <= METRIC_TOL, key
 
 
 def _rows(name, grid, grid2):
@@ -81,12 +151,9 @@ def _engine_matches_reference(name, t, x):
     kraus, _ = kraus_stack(*stacks(t, x))
     spec = spectrum(kraus)
     for i in range(t.size):
-        ref_kraus, ref_rev, ref_deg, ref = _reference(*scalar(float(t[i]), float(x[i])))
-        assert all(np.array_equal(a, b) for a, b in zip(kraus[i], ref_kraus)), i
-        assert all(np.array_equal(a, b) for a, b in zip(spec.reversers[i], ref_rev)), i
-        assert spec.degenerate[i].tolist() == ref_deg, i
-        for key, want in ref.items():
-            assert abs(getattr(spec, key)[i] - want) <= METRIC_TOL, (i, key)
+        _matches_reference(kraus[i], spec.plan(i),
+                           _reference(*scalar(float(t[i]), float(x[i]))))
+    assert np.max(spec.residual(kraus)) <= REVERSAL_GATE
     return spec
 
 
@@ -126,7 +193,8 @@ def test_block_loop_matches_row_by_row(name, grid, grid2):
     assert np.array_equal(cols["param1"], t)
     assert reversal_max <= 1e-9
     for i in range(t.size):
-        _, _, _, ref = _reference(*FAMILIES[name][0](float(t[i]), float(x[i])))
+        channel, jm = FAMILIES[name][0](float(t[i]), float(x[i]))
+        ref = _metrics(2, _lapack_sigmas(_kraus(channel, jm)))
         for col, key in (("P_succ_svd", "p_succ"), ("L_max", "leakage"),
                          ("F_standard", "f_standard"), ("tradeoff_lhs", "tradeoff")):
             assert abs(cols[col][i] - ref[key]) <= METRIC_TOL, (i, col)
@@ -151,13 +219,78 @@ def test_performance_report_in_dimension_d(d):
     for channel in (max_entangled(d), BipartiteState(d=d, coeff=random_coeff(d, rng))):
         jm = random_basis(d, rng)
         inst = build_instrument(channel, jm)
-        _, ref_rev, ref_deg, ref = _reference(channel, jm)
+        ref = _reference(channel, jm)
         plan = optimal_reversal(inst)
-        assert all(np.array_equal(a, b) for a, b in zip(plan.reversers, ref_rev))
-        assert list(plan.degenerate) == ref_deg
+        _matches_reference(inst.kraus, plan, ref)
         assert reversal_residual(inst, plan) <= 1e-9
+        ref = ref["metrics"]
         for report in (performance_report(inst), performance_report(inst, plan)):
             assert abs(report.p_succ_max - ref["p_succ"]) <= METRIC_TOL
             assert abs(report.leakage_max - ref["leakage"]) <= METRIC_TOL
             assert abs(report.f_tele_standard - ref["f_standard"]) <= METRIC_TOL
             assert abs(report.tradeoff_lhs - ref["tradeoff"]) <= METRIC_TOL
+
+
+# The d = 2 closed form at its edges, against the LAPACK oracle (linalg.svd).
+PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]],
+                  dtype=complex)
+
+
+def _agrees_with_lapack(kraus):
+    """The closed-form plan of a stack (..., n, 2, 2): sigma and the metrics
+    within METRIC_TOL of LAPACK's, the same degenerate flags, and reversers
+    that pass the reversal gate."""
+    plan, res = spectrum(kraus), svd(kraus)
+    oracle = ReversalPlan(res.sigmas, np.zeros_like(kraus), res.rank_deficient)
+    assert np.max(np.abs(plan.sigmas - oracle.sigmas)) <= METRIC_TOL
+    for key in ("p_succ", "leakage", "f_standard", "tradeoff"):
+        assert np.max(np.abs(getattr(plan, key) - getattr(oracle, key))) <= METRIC_TOL, key
+    assert np.array_equal(plan.degenerate, oracle.degenerate)
+    assert np.max(plan.residual(kraus)) <= REVERSAL_GATE
+    assert not plan.reversers[plan.degenerate].any()
+    return plan
+
+
+def _unitaries(n, rng):
+    return np.linalg.qr(rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2)))[0]
+
+
+def test_closed_form_on_bell_rows_where_the_discriminant_vanishes():
+    plan = _agrees_with_lapack(PAULIS / 2)
+    assert np.array_equal(plan.sigmas, np.full((4, 2), 0.5))  # disc = 0 exactly
+    assert plan.p_succ == 1.0 and not plan.degenerate.any()
+    rotated = _unitaries(500, np.random.default_rng(11)).reshape(125, 4, 2, 2) / 2
+    plan = _agrees_with_lapack(rotated)
+    # no cancellation: a root of F^2 - 4|det|^2 would be off by about 1e-8 here
+    assert np.max(np.abs(plan.sigmas - 0.5)) <= 1e-15
+
+
+def test_closed_form_on_rank_one_and_zero_operators():
+    rng = np.random.default_rng(12)
+    u = rng.standard_normal((200, 2)) + 1j * rng.standard_normal((200, 2))
+    v = rng.standard_normal((200, 2)) + 1j * rng.standard_normal((200, 2))
+    rank_one = (u[:, :, None] * v[:, None, :].conj()).reshape(50, 4, 2, 2) / 4
+    plan = _agrees_with_lapack(rank_one)
+    assert plan.degenerate.all() and np.all(plan.p_succ == 0.0)
+    zero = np.zeros((1, 4, 2, 2), complex)
+    plan = _agrees_with_lapack(zero)
+    assert np.array_equal(plan.sigmas, np.zeros((1, 4, 2))) and plan.degenerate.all()
+    assert np.all(np.isfinite(plan.reversers)) and not plan.reversers.any()
+
+
+@pytest.mark.parametrize("scale, degenerate", [(0.5, True), (2.0, False)])
+def test_closed_form_at_the_sigma_floor(scale, degenerate):
+    rng = np.random.default_rng(13)
+    left, right = _unitaries(400, rng), _unitaries(400, rng)
+    top = rng.uniform(0.1, 1.0, 400)
+    sigmas = np.stack([top, np.full(400, scale * SIGMA_FLOOR)], axis=-1)
+    kraus = ((left * sigmas[:, None, :]) @ right.conj().swapaxes(-1, -2)).reshape(100, 4, 2, 2)
+    plan = _agrees_with_lapack(kraus)
+    assert np.all(plan.degenerate == degenerate)
+
+
+def test_closed_form_on_random_stacks():
+    rng = np.random.default_rng(14)
+    kraus = rng.standard_normal((1000, 4, 2, 2)) + 1j * rng.standard_normal((1000, 4, 2, 2))
+    kraus *= 10.0 ** rng.uniform(-3, 0, (1000, 4, 1, 1))
+    _agrees_with_lapack(kraus / 4)
