@@ -17,8 +17,7 @@ import numpy as np
 
 from .errors import DimensionError
 from .linalg import CMatrix, as_matrix
-from .qstate import (BipartiteState, BlochPoint, _check_angles, _ejm_elements, _normalised,
-                     _pack, channel_bloch, concurrences)
+from .qstate import _check_angles, _ejm_elements, _normalised, _pack, concurrences
 
 ZX_ZZ_LIMIT = math.sqrt(3) * math.pi / 4
 
@@ -26,7 +25,7 @@ ZX_ZZ_LIMIT = math.sqrt(3) * math.pi / 4
 @dataclass(frozen=True)
 class JointMeasurement:
     """d^2 rank-one measurement elements as coefficient matrices W_r, unchecked
-    until :func:`element_entanglement` first reads them as states (see :func:`validate`)."""
+    until :func:`element_entanglement` first reads them as states."""
 
     d: int
     elements: tuple[CMatrix, ...]
@@ -40,14 +39,6 @@ class JointMeasurement:
                 raise DimensionError(f"coefficient matrix has shape {np.shape(w)}, "
                                      f"expected {(self.d, self.d)}")
         return concurrences(_normalised(as_matrix(self.elements, batched=True)))
-
-
-@dataclass(frozen=True)
-class BasisReport:
-    """Max-abs deviations from orthonormality and basis completeness."""
-
-    ortho_residual: float
-    completeness_residual: float
 
 
 def xx_deformed_stack(t) -> np.ndarray:
@@ -119,22 +110,6 @@ def zx_zz(t: float) -> JointMeasurement:
                             label=f"zx_zz(t={t:.6g})")
 
 
-def validate(jm: JointMeasurement) -> BasisReport:
-    """Report orthonormality and completeness residuals (never raises)."""
-    n = len(jm.elements)
-    vecs = np.stack([w.ravel() for w in jm.elements])
-    gram = vecs.conj() @ vecs.T
-    ortho = float(np.max(np.abs(gram - np.eye(n))))
-    comp = vecs.T @ vecs.conj()
-    completeness = float(np.max(np.abs(comp - np.eye(jm.d * jm.d))))
-    return BasisReport(ortho_residual=ortho, completeness_residual=completeness)
-
-
 def element_entanglement(jm: JointMeasurement, r: int) -> float:
     """G-concurrence of element r (the concurrence for d=2), checked like a state."""
     return float(jm._concurrences[r])
-
-
-def element_bloch(jm: JointMeasurement, r: int) -> BlochPoint:
-    """Bloch point of B_r = W_r^dag W_r, the reduced operator conj(E) @ E.T of E = W_r^T."""
-    return channel_bloch(BipartiteState(d=2, coeff=jm.elements[r].T))

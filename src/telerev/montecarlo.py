@@ -67,13 +67,9 @@ class McEstimate:
     n: int
 
 
-def haar_state(d: int, rng: np.random.Generator) -> np.ndarray:
-    """One Haar-random pure state: 2d standard normals, normalized."""
-    return _haar_batch(d, 1, rng)[0]
-
-
 def _haar_batch(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    # Draw order matches n sequential haar_state calls on the same generator.
+    # Each sample takes its 2d normals in turn, so n draws of one state replay
+    # one draw of n on the same generator.
     # Scaling the normals by 1/|v| gives the bits of dividing v by |v| + 0j,
     # as numpy's complex division multiplies by the reciprocal, only faster.
     z = rng.standard_normal((n, d, 2))

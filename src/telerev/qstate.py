@@ -3,7 +3,8 @@
 A pure state |Phi> = sum_ij E_ij |i>|j> is stored through its d x d
 coefficient matrix E with Tr(E^dag E) = 1.  The module provides the channel
 families used throughout the package, the two-qubit concurrence and its
-d-dimensional generalization, and the Bloch geometry of reduced operators.
+d-dimensional generalization, and the Bloch vectors of a stack of reduced
+channel operators.
 
 Convention: the Pauli vector is (sigma_x, sigma_y, sigma_z) in the
 computational basis, and the reduced channel operator is A = conj(E) @ E.T
@@ -21,13 +22,9 @@ from .errors import DimensionError, DomainError
 from .linalg import CMatrix, as_matrix
 
 NORM_TOL = 1e-10
-# Bloch radii below this have no meaningful direction (reported as None).
+# Bloch radii below this have no meaningful direction; the alignment is 0 there.
 DIR_FLOOR = 1e-9
 _RANGE_TOL = 1e-12
-
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 
 
 @dataclass(frozen=True)
@@ -57,18 +54,6 @@ class BipartiteState:
         if d * d != v.size:
             raise DimensionError(f"amplitude vector of length {v.size} is not square")
         return cls(d=d, coeff=v.reshape(d, d), label=label)
-
-
-@dataclass(frozen=True)
-class BlochPoint:
-    """Bloch vector of a single-qubit positive unit-trace operator.
-
-    ``direction`` is None when the radius is below :data:`DIR_FLOOR`; callers
-    must treat a missing direction as contributing zero to any alignment term.
-    """
-
-    radius: float
-    direction: np.ndarray | None
 
 
 def _check_angles(values, lo: float, hi: float, name: str,
@@ -185,13 +170,8 @@ def bloch_vectors(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return 2.0 * off.real, -2.0 * off.imag, z
 
 
-def _radius(x, y, z):  # every BlochPoint radius and Theorem 1's u and v
+def _radius(x, y, z):  # Theorem 1's Bloch radii u and v
     return np.sqrt(x * x + y * y + z * z)
-
-
-def _bloch_point(x, y, z) -> BlochPoint:
-    radius = float(_radius(x, y, z))
-    return BlochPoint(radius, None if radius < DIR_FLOOR else np.array([x, y, z]) / radius)
 
 
 def concurrence(state: BipartiteState) -> float:
@@ -205,36 +185,3 @@ def g_concurrence(state: BipartiteState) -> float:
     """G-concurrence d |det E|^(2/d) = d (prod of singular values of E)^(2/d): the
     concurrence for d = 2, zero on rank-deficient coefficient matrices."""
     return float(concurrences(state.coeff))
-
-
-def channel_operator(state: BipartiteState) -> CMatrix:
-    """Reduced channel operator A = conj(E) @ E.T (positive, unit trace)."""
-    e = state.coeff
-    return e.conj() @ e.T
-
-
-def reduced_bloch(op: CMatrix) -> BlochPoint:
-    """Bloch decomposition op = (I + r n.sigma)/2 of a positive 2x2 operator.
-
-    Raises DomainError when ``op`` is not Hermitian positive with unit trace
-    (all within 1e-10); its eigenvalues are (Tr +- r)/2, so positive means Tr >= r.
-    """
-    a = as_matrix(op)
-    if a.shape != (2, 2):
-        raise DimensionError(f"expected a 2x2 operator, got shape {a.shape}")
-    if np.max(np.abs(a - a.conj().T)) > NORM_TOL:
-        raise DomainError("operator is not Hermitian")
-    if abs(np.trace(a).real - 1.0) > NORM_TOL or abs(np.trace(a).imag) > NORM_TOL:
-        raise DomainError("operator does not have unit trace")
-    (a00, a01), (a10, a11) = a  # Re Tr(a sigma_k) read off the entries
-    point = _bloch_point((a01 + a10).real, (a10 - a01).imag, (a00 - a11).real)
-    if np.trace(a).real - point.radius < -2.0 * NORM_TOL:
-        raise DomainError("operator is not positive semidefinite")
-    return point
-
-
-def channel_bloch(state: BipartiteState) -> BlochPoint:
-    """Bloch point of the reduced channel operator A = conj(E) @ E.T."""
-    if state.d != 2:
-        raise DimensionError("Bloch points are defined for qubits only")
-    return _bloch_point(*bloch_vectors(state.coeff))

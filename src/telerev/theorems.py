@@ -19,9 +19,9 @@ from .errors import DimensionError, DomainError
 from .jointmeas import JointMeasurement
 from .qstate import DIR_FLOOR, BipartiteState, _normalised, _radius, bloch_vectors, concurrences
 
-__all__ = ["Thm1Inputs", "Thm2Bounds", "thm1_outcome_success", "alignment_x",
-           "thm1_success_stack", "thm1_total_success", "g_of_t", "solve_tr",
-           "tr_closed_form_d3", "thm2_bounds", "saturating_spectrum", "random_basis"]
+__all__ = ["Thm1Inputs", "Thm2Bounds", "thm1_outcome_success", "thm1_success_stack",
+           "thm1_total_success", "g_of_t", "solve_tr", "thm2_bounds",
+           "saturating_spectrum", "random_basis"]
 
 _RANGE_TOL = 1e-9
 
@@ -121,18 +121,6 @@ def thm1_success_stack(coeffs: np.ndarray, elements: np.ndarray):
     return e_c[..., 0], e_r, np.add.reduce(p, axis=-1)
 
 
-def alignment_x(channel: BipartiteState, jm: JointMeasurement, r: int) -> float | None:
-    """Bloch alignment u . n_r of the channel and measurement element r.
-
-    Returns None when either Bloch radius is below the direction floor.
-    """
-    if channel.d != 2 or jm.d != 2:
-        raise DimensionError("alignment is defined for qubits only")
-    element = BipartiteState(d=2, coeff=jm.elements[r]).coeff  # checked like a channel
-    _, _, x, aligned = _alignment(channel.coeff, element)
-    return float(x) if aligned else None
-
-
 def thm1_total_success(channel: BipartiteState, jm: JointMeasurement) -> float:
     """Closed-form total success probability summed over the four outcomes."""
     if channel.d != 2 or jm.d != 2:
@@ -178,13 +166,6 @@ def solve_tr(d, e_r):
         w = np.where((lo <= w) & (w < hi), w, 0.5 * (lo + hi))
     t = np.where(inner, np.exp(w) / d, np.where(e == 1.0, 1.0 / d, 0.0))
     return float(t[0]) if isinstance(e_r, float) and np.ndim(d) == 0 else t
-
-
-def tr_closed_form_d3(e_r: float) -> float:
-    """Closed-form root for d = 3 via the trigonometric cubic solution."""
-    e_r = _unit_interval(e_r, "e_r")
-    c = min(max(2.0 * e_r ** 3 - 1.0, -1.0), 1.0)
-    return 2.0 / 3.0 + 2.0 / 3.0 * math.cos(math.acos(c) / 3.0 + 2.0 * math.pi / 3.0)
 
 
 def thm2_bounds(d: int, e_list) -> Thm2Bounds:

@@ -1,0 +1,125 @@
+"""Scalar reference implementations that only the tests use.
+
+Each function restates, one matrix at a time, an invariant that the library
+computes on stacks: the Bloch geometry of a reduced operator (with a None
+direction where the radius is below ``qstate.DIR_FLOOR``), a basis
+orthonormality report, the Theorem 1 alignment of one outcome, the d = 3
+trigonometric root of Theorem 2 and a single Haar draw.  The tests hold the
+stacked library code to these references.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from telerev.errors import DimensionError, DomainError
+from telerev.jointmeas import JointMeasurement
+from telerev.linalg import CMatrix, as_matrix
+from telerev.montecarlo import _haar_batch
+from telerev.qstate import DIR_FLOOR, NORM_TOL, BipartiteState, _radius, bloch_vectors
+from telerev.theorems import _alignment, _unit_interval
+
+PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
+PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
+PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
+
+
+@dataclass(frozen=True)
+class BlochPoint:
+    """Bloch vector of a single-qubit positive unit-trace operator.
+
+    ``direction`` is None when the radius is below :data:`DIR_FLOOR`; callers
+    must treat a missing direction as contributing zero to any alignment term.
+    """
+
+    radius: float
+    direction: np.ndarray | None
+
+
+def _bloch_point(x, y, z) -> BlochPoint:
+    radius = float(_radius(x, y, z))
+    return BlochPoint(radius, None if radius < DIR_FLOOR else np.array([x, y, z]) / radius)
+
+
+def channel_operator(state: BipartiteState) -> CMatrix:
+    """Reduced channel operator A = conj(E) @ E.T (positive, unit trace)."""
+    e = state.coeff
+    return e.conj() @ e.T
+
+
+def reduced_bloch(op: CMatrix) -> BlochPoint:
+    """Bloch decomposition op = (I + r n.sigma)/2 of a positive 2x2 operator.
+
+    Raises DomainError when ``op`` is not Hermitian positive with unit trace
+    (all within 1e-10); its eigenvalues are (Tr +- r)/2, so positive means Tr >= r.
+    """
+    a = as_matrix(op)
+    if a.shape != (2, 2):
+        raise DimensionError(f"expected a 2x2 operator, got shape {a.shape}")
+    if np.max(np.abs(a - a.conj().T)) > NORM_TOL:
+        raise DomainError("operator is not Hermitian")
+    if abs(np.trace(a).real - 1.0) > NORM_TOL or abs(np.trace(a).imag) > NORM_TOL:
+        raise DomainError("operator does not have unit trace")
+    (a00, a01), (a10, a11) = a  # Re Tr(a sigma_k) read off the entries
+    point = _bloch_point((a01 + a10).real, (a10 - a01).imag, (a00 - a11).real)
+    if np.trace(a).real - point.radius < -2.0 * NORM_TOL:
+        raise DomainError("operator is not positive semidefinite")
+    return point
+
+
+def channel_bloch(state: BipartiteState) -> BlochPoint:
+    """Bloch point of the reduced channel operator A = conj(E) @ E.T."""
+    if state.d != 2:
+        raise DimensionError("Bloch points are defined for qubits only")
+    return _bloch_point(*bloch_vectors(state.coeff))
+
+
+@dataclass(frozen=True)
+class BasisReport:
+    """Max-abs deviations from orthonormality and basis completeness."""
+
+    ortho_residual: float
+    completeness_residual: float
+
+
+def validate(jm: JointMeasurement) -> BasisReport:
+    """Report orthonormality and completeness residuals (never raises)."""
+    n = len(jm.elements)
+    vecs = np.stack([w.ravel() for w in jm.elements])
+    gram = vecs.conj() @ vecs.T
+    ortho = float(np.max(np.abs(gram - np.eye(n))))
+    comp = vecs.T @ vecs.conj()
+    completeness = float(np.max(np.abs(comp - np.eye(jm.d * jm.d))))
+    return BasisReport(ortho_residual=ortho, completeness_residual=completeness)
+
+
+def element_bloch(jm: JointMeasurement, r: int) -> BlochPoint:
+    """Bloch point of B_r = W_r^dag W_r, the reduced operator conj(E) @ E.T of E = W_r^T."""
+    return channel_bloch(BipartiteState(d=2, coeff=jm.elements[r].T))
+
+
+def alignment_x(channel: BipartiteState, jm: JointMeasurement, r: int) -> float | None:
+    """Bloch alignment u . n_r of the channel and measurement element r.
+
+    Returns None when either Bloch radius is below the direction floor.
+    """
+    if channel.d != 2 or jm.d != 2:
+        raise DimensionError("alignment is defined for qubits only")
+    element = BipartiteState(d=2, coeff=jm.elements[r]).coeff  # checked like a channel
+    _, _, x, aligned = _alignment(channel.coeff, element)
+    return float(x) if aligned else None
+
+
+def tr_closed_form_d3(e_r: float) -> float:
+    """Closed-form root for d = 3 via the trigonometric cubic solution."""
+    e_r = _unit_interval(e_r, "e_r")
+    c = min(max(2.0 * e_r ** 3 - 1.0, -1.0), 1.0)
+    return 2.0 / 3.0 + 2.0 / 3.0 * math.cos(math.acos(c) / 3.0 + 2.0 * math.pi / 3.0)
+
+
+def haar_state(d: int, rng: np.random.Generator) -> np.ndarray:
+    """One Haar-random pure state: 2d standard normals, normalized."""
+    return _haar_batch(d, 1, rng)[0]

@@ -14,10 +14,10 @@ from telerev.instrument import (completeness_residual, kraus_stack, reversal_res
                                 spectrum)
 from telerev.jointmeas import JointMeasurement, zx_zz_stack
 from telerev.qstate import schmidt_stack
-from telerev.qstate import PAULI_X, PAULI_Y, PAULI_Z
 from telerev.theorems import random_basis
 
 from helpers import dev_up_to_phase, random_coeff, random_ket
+from oracles import PAULI_X, PAULI_Y, PAULI_Z
 
 KET0Y = np.array([1.0, 1.0j]) / math.sqrt(2)
 KET1Y = np.array([1.0, -1.0j]) / math.sqrt(2)

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from telerev import bell_basis, ejm, element_bloch, element_entanglement, xx_deformed, zx_zz
+from telerev import bell_basis, ejm, element_entanglement, xx_deformed, zx_zz
 from telerev.errors import DomainError
-from telerev.jointmeas import ZX_ZZ_LIMIT, JointMeasurement, validate
+from telerev.jointmeas import ZX_ZZ_LIMIT, JointMeasurement
 
 from helpers import dev_up_to_phase
+from oracles import element_bloch, validate
 
 
 def test_bell_basis_is_maximally_entangled():

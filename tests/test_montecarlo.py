@@ -5,7 +5,7 @@ import pytest
 
 from telerev import (McEstimate, RngSpec, build_instrument, ejm,
                      estimate_leakage, estimate_performance,
-                     estimate_standard_fidelity, estimate_success, haar_state,
+                     estimate_standard_fidelity, estimate_success,
                      leakage_max, max_entangled, optimal_reversal,
                      schmidt_channel, standard_fidelity, xx_deformed,
                      bell_basis)
@@ -17,6 +17,8 @@ from telerev.montecarlo import (CHUNK, MC_BUDGET_BYTES, _haar_batch, _success,
                                  _success_gram)
 from telerev.qstate import schmidt_stack
 from telerev.theorems import random_basis
+
+from oracles import haar_state
 
 # Statistical gates use five standard errors plus a tiny absolute floor for
 # estimators whose per-sample values are constant up to rounding.

@@ -5,17 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from telerev import (BipartiteState, DimensionError, channel_bloch, concurrence,
-                     ejm_channel, g_concurrence, max_entangled, reduced_bloch,
-                     schmidt_channel)
+from telerev import (BipartiteState, DimensionError, concurrence, ejm_channel,
+                     g_concurrence, max_entangled, schmidt_channel)
 from telerev.errors import DomainError
-from telerev.jointmeas import ejm, ejm_stack, element_bloch, element_entanglement, xx_deformed
+from telerev.jointmeas import ejm, ejm_stack, element_entanglement, xx_deformed
 from telerev.linalg import svd
-from telerev.qstate import (NORM_TOL, PAULI_X, PAULI_Y, PAULI_Z, _bloch_point,
-                            channel_operator, ejm_channel_stack)
+from telerev.qstate import NORM_TOL, ejm_channel_stack
 from telerev.theorems import random_basis
 
 from helpers import random_coeff
+from oracles import (PAULI_X, PAULI_Y, PAULI_Z, _bloch_point, channel_bloch,
+                     channel_operator, element_bloch, reduced_bloch)
 
 
 def test_max_entangled_qubits():

@@ -1,4 +1,6 @@
+import importlib
 import math
+import pkgutil
 import re
 
 import numpy as np
@@ -6,20 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from telerev import (DimensionError, Thm1Inputs, alignment_x,
-                     build_instrument, channel_bloch, ejm, ejm_channel, g_of_t, max_entangled,
-                     optimal_reversal, saturating_spectrum, schmidt_channel,
-                     solve_tr, success_probability, svd, thm1_outcome_success,
-                     thm1_total_success, thm2_bounds, tr_closed_form_d3,
+import telerev
+from telerev import (DimensionError, Thm1Inputs, build_instrument, ejm, ejm_channel,
+                     g_of_t, max_entangled, optimal_reversal, saturating_spectrum,
+                     schmidt_channel, solve_tr, success_probability, svd, theorems,
+                     thm1_outcome_success, thm1_total_success, thm2_bounds,
                      xx_deformed, zx_zz)
 from telerev.errors import DomainError
-from telerev.jointmeas import (ZX_ZZ_LIMIT, JointMeasurement, element_bloch,
-                               element_entanglement, xx_deformed_stack)
-from telerev.qstate import BipartiteState, max_entangled_stack, reduced_bloch
+from telerev.jointmeas import ZX_ZZ_LIMIT, JointMeasurement, element_entanglement, xx_deformed_stack
+from telerev.qstate import BipartiteState, max_entangled_stack
 from telerev.scenarios import SCENARIOS, _rows
 from telerev.theorems import _alignment, _closed_form, random_basis, thm1_success_stack
 
 from helpers import random_coeff
+from oracles import alignment_x, channel_bloch, element_bloch, reduced_bloch, tr_closed_form_d3
 
 
 def _closed_form_vs_svd(e_coeff, w_coeff):
@@ -434,9 +436,26 @@ def test_saturating_spectrum_attains_lower_bound():
 
 
 def test_random_basis_is_orthonormal_and_complete():
-    from telerev.jointmeas import validate
+    from oracles import validate
     rng = np.random.default_rng(49)
     for d in (2, 3, 4):
         rep = validate(random_basis(d, rng))
         assert rep.ortho_residual < 1e-10
         assert rep.completeness_residual < 1e-10
+
+
+# Scalar references that live in tests/oracles.py and nowhere in the library.
+TEST_ONLY = ("PAULI_X", "PAULI_Y", "PAULI_Z", "BlochPoint", "_bloch_point", "channel_operator",
+             "reduced_bloch", "channel_bloch", "BasisReport", "validate", "element_bloch",
+             "alignment_x", "tr_closed_form_d3", "haar_state")
+
+
+def test_public_names_resolve_and_test_oracles_stay_out_of_the_library():
+    namespace = {}
+    exec("from telerev import *", namespace)
+    assert set(telerev.__all__) <= namespace.keys()
+    for module in (telerev, theorems):
+        assert [name for name in module.__all__ if not hasattr(module, name)] == []
+    modules = [telerev] + [importlib.import_module(f"telerev.{m.name}")
+                           for m in pkgutil.iter_modules(telerev.__path__)]
+    assert [(m.__name__, name) for m in modules for name in TEST_ONLY if hasattr(m, name)] == []
