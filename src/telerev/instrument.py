@@ -98,9 +98,8 @@ class ReversalPlan:
         """Max-abs deviation of R_r M_r from sigma_min^r I over the recoverable
         outcomes, per row of a stack."""
         d = kraus.shape[-1]
-        dev = np.max(np.abs(_matmul(self.reversers, kraus)
-                            - self.sigmas[..., -1, None, None] * np.eye(d)), axis=(-2, -1))
-        return np.max(np.where(self.degenerate, 0.0, dev), axis=-1)
+        dev = np.abs(_matmul(self.reversers, kraus) - self.sigmas[..., -1, None, None] * np.eye(d))
+        return np.max(np.where(self.degenerate[..., None, None], 0.0, dev), axis=(-3, -2, -1))
 
     def plan(self, row: int) -> ReversalPlan:
         """Row ``row`` of a stack, as the plan of that row's instrument."""

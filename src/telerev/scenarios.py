@@ -44,8 +44,8 @@ BLOCK_ROWS = 256
 
 # Grid rows per run.  A run holds its columns and their text whole.  The
 # costliest output, a 2-D scan with Monte Carlo cells written as JSON, peaked
-# at 258 MiB RSS at 80,000 rows (about 2.8 KiB per row against 1.1 KiB for a
-# 1-D CSV scan), so the limit keeps any run near MC_BUDGET_BYTES (256 MiB).
+# at 226 MiB RSS at 80,000 rows (about 2.5 KiB per row against 1.2 KiB for a
+# 1-D CSV scan), so the limit keeps any run below MC_BUDGET_BYTES (256 MiB).
 MAX_ROWS = 80_000
 
 
@@ -213,9 +213,18 @@ def _thm2_columns(sc: Scenario):
 
 def _cells(cols, n: int):
     """Row-major text cells; a column the scenario does not fill is NA."""
-    text = [[format(v, ".15g") for v in np.asarray(cols[c], dtype=np.float64).tolist()]
-            if c in cols else ["NA"] * n for c in COLUMNS]
+    text = [_column_text(cols[c]) if c in cols else ["NA"] * n for c in COLUMNS]
     return list(zip(*text))
+
+
+def _column_text(values) -> list[str]:
+    """``format(v, ".15g")`` of every value, made once per distinct float64
+    bit pattern and shared by the cells that hold it: keyed on bits, -0.0
+    still prints -0 and a NaN merges with nothing but its own bits."""
+    bits = np.asarray(values, dtype=np.float64).view(np.int64)
+    keys, inverse = np.unique(bits, return_inverse=True)
+    text = np.array([format(v, ".15g") for v in keys.view(np.float64).tolist()], dtype=object)
+    return text[inverse].tolist()
 
 
 def _write_atomic(path: Path, text: str) -> None:

@@ -4,7 +4,11 @@ Each function restates, one matrix at a time, an invariant that the library
 computes on stacks: the Bloch geometry of a reduced operator (with a None
 direction where the radius is below ``qstate.DIR_FLOOR``), a basis
 orthonormality report, the Theorem 1 alignment of one outcome, the d = 3
-trigonometric root of Theorem 2 and a single Haar draw.  The tests hold the
+trigonometric root of Theorem 2 and a single Haar draw.  Two more keep an
+earlier form of a library function whose output must not change: the real
+arithmetic complex product on the operands' own layout
+(:func:`real_matmul_reference`) and one ``format`` call per output cell
+(:func:`cells_reference`).  The tests hold the
 stacked library code to these references.
 """
 
@@ -17,9 +21,10 @@ import numpy as np
 
 from telerev.errors import DimensionError, DomainError
 from telerev.jointmeas import JointMeasurement
-from telerev.linalg import CMatrix, as_matrix
+from telerev.linalg import CMatrix, as_matrix, complex_from
 from telerev.montecarlo import _haar_batch
 from telerev.qstate import DIR_FLOOR, NORM_TOL, BipartiteState, _radius, bloch_vectors
+from telerev.scenarios import COLUMNS
 from telerev.theorems import _alignment, _unit_interval
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
@@ -123,3 +128,22 @@ def tr_closed_form_d3(e_r: float) -> float:
 def haar_state(d: int, rng: np.random.Generator) -> np.ndarray:
     """One Haar-random pure state: 2d standard normals, normalized."""
     return _haar_batch(d, 1, rng)[0]
+
+
+def real_matmul_reference(a: CMatrix, b: CMatrix) -> CMatrix:
+    """``linalg.real_matmul`` with the operands in their own layout: the same
+    real products and sums in the same order, each step a broadcast over the
+    leading axes."""
+    for k in range(a.shape[-1]):
+        xr, xi = a.real[..., :, k, None], a.imag[..., :, k, None]
+        yr, yi = b.real[..., None, k, :], b.imag[..., None, k, :]
+        tr, ti = xr * yr - xi * yi, xr * yi + xi * yr
+        cr, ci = (tr, ti) if k == 0 else (cr + tr, ci + ti)
+    return complex_from(cr, ci)
+
+
+def cells_reference(cols, n: int):
+    """``scenarios._cells`` with one ``format`` call per cell."""
+    text = [[format(v, ".15g") for v in np.asarray(cols[c], dtype=np.float64).tolist()]
+            if c in cols else ["NA"] * n for c in COLUMNS]
+    return list(zip(*text))

@@ -244,6 +244,18 @@ def test_json_format(tmp_path):
     assert all(len(r) == len(COLUMNS) for r in payload["rows"])
 
 
+def test_csv_and_json_hold_the_same_cells(tmp_path):
+    # a 2-D zz-scan, so that its cells repeat along both grids
+    argv = ["--scenario", "zz-scan", "--grid", "0:1.3:6", "--grid2", f"0:{math.pi / 4!r}:5"]
+    assert main(argv + ["--out", str(tmp_path / "csv")]) == 0
+    assert main(argv + ["--format", "json", "--out", str(tmp_path / "json")]) == 0
+    lines = (tmp_path / "csv" / "zz-scan.csv").read_text().splitlines()
+    payload = json.loads((tmp_path / "json" / "zz-scan.json").read_text())
+    assert payload["columns"] == lines[0].split(",") == COLUMNS
+    assert payload["rows"] == [line.split(",") for line in lines[1:]]
+    assert len(payload["rows"]) == 30
+
+
 def test_mc_runs_are_deterministic(tmp_path):
     argv = ["--scenario", "xx-scan", "--grid", "0:0.6:4", "--samples", "400",
             "--seed", "99"]

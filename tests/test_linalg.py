@@ -5,8 +5,12 @@ import pytest
 
 from telerev import DimensionError, polar_unitary, svd
 from telerev.errors import DomainError
+from telerev.jointmeas import zx_zz_stack
+from telerev.linalg import real_matmul
+from telerev.qstate import schmidt_stack
 
 from helpers import random_coeff
+from oracles import real_matmul_reference
 
 
 def test_svd_identity():
@@ -94,3 +98,52 @@ def test_polar_trace_equals_nuclear_norm():
 def test_polar_rejects_non_square():
     with pytest.raises(DimensionError):
         polar_unitary(np.ones((3, 2)))
+
+
+def _spread(rng, *shape):
+    """Complex entries over twelve decades, so that a sum taken in another
+    order, or fused into an FMA, rounds differently."""
+    scale = 10.0 ** rng.integers(-6, 7, size=shape)
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * scale
+
+
+def _assert_real_matmul_bits(a, b):
+    got, want = real_matmul(a, b), real_matmul_reference(a, b)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_real_matmul_replays_the_broadcast_kraus_product_bit_for_bit():
+    # kraus_stack's product E^T W_r^dag: (n, 1, 2, 2) x (n, 4, 2, 2), once
+    # with the zz-scan factories and once with spread-out entries
+    t, phi = np.linspace(0.0, 1.3, 300), np.linspace(0.0, math.pi / 4, 300)
+    coeffs, elements = schmidt_stack(phi, "y"), zx_zz_stack(t)
+    _assert_real_matmul_bits(coeffs.swapaxes(-1, -2)[..., None, :, :],
+                             elements.conj().swapaxes(-1, -2))
+    rng = np.random.default_rng(41)
+    _assert_real_matmul_bits(_spread(rng, 300, 1, 2, 2), _spread(rng, 300, 4, 2, 2))
+
+
+def test_real_matmul_replays_conjugate_transposed_views_bit_for_bit():
+    # the completeness product M_r^dag M_r and the residual product R_r M_r
+    kraus = _spread(np.random.default_rng(42), 256, 4, 2, 2)
+    _assert_real_matmul_bits(kraus.conj().swapaxes(-1, -2), kraus)
+    _assert_real_matmul_bits(kraus[..., ::-1, :], kraus.swapaxes(-1, -2))
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_real_matmul_replays_the_success_gram_stacks_bit_for_bit(d):
+    # montecarlo._success_gram: A_r = R_r M_r, then A_r^dag A_r, (k, d, d)
+    rng = np.random.default_rng(43 + d)
+    for k in (1, d, d * d):
+        r, m = _spread(rng, k, d, d), _spread(rng, k, d, d)
+        _assert_real_matmul_bits(r, m)
+        a = real_matmul(r, m)
+        _assert_real_matmul_bits(a.conj().swapaxes(-1, -2), a)
+
+
+def test_real_matmul_replays_a_batch_of_one_bit_for_bit():
+    rng = np.random.default_rng(44)
+    for a_shape, b_shape in [((2, 2), (2, 2)), ((1, 2, 2), (1, 2, 2)),
+                             ((1, 1, 2, 2), (1, 4, 2, 2)), ((3, 3), (5, 3, 3))]:
+        _assert_real_matmul_bits(_spread(rng, *a_shape), _spread(rng, *b_shape))

@@ -15,13 +15,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from telerev import montecarlo, scenarios
 from telerev.errors import DomainError
 from telerev.instrument import Instrument, kraus_stack, spectrum
 from telerev.montecarlo import MC_BUDGET_BYTES, RngSpec, estimate_success
-from telerev.scenarios import (SCENARIOS, GridSpec, Scenario, _qubit_columns,
-                               validate_scenario)
+from telerev.scenarios import (COLUMNS, SCENARIOS, GridSpec, Scenario, _cells,
+                               _qubit_columns, validate_scenario)
+
+from oracles import cells_reference
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -221,3 +225,61 @@ def test_stream_base_past_the_last_key_refused_before_any_row(tmp_path, monkeypa
     with pytest.raises(DomainError, match=r"stream 18446744073709551616 outside \[0, 2\^64\)"):
         scenarios.run(sc, tmp_path / "out")
     assert not (tmp_path / "out").exists()
+
+
+# Cells that one text form must not hide: both signed zeros, NaNs of either
+# sign and with a payload, infinities, subnormals, and both sides of the
+# switch of "%.15g" to exponent form (below 1e-4 and from 1e15 up).
+SPECIAL_CELLS = [0.0, -0.0, math.nan, -math.nan,
+                 float(np.array(0x7FF8000000000001).view(np.float64)),
+                 math.inf, -math.inf, 5e-324, -2.5e-310, 2.2250738585072014e-308,
+                 1e-5, 9.99999999999999e-05, 1e-4, 999999999999999.0, 1e15, 1e16, 0.1, 1 / 3]
+
+
+def _value_keyed_cells(cols, n: int):
+    """A dedupe keyed on float values, which merges 0.0 with -0.0."""
+    text = []
+    for c in COLUMNS:
+        if c not in cols:
+            text.append(["NA"] * n)
+            continue
+        keys, inverse = np.unique(np.asarray(cols[c], dtype=np.float64), return_inverse=True)
+        text.append([[format(v, ".15g") for v in keys.tolist()][i] for i in inverse])
+    return list(zip(*text))
+
+
+@st.composite
+def _cell_columns(draw):
+    """Some of the columns, each drawn from a pool of at most four values so
+    that cells repeat; the rest are NA."""
+    n = draw(st.integers(0, 12))
+    value = st.one_of(st.sampled_from(SPECIAL_CELLS), st.floats(allow_subnormal=True))
+    cols = {}
+    for c in COLUMNS:
+        if draw(st.booleans()):
+            pool = draw(st.lists(value, min_size=1, max_size=4))
+            cols[c] = np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)),
+                               dtype=np.float64)
+    return cols, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cell_columns())
+@example(({"param1": np.array(SPECIAL_CELLS * 2), "E_c": np.array(SPECIAL_CELLS[::-1] * 2)},
+          2 * len(SPECIAL_CELLS)))
+@example(({"P_succ_svd": np.array([0.0, -0.0, -0.0, 0.0])}, 4))
+def test_cells_match_one_format_call_per_cell(case):
+    cols, n = case
+    assert _cells(cols, n) == cells_reference(cols, n)
+
+
+def test_cells_keep_signed_zeros_and_strided_columns_apart():
+    # the value-keyed dedupe prints one zero for both; a strided column (a
+    # view, as E_M is of its stack) is read like a contiguous one
+    cols = {"param1": np.array(SPECIAL_CELLS * 3), "E_M": np.array(SPECIAL_CELLS * 6)[::2]}
+    n = 3 * len(SPECIAL_CELLS)
+    want = cells_reference(cols, n)
+    assert _cells(cols, n) == want
+    assert _value_keyed_cells(cols, n) != want
+    assert {row[0] for row in want} >= {"0", "-0", "nan", "inf", "-inf", "4.94065645841247e-324",
+                                        "1e-05", "0.0001", "1e+15", "999999999999999"}
