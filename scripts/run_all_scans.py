@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Run every scenario at desk scale and drop the figure data under ./out.
 
-All seven runs take about 2.4 s of wall time (2.3-2.5 s for the whole script
-over three runs on a 2-vCPU x86-64 host, numpy 2.4.6), almost all of it in the
-two 10^5-sample Monte Carlo scans; pass an output directory to override ./out.
+All seven runs take about 3.1 s of wall time (3.10-3.13 s for the whole
+script over three runs on a shared 2-vCPU x86-64 host, numpy 2.4.6, whose
+speed varies by about a third from day to day), almost all of it in the two
+10^5-sample Monte Carlo scans; pass an output directory to override ./out.
 The CSVs feed any external plotter; see the column schema in the README.
 Each scenario's exit line also gives its end-to-end wall time (CLI call,
 rows, formatting and writing), and the line below it the phase times from its

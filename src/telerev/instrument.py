@@ -9,10 +9,10 @@ metric derives from the singular values alone.  One type,
 them (:func:`spectrum`); every metric and the reversal residual are read off
 it, the metrics on first read and the residual only by its readers.
 
-At d = 2 the whole chain (Kraus products, singular values, reversers and
-residuals) is a closed form in elementwise real arithmetic, so its bits do
-not depend on the BLAS kernel or on numpy's SIMD dispatch.  For d >= 3 the
-products are ``@`` and the spectrum is one LAPACK SVD, with
+At d = 2 the whole chain (Kraus products, completeness, singular values,
+reversers and residuals) is a closed form in elementwise real arithmetic, so
+its bits do not depend on the BLAS kernel or on numpy's SIMD dispatch.  For
+d >= 3 the products are ``@`` and the spectrum is one LAPACK SVD, with
 R_r = sigma_min Q_r Sigma_r^-1 P_r^dag from M_r = P_r Sigma_r Q_r^dag.
 """
 
@@ -96,14 +96,41 @@ class ReversalPlan:
 
     def residual(self, kraus: np.ndarray) -> np.ndarray:
         """Max-abs deviation of R_r M_r from sigma_min^r I over the recoverable
-        outcomes, per row of a stack."""
-        d = kraus.shape[-1]
-        dev = np.abs(_matmul(self.reversers, kraus) - self.sigmas[..., -1, None, None] * np.eye(d))
-        return np.max(np.where(self.degenerate[..., None, None], 0.0, dev), axis=(-3, -2, -1))
+        outcomes, per row of a stack; in closed form at d = 2."""
+        d, smin = kraus.shape[-1], self.sigmas[..., -1]
+        if d == 2:
+            dev = _qubit_deviation(self.reversers, kraus, smin)
+        else:
+            dev = np.max(np.abs(self.reversers @ kraus - smin[..., None, None] * np.eye(d)),
+                         axis=(-2, -1))
+        return np.max(np.where(self.degenerate, 0.0, dev), axis=-1)
 
     def plan(self, row: int) -> ReversalPlan:
         """Row ``row`` of a stack, as the plan of that row's instrument."""
         return ReversalPlan(self.sigmas[row], self.reversers[row], self.degenerate[row])
+
+
+def _entries(m: np.ndarray) -> list:
+    """Entries [[a, b], [c, e]] of a 2 x 2 stack as (real, imaginary) pairs of
+    views with the stack's leading shape."""
+    re, im = m.real, m.imag
+    return [[(re[..., i, j], im[..., i, j]) for j in (0, 1)] for i in (0, 1)]
+
+
+def _qubit_deviation(reversers: np.ndarray, kraus: np.ndarray, smin: np.ndarray) -> np.ndarray:
+    """max |R M - sigma_min I| of each 2 x 2 pair, with each entry's two
+    products added in index order, as ``real_matmul`` adds them: the same
+    bits as that product minus sigma_min I."""
+    (p, q), (u, v) = _entries(reversers)
+    (a, b), (c, e) = _entries(kraus)
+    dev = np.empty((4,) + smin.shape, dtype=np.complex128)  # entries 00, 01, 10, 11
+    for out, (x, y, z, w) in zip(dev, ((p, a, q, c), (p, b, q, e), (u, a, v, c), (u, b, v, e))):
+        (xr, xi), (yr, yi), (zr, zi), (wr, wi) = x, y, z, w  # x y + z w
+        np.add(xr * yr - xi * yi, zr * wr - zi * wi, out=out.real)
+        np.add(xr * yi + xi * yr, zr * wi + zi * wr, out=out.imag)
+    dev.real[0] -= smin
+    dev.real[3] -= smin
+    return np.max(np.abs(dev), axis=0)
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -112,9 +139,29 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _completeness(kraus: np.ndarray) -> np.ndarray:
+    """Max-abs entry of sum_r M_r^dag M_r - I, the outcomes r on axis -3; in
+    closed form at d = 2 (:func:`_qubit_completeness`)."""
     d = kraus.shape[-1]
-    acc = np.sum(_matmul(kraus.conj().swapaxes(-1, -2), kraus), axis=-3)
+    if d == 2:
+        return _qubit_completeness(kraus)
+    acc = np.sum(kraus.conj().swapaxes(-1, -2) @ kraus, axis=-3)
     return np.max(np.abs(acc - np.eye(d)), axis=(-2, -1))
+
+
+def _qubit_completeness(kraus: np.ndarray) -> np.ndarray:
+    """:func:`_completeness` of 2 x 2 operators M = [[a, b], [c, e]]: M^dag M
+    has the diagonal |a|^2 + |c|^2, |b|^2 + |e|^2 and the off-diagonal
+    conj(a) b + conj(c) e (below it, its conjugate), each summed over the
+    outcomes in order: the same bits as the real product and sum."""
+    ((ar, ai), (br, bi)), ((cr, ci), (er, ei)) = _entries(kraus)
+
+    def outcome_sum(v):  # in outcome order, as np.sum adds along axis -3
+        return sum((v[..., r] for r in range(v.shape[-1])), np.zeros(v.shape[:-1]))
+    top = outcome_sum((ar * ar + ai * ai) + (cr * cr + ci * ci))
+    bottom = outcome_sum((br * br + bi * bi) + (er * er + ei * ei))
+    off = complex_from(outcome_sum((ar * br + ai * bi) + (cr * er + ci * ei)),
+                       outcome_sum((ar * bi - ai * br) + (cr * ei - ci * er)))
+    return np.maximum(np.maximum(np.abs(top - 1.0), np.abs(bottom - 1.0)), np.abs(off))
 
 
 def kraus_stack(coeffs: np.ndarray, elements: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -37,15 +37,26 @@ DEFAULT_SEED = 20240101
 
 REVERSAL_GATE = 1e-9
 
-# Grid rows per stacked SVD.  Blocks keep the speed of one whole-grid batch
-# (about 20x the row-by-row loop) while holding peak memory flat: a single
-# 2601-row batch raised the peak RSS of a zz-scan run by 13%.
-BLOCK_ROWS = 256
+# Grid rows per block, evaluated as one stack.  A block pays a fixed cost in
+# numpy calls, and its transient arrays grow with its rows.  Medians of 5
+# runs of the surface-zz benchmark (51 x 51 zz-scan, 2601 rows) on a 2-vCPU
+# x86-64 host; the 256-row run computes its two gates through real_matmul:
+#   rows    wall_s    peak_rss_mb
+#    256    0.0259    38.96
+#    512    0.0220    38.89
+#   1024    0.0195    39.70
+#   2048    0.0180    42.44
+#   4096    0.0182    43.41
+# 1024 rows take most of the gain for 2% more memory; 2048 would add 8% speed
+# for 9% more, near the benchmark's 10% bound on peak RSS.
+BLOCK_ROWS = 1024
 
 # Grid rows per run.  A run holds its columns and their text whole.  The
 # costliest output, a 2-D scan with Monte Carlo cells written as JSON, peaked
-# at 226 MiB RSS at 80,000 rows (about 2.5 KiB per row against 1.2 KiB for a
-# 1-D CSV scan), so the limit keeps any run below MC_BUDGET_BYTES (256 MiB).
+# at 215 MiB RSS at 80,000 rows (ejm-aligned-scan with --samples 16; zz-scan
+# 198 MiB), about 2.4 KiB per row against 1.2 KiB for a 1-D CSV scan (53 MiB
+# for 20,000 ejm-scan rows), so the limit keeps any run below MC_BUDGET_BYTES
+# (256 MiB).
 MAX_ROWS = 80_000
 
 

@@ -4,12 +4,14 @@ Each function restates, one matrix at a time, an invariant that the library
 computes on stacks: the Bloch geometry of a reduced operator (with a None
 direction where the radius is below ``qstate.DIR_FLOOR``), a basis
 orthonormality report, the Theorem 1 alignment of one outcome, the d = 3
-trigonometric root of Theorem 2 and a single Haar draw.  Two more keep an
+trigonometric root of Theorem 2 and a single Haar draw.  More keep an
 earlier form of a library function whose output must not change: the real
 arithmetic complex product on the operands' own layout
-(:func:`real_matmul_reference`) and one ``format`` call per output cell
-(:func:`cells_reference`).  The tests hold the
-stacked library code to these references.
+(:func:`real_matmul_reference`), one ``format`` call per output cell
+(:func:`cells_reference`), and the completeness and reversal residuals as
+products of whole 2 x 2 matrices (:func:`completeness_reference`,
+:func:`residual_reference`).  The tests hold the stacked library code to
+these references.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from telerev.errors import DimensionError, DomainError
+from telerev.instrument import ReversalPlan, _matmul
 from telerev.jointmeas import JointMeasurement
 from telerev.linalg import CMatrix, as_matrix, complex_from
 from telerev.montecarlo import _haar_batch
@@ -147,3 +150,19 @@ def cells_reference(cols, n: int):
     text = [[format(v, ".15g") for v in np.asarray(cols[c], dtype=np.float64).tolist()]
             if c in cols else ["NA"] * n for c in COLUMNS]
     return list(zip(*text))
+
+
+def completeness_reference(kraus: np.ndarray) -> np.ndarray:
+    """``instrument._completeness`` through the matrix product: max-abs entry
+    of sum_r M_r^dag M_r - I, the outcomes r on axis -3."""
+    d = kraus.shape[-1]
+    acc = np.sum(_matmul(kraus.conj().swapaxes(-1, -2), kraus), axis=-3)
+    return np.max(np.abs(acc - np.eye(d)), axis=(-2, -1))
+
+
+def residual_reference(plan: ReversalPlan, kraus: np.ndarray) -> np.ndarray:
+    """``ReversalPlan.residual`` through the matrix product: max-abs deviation
+    of R_r M_r from sigma_min^r I over the recoverable outcomes, per row."""
+    d = kraus.shape[-1]
+    dev = np.abs(_matmul(plan.reversers, kraus) - plan.sigmas[..., -1, None, None] * np.eye(d))
+    return np.max(np.where(plan.degenerate[..., None, None], 0.0, dev), axis=(-3, -2, -1))
