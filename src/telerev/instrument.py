@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError
 from .jointmeas import JointMeasurement
-from .linalg import SIGMA_FLOOR, complex_from, real_matmul, svd
+from .linalg import SIGMA_FLOOR, as_matrix, complex_from, svd
 from .qstate import BipartiteState
 
 COMPLETENESS_TOL = 1e-10
@@ -96,13 +96,11 @@ class ReversalPlan:
 
     def residual(self, kraus: np.ndarray) -> np.ndarray:
         """Max-abs deviation of R_r M_r from sigma_min^r I over the recoverable
-        outcomes, per row of a stack; in closed form at d = 2."""
-        d, smin = kraus.shape[-1], self.sigmas[..., -1]
-        if d == 2:
-            dev = _qubit_deviation(self.reversers, kraus, smin)
-        else:
-            dev = np.max(np.abs(self.reversers @ kraus - smin[..., None, None] * np.eye(d)),
-                         axis=(-2, -1))
+        outcomes, per row of a stack."""
+        dev = _product(self.reversers, kraus)
+        diag = np.einsum("...ii->...i", dev.real)  # a writeable view
+        diag -= self.sigmas[..., -1, None]
+        dev = np.max(np.abs(dev), axis=(-2, -1))
         return np.max(np.where(self.degenerate, 0.0, dev), axis=-1)
 
     def plan(self, row: int) -> ReversalPlan:
@@ -117,25 +115,21 @@ def _entries(m: np.ndarray) -> list:
     return [[(re[..., i, j], im[..., i, j]) for j in (0, 1)] for i in (0, 1)]
 
 
-def _qubit_deviation(reversers: np.ndarray, kraus: np.ndarray, smin: np.ndarray) -> np.ndarray:
-    """max |R M - sigma_min I| of each 2 x 2 pair, with each entry's two
-    products added in index order, as ``real_matmul`` adds them: the same
-    bits as that product minus sigma_min I."""
-    (p, q), (u, v) = _entries(reversers)
-    (a, b), (c, e) = _entries(kraus)
-    dev = np.empty((4,) + smin.shape, dtype=np.complex128)  # entries 00, 01, 10, 11
-    for out, (x, y, z, w) in zip(dev, ((p, a, q, c), (p, b, q, e), (u, a, v, c), (u, b, v, e))):
-        (xr, xi), (yr, yi), (zr, zi), (wr, wi) = x, y, z, w  # x y + z w
-        np.add(xr * yr - xi * yi, zr * wr - zi * wi, out=out.real)
-        np.add(xr * yi + xi * yr, zr * wi + zi * wr, out=out.imag)
-    dev.real[0] -= smin
-    dev.real[3] -= smin
-    return np.max(np.abs(dev), axis=0)
-
-
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b, in real arithmetic for 2 x 2 stacks (see the module docstring)."""
-    return real_matmul(a, b) if a.shape[-1] == 2 else a @ b
+def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y of stacks broadcast along leading axes; at d = 2 each entry in real
+    arithmetic, its two products added in index order, written entries first
+    and returned as a (..., 2, 2) view (see the module docstring)."""
+    if x.shape[-1] != 2:
+        return x @ y
+    xs, ys = _entries(x), _entries(y)
+    out = np.empty((2, 2) + np.broadcast_shapes(x.shape[:-2], y.shape[:-2]), dtype=np.complex128)
+    for i in (0, 1):
+        (pr, pi), (qr, qi) = xs[i]
+        for j in (0, 1):  # x_i0 y_0j + x_i1 y_1j
+            (ar, ai), (cr, ci) = ys[0][j], ys[1][j]
+            np.add(pr * ar - pi * ai, qr * cr - qi * ci, out=out.real[i, j, ...])
+            np.add(pr * ai + pi * ar, qr * ci + qi * cr, out=out.imag[i, j, ...])
+    return out.transpose(*range(2, out.ndim), 0, 1)
 
 
 def _completeness(kraus: np.ndarray) -> np.ndarray:
@@ -168,7 +162,7 @@ def kraus_stack(coeffs: np.ndarray, elements: np.ndarray) -> tuple[np.ndarray, n
     """Kraus stack M_r = E^T W_r^dag (..., d^2, d, d) of channels (..., d, d)
     and measurements (..., d^2, d, d), with each one's completeness residual;
     raises DomainError if any is incomplete."""
-    kraus = _matmul(coeffs.swapaxes(-1, -2)[..., None, :, :], elements.conj().swapaxes(-1, -2))
+    kraus = _product(coeffs.swapaxes(-1, -2)[..., None, :, :], elements.conj().swapaxes(-1, -2))
     residual = _completeness(kraus)
     worst = float(np.max(residual))
     if not worst <= COMPLETENESS_TOL:  # NaN fails too
@@ -183,8 +177,7 @@ def _qubit_spectrum(kraus: np.ndarray) -> ReversalPlan:
     sigma_min^2 = 2 |det M|^2 / (F + sqrt(disc)) keeps its precision where
     sigma_1 = sigma_2; sigma_max^2 = F - sigma_min^2, and
     R = sigma_min adj(M) / det M."""
-    (ar, br), (cr, er) = np.moveaxis(kraus.real, (-2, -1), (0, 1))
-    (ai, bi), (ci, ei) = np.moveaxis(kraus.imag, (-2, -1), (0, 1))
+    ((ar, ai), (br, bi)), ((cr, ci), (er, ei)) = _entries(kraus)
     top = (ar * ar + ai * ai) + (br * br + bi * bi)
     bottom = (cr * cr + ci * ci) + (er * er + ei * ei)
     frob = top + bottom
@@ -202,17 +195,21 @@ def _qubit_spectrum(kraus: np.ndarray) -> ReversalPlan:
     degenerate = smin == 0.0
     # sigma_min / det M = q conj(det M); degenerate outcomes get zeros
     q = np.divide(smin, det2, out=np.zeros_like(smin), where=~degenerate)
-    kr, ki = (q * det_r)[..., None, None], (q * det_i)[..., None, None]
-    adj = kraus[..., ::-1, ::-1].swapaxes(-1, -2).copy()  # [[e, -b], [-c, a]]
-    adj[..., 0, 1] = -adj[..., 0, 1]
-    adj[..., 1, 0] = -adj[..., 1, 0]
-    reversers = complex_from(kr * adj.real + ki * adj.imag, kr * adj.imag - ki * adj.real)
+    k, nk = (q * det_r, q * det_i), (-q * det_r, -q * det_i)
+    rev = np.empty((2, 2) + smin.shape, dtype=np.complex128)
+    # R = k adj(M) = k [[e, -b], [-c, a]]; (-k) x is k (-x) to the bit, signed zeros included
+    for (i, j), (xr, xi), (yr, yi) in (((0, 0), (er, ei), k), ((0, 1), (br, bi), nk),
+                                       ((1, 0), (cr, ci), nk), ((1, 1), (ar, ai), k)):
+        np.add(yr * xr, yi * xi, out=rev.real[i, j, ...])
+        np.subtract(yr * xi, yi * xr, out=rev.imag[i, j, ...])
+    reversers = rev.transpose(*range(2, rev.ndim), 0, 1)
     return ReversalPlan(s, reversers, degenerate)
 
 
 def spectrum(kraus: np.ndarray) -> ReversalPlan:
-    """The plan of Kraus operators (..., n, d, d), one instrument or a stack:
-    the closed form at d = 2, else a single SVD."""
+    """The plan of finite Kraus operators (..., n, d, d), one instrument or a
+    stack: the closed form at d = 2, else a single SVD."""
+    kraus = as_matrix(kraus, batched=True)
     d = kraus.shape[-1]
     if d == 2:
         return _qubit_spectrum(kraus)

@@ -2,7 +2,10 @@
 
 The design envelope is local dimension d <= 8; everything is a plain
 complex128 numpy array and all functions are pure, so the module is safe to
-use from any number of threads.
+use from any number of threads.  :func:`svd` holds the package's one LAPACK
+call.  :func:`real_matmul` is a complex product whose bits do not depend on
+the CPU kernel, for the Monte Carlo success Gram matrix; the instrument's
+d = 2 products are written entry by entry in ``instrument._product``.
 """
 
 from __future__ import annotations
@@ -62,27 +65,13 @@ def real_matmul(a: CMatrix, b: CMatrix) -> CMatrix:
     """a @ b for complex stacks (broadcast along leading axes), in real float
     arithmetic: each entry's inner sum is added term by term in index order.
     Neither BLAS nor numpy's complex multiply (whose SIMD loops fuse into FMA
-    on some CPUs) is involved, so the bits are the same on every kernel.  The
-    operands are copied batch-last, as (rows, cols, batch) real and imaginary
-    planes, so each step is one contiguous loop over the whole batch."""
-    batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-    ar, ai = _planes(a, batch)
-    br, bi = _planes(b, batch)
-    for k in range(ar.shape[1]):
-        xr, xi, yr, yi = ar[:, k, None], ai[:, k, None], br[None, k], bi[None, k]
+    on some CPUs) is involved, so the bits are the same on every kernel."""
+    for k in range(a.shape[-1]):
+        xr, xi = a.real[..., :, k, None], a.imag[..., :, k, None]
+        yr, yi = b.real[..., None, k, :], b.imag[..., None, k, :]
         tr, ti = xr * yr - xi * yi, xr * yi + xi * yr
         cr, ci = (tr, ti) if k == 0 else (cr + tr, ci + ti)
-    shape, back = cr.shape[:2] + batch, (*range(2, len(batch) + 2), 0, 1)  # to (*batch, rows, cols)
-    return complex_from(cr.reshape(shape).transpose(back), ci.reshape(shape).transpose(back))
-
-
-def _planes(m: CMatrix, batch: tuple) -> np.ndarray:
-    """Real and imaginary parts of ``m`` broadcast to ``batch``, each copied
-    batch-last into one contiguous (rows, cols, batch size) plane."""
-    planes = np.empty((2,) + m.shape[-2:] + batch)
-    first = planes.transpose(0, *range(3, planes.ndim), 1, 2)  # (2, *batch, rows, cols)
-    first[0], first[1] = m.real, m.imag
-    return planes.reshape(2, *m.shape[-2:], -1)
+    return complex_from(cr, ci)
 
 
 def complex_from(re: np.ndarray, im: np.ndarray) -> CMatrix:

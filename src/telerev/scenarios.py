@@ -2,9 +2,9 @@
 
 Every scenario writes one data file with a fixed column schema (unused cells
 hold the literal ``NA``) plus a JSON run manifest.  Grid points are evaluated
-in grid order, in blocks of rows sharing one stacked SVD, with a dedicated
-Monte Carlo stream per row, so output files are deterministic for a fixed
-seed.
+in grid order, in blocks of rows sharing one stacked spectrum (a closed form
+at d = 2), with a dedicated Monte Carlo stream per row, so output files are
+deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -40,9 +40,9 @@ REVERSAL_GATE = 1e-9
 # Grid rows per block, evaluated as one stack.  A block pays a fixed cost in
 # numpy calls, and its transient arrays grow with its rows.  Medians of 5
 # runs of the surface-zz benchmark (51 x 51 zz-scan, 2601 rows) on a 2-vCPU
-# x86-64 host; the 256-row run computes its two gates through real_matmul:
+# x86-64 host, before the d = 2 products were written entry by entry:
 #   rows    wall_s    peak_rss_mb
-#    256    0.0259    38.96
+#    256    0.0259    38.96    (both gates as matrix products)
 #    512    0.0220    38.89
 #   1024    0.0195    39.70
 #   2048    0.0180    42.44
@@ -180,7 +180,7 @@ def validate_scenario(sc: Scenario) -> None:
 
 
 def _qubit_block(sc: Scenario, lo: int, t: np.ndarray, x: np.ndarray) -> dict:
-    """Columns of the grid rows lo, lo+1, ... from one stacked SVD and one
+    """Columns of the grid rows lo, lo+1, ... from one stacked spectrum and one
     stacked Theorem 1, plus each row's residuals; Monte Carlo row k draws
     from its own stream sc.rng.stream + k, with that row's reversers from the block."""
     entry = SCENARIOS[sc.name]

@@ -8,10 +8,11 @@ trigonometric root of Theorem 2 and a single Haar draw.  More keep an
 earlier form of a library function whose output must not change: the real
 arithmetic complex product on the operands' own layout
 (:func:`real_matmul_reference`), one ``format`` call per output cell
-(:func:`cells_reference`), and the completeness and reversal residuals as
+(:func:`cells_reference`), the completeness and reversal residuals as
 products of whole 2 x 2 matrices (:func:`completeness_reference`,
-:func:`residual_reference`).  The tests hold the stacked library code to
-these references.
+:func:`residual_reference`) and the closed-form reversers written through
+a copy of adj(M) (:func:`reversers_reference`).  The tests hold the
+stacked library code to these references.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from telerev.errors import DimensionError, DomainError
-from telerev.instrument import ReversalPlan, _matmul
+from telerev.instrument import ReversalPlan
 from telerev.jointmeas import JointMeasurement
 from telerev.linalg import CMatrix, as_matrix, complex_from
 from telerev.montecarlo import _haar_batch
@@ -134,9 +135,10 @@ def haar_state(d: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def real_matmul_reference(a: CMatrix, b: CMatrix) -> CMatrix:
-    """``linalg.real_matmul`` with the operands in their own layout: the same
-    real products and sums in the same order, each step a broadcast over the
-    leading axes."""
+    """a @ b in real arithmetic on the operands' own layout, each entry's
+    inner sum added in index order, each step a broadcast over the leading
+    axes: the bits that ``linalg.real_matmul`` and, at d = 2,
+    ``instrument._product`` must give."""
     for k in range(a.shape[-1]):
         xr, xi = a.real[..., :, k, None], a.imag[..., :, k, None]
         yr, yi = b.real[..., None, k, :], b.imag[..., None, k, :]
@@ -152,11 +154,16 @@ def cells_reference(cols, n: int):
     return list(zip(*text))
 
 
+def _product_reference(a: CMatrix, b: CMatrix) -> CMatrix:
+    """a @ b, in real arithmetic (:func:`real_matmul_reference`) at d = 2."""
+    return real_matmul_reference(a, b) if a.shape[-1] == 2 else a @ b
+
+
 def completeness_reference(kraus: np.ndarray) -> np.ndarray:
     """``instrument._completeness`` through the matrix product: max-abs entry
     of sum_r M_r^dag M_r - I, the outcomes r on axis -3."""
     d = kraus.shape[-1]
-    acc = np.sum(_matmul(kraus.conj().swapaxes(-1, -2), kraus), axis=-3)
+    acc = np.sum(_product_reference(kraus.conj().swapaxes(-1, -2), kraus), axis=-3)
     return np.max(np.abs(acc - np.eye(d)), axis=(-2, -1))
 
 
@@ -164,5 +171,26 @@ def residual_reference(plan: ReversalPlan, kraus: np.ndarray) -> np.ndarray:
     """``ReversalPlan.residual`` through the matrix product: max-abs deviation
     of R_r M_r from sigma_min^r I over the recoverable outcomes, per row."""
     d = kraus.shape[-1]
-    dev = np.abs(_matmul(plan.reversers, kraus) - plan.sigmas[..., -1, None, None] * np.eye(d))
+    dev = np.abs(_product_reference(plan.reversers, kraus)
+                 - plan.sigmas[..., -1, None, None] * np.eye(d))
     return np.max(np.where(plan.degenerate[..., None, None], 0.0, dev), axis=(-3, -2, -1))
+
+
+def reversers_reference(kraus: np.ndarray, plan: ReversalPlan) -> np.ndarray:
+    """``instrument._qubit_spectrum``'s reversers R = sigma_min adj(M) / det M
+    of 2 x 2 operators M = [[a, b], [c, e]] in their earlier form: adj(M)
+    copied with its off-diagonal negated, then one ``complex_from``.  sigma_min
+    and the degenerate flags are read off ``plan``."""
+    (ar, br), (cr, er) = np.moveaxis(kraus.real, (-2, -1), (0, 1))
+    (ai, bi), (ci, ei) = np.moveaxis(kraus.imag, (-2, -1), (0, 1))
+    det_r = (ar * er - ai * ei) - (br * cr - bi * ci)
+    det_i = (ar * ei + ai * er) - (br * ci + bi * cr)
+    det2 = det_r * det_r + det_i * det_i
+    smin, degenerate = plan.sigmas[..., -1], plan.degenerate
+    # sigma_min / det M = q conj(det M); degenerate outcomes get zeros
+    q = np.divide(smin, det2, out=np.zeros_like(smin), where=~degenerate)
+    kr, ki = (q * det_r)[..., None, None], (q * det_i)[..., None, None]
+    adj = kraus[..., ::-1, ::-1].swapaxes(-1, -2).copy()  # [[e, -b], [-c, a]]
+    adj[..., 0, 1] = -adj[..., 0, 1]
+    adj[..., 1, 0] = -adj[..., 1, 0]
+    return complex_from(kr * adj.real + ki * adj.imag, kr * adj.imag - ki * adj.real)

@@ -10,8 +10,8 @@ from telerev import (BipartiteState, DimensionError, DomainError, apply_kraus_or
                      max_entangled, optimal_reversal, performance_report,
                      schmidt_channel, standard_fidelity, success_probability,
                      tradeoff_lhs, xx_deformed, zx_zz)
-from telerev.instrument import (completeness_residual, kraus_stack, reversal_residual,
-                                spectrum)
+from telerev.instrument import (Instrument, completeness_residual, kraus_stack,
+                                reversal_residual, spectrum)
 from telerev.jointmeas import JointMeasurement, zx_zz_stack
 from telerev.qstate import schmidt_stack
 from telerev.theorems import random_basis
@@ -149,6 +149,21 @@ def test_degenerate_outcomes_are_flagged_not_raised():
     assert success_probability(plan) == 0.0
     for rev in plan.reversers:
         assert np.all(rev == 0)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_kraus_entries_are_refused(d, value):
+    rng = np.random.default_rng(70 + d)
+    kraus = build_instrument(BipartiteState(d=d, coeff=random_coeff(d, rng)),
+                             random_basis(d, rng)).kraus
+    for entry in [(0, 0), (0, 1), (1, 0), (1, 1)]:
+        bad = kraus.copy()
+        bad[(1,) + entry] = value
+        with pytest.raises(DomainError, match="matrix entries must be finite"):
+            performance_report(Instrument(d, bad, "non-finite"))
+        with pytest.raises(DomainError, match="matrix entries must be finite"):
+            spectrum(bad)
 
 
 def test_success_probability_examples():

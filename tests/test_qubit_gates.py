@@ -8,7 +8,8 @@ manifest reports, not output cells: a run fails when either exceeds
 closed forms, which must agree with the references within 1e-15 (relative
 above 1) on the zz-scan surface, on random stacks over many decades of
 scale and on degenerate outcomes, and must still fail every faulty input:
-perturbed reversers, an incomplete stack and NaN entries.
+perturbed reversers, an incomplete stack and NaN entries.  The closed-form
+reversers themselves must equal their earlier adj(M)-copy form bit for bit.
 """
 
 import math
@@ -22,11 +23,11 @@ from telerev.cli import main
 from telerev.errors import DomainError
 from telerev.instrument import (COMPLETENESS_TOL, ReversalPlan, _completeness,
                                 completeness_residual, kraus_stack, spectrum)
-from telerev.jointmeas import zx_zz_stack
+from telerev.jointmeas import xx_deformed_stack, zx_zz_stack
 from telerev.qstate import schmidt_stack
 from telerev.scenarios import REVERSAL_GATE, SCENARIOS
 
-from oracles import completeness_reference, residual_reference
+from oracles import completeness_reference, residual_reference, reversers_reference
 
 TOL = 1e-15
 SURFACE = ["--scenario", "zz-scan", "--grid", "0:1.3:51", "--grid2", "0:0.7853981633974483:51"]
@@ -113,14 +114,20 @@ def test_closed_forms_match_the_references_at_every_scale(decades):
         _close(plan.residual(stack), residual_reference(plan, stack))
 
 
-def test_degenerate_outcomes_are_left_out_alike():
+def _mixed_rank():
+    """400 x 4 random outcomes, each full rank, rank one or zero, and the
+    pick (0, 1 or 2) that made each one."""
     rng = np.random.default_rng(50)
     kraus = _random_kraus((400, 4), rng, 2)
     u, v = _random_kraus((400, 4), rng, 0)[..., 0], _random_kraus((400, 4), rng, 0)[..., 0]
     rank_one = u[..., :, None] * v[..., None, :].conj()
     pick = rng.integers(0, 3, (400, 4))  # 0: full rank, 1: rank one, 2: zero
     kraus = np.where((pick == 1)[..., None, None], rank_one, kraus)
-    kraus = np.where((pick == 2)[..., None, None], 0.0, kraus)
+    return np.where((pick == 2)[..., None, None], 0.0, kraus), pick
+
+
+def test_degenerate_outcomes_are_left_out_alike():
+    kraus, pick = _mixed_rank()
     plan = spectrum(kraus)
     assert np.array_equal(plan.degenerate, pick > 0)
     _close(plan.residual(kraus), residual_reference(plan, kraus))
@@ -144,6 +151,30 @@ def test_perturbed_reversers_fail_the_gate(entry, delta):
     assert np.all(got[rows] > REVERSAL_GATE)
     others = np.setdiff1d(np.arange(len(kraus)), rows)
     assert np.array_equal(got[others], plan.residual(kraus)[others])
+
+
+def _xx_scan():
+    """Kraus stack of a 21 x 21 xx-scan grid, whose reversers hold exact +0 and -0."""
+    t = np.linspace(0.0, math.pi / 4, 21)
+    t, phi = np.repeat(t, t.size), np.tile(t, t.size)
+    return kraus_stack(schmidt_stack(phi, "z"), xx_deformed_stack(t))[0]
+
+
+@pytest.mark.parametrize("name", ["zz-surface", "xx-scan", "random", "degenerate"])
+def test_reversers_are_the_adjugate_form_bit_for_bit(name):
+    # Monte Carlo cells replay only from bit-identical reversers; signed zeros
+    # count, so the negated adj(M) entries must be negated before the product
+    rng = np.random.default_rng(60)
+    kraus = {"zz-surface": lambda: _surface()[2], "xx-scan": _xx_scan,
+             "random": lambda: _random_kraus((500, 4), rng),
+             "degenerate": lambda: _mixed_rank()[0]}[name]()
+    plan = spectrum(kraus)
+    got, want = np.ascontiguousarray(plan.reversers), reversers_reference(kraus, plan)
+    if name == "xx-scan":
+        zeros = want.view(np.float64)[want.view(np.float64) == 0.0]
+        assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_perturbed_reversers_fail_the_run(tmp_path, monkeypatch, capsys):
