@@ -12,8 +12,9 @@ it, the metrics on first read and the residual only by its readers.
 At d = 2 the whole chain (Kraus products, completeness, singular values,
 reversers and residuals) is a closed form in elementwise real arithmetic, so
 its bits do not depend on the BLAS kernel or on numpy's SIMD dispatch.  For
-d >= 3 the products are ``@`` and the spectrum is one LAPACK SVD, with
-R_r = sigma_min Q_r Sigma_r^-1 P_r^dag from M_r = P_r Sigma_r Q_r^dag.
+d >= 3 the products are ``@``, sigma is one values-only LAPACK SVD and the
+reversers R_r = sigma_min M_r^-1 are one batched LU inverse; no singular
+vector is formed.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError
 from .jointmeas import JointMeasurement
-from .linalg import SIGMA_FLOOR, as_matrix, complex_from, svd
+from .linalg import SIGMA_FLOOR, as_matrix, complex_from, floor_sigmas, singular_values
 from .qstate import BipartiteState
 
 COMPLETENESS_TOL = 1e-10
@@ -189,8 +190,7 @@ def _qubit_spectrum(kraus: np.ndarray) -> ReversalPlan:
     gap = top - bottom
     big = frob + np.sqrt(gap * gap + 4.0 * (off_r * off_r + off_i * off_i))
     smin2 = np.divide(2.0 * det2, big, out=np.zeros_like(big), where=big > 0.0)
-    s = np.sqrt(np.stack([frob - smin2, smin2], axis=-1))
-    s[s < SIGMA_FLOOR] = 0.0
+    s = floor_sigmas(np.sqrt(np.stack([frob - smin2, smin2], axis=-1)))
     smin = s[..., 1]
     degenerate = smin == 0.0
     # sigma_min / det M = q conj(det M); degenerate outcomes get zeros
@@ -208,21 +208,26 @@ def _qubit_spectrum(kraus: np.ndarray) -> ReversalPlan:
 
 def spectrum(kraus: np.ndarray) -> ReversalPlan:
     """The plan of finite Kraus operators (..., n, d, d), one instrument or a
-    stack: the closed form at d = 2, else a single SVD."""
+    stack: the closed form at d = 2, else a values-only SVD and one batched
+    LU inverse; raises DomainError if an operator with sigma_min at least
+    SIGMA_FLOOR is singular to working precision."""
     kraus = as_matrix(kraus, batched=True)
+    if kraus.ndim < 3:
+        raise DimensionError(f"expected Kraus operators (..., n, d, d), got shape {kraus.shape}")
     d = kraus.shape[-1]
     if d == 2:
         return _qubit_spectrum(kraus)
-    res = svd(kraus)
-    s = res.sigmas
-    smin, degenerate = s[..., -1], res.rank_deficient
-    inv = np.divide(1.0, s, out=np.zeros_like(s), where=~degenerate[..., None])
-    # Keep the order sigma_min ((V Sigma^-1) U^dag): Monte Carlo cells replay
-    # bit for bit only from bit-identical reversers, and a reordered product
-    # (an einsum, say) rounds differently.  Degenerate outcomes get zeros.
-    reversers = smin[..., None, None] * (
-        res.right @ (inv[..., None] * np.eye(d)) @ res.left.conj().swapaxes(-1, -2))
-    return ReversalPlan(s, reversers, degenerate)
+    s = singular_values(kraus)
+    smin = s[..., -1]
+    degenerate = smin == 0.0
+    if degenerate.any():  # inverted as the identity, then zeroed by sigma_min = 0
+        kraus = np.where(degenerate[..., None, None], np.eye(d), kraus)
+    try:
+        inverse = np.linalg.inv(kraus)
+    except np.linalg.LinAlgError:
+        raise DomainError("a Kraus operator is singular to working precision although "
+                          f"its sigma_min is at least SIGMA_FLOOR = {SIGMA_FLOOR:g}") from None
+    return ReversalPlan(s, smin[..., None, None] * inverse, degenerate)
 
 
 def completeness_residual(kraus, d: int) -> float:

@@ -2,10 +2,13 @@
 
 The design envelope is local dimension d <= 8; everything is a plain
 complex128 numpy array and all functions are pure, so the module is safe to
-use from any number of threads.  :func:`svd` holds the package's one LAPACK
-call.  :func:`real_matmul` is a complex product whose bits do not depend on
-the CPU kernel, for the Monte Carlo success Gram matrix; the instrument's
-d = 2 products are written entry by entry in ``instrument._product``.
+use from any number of threads.  :func:`svd` (with vectors, for the Monte
+Carlo leakage guess and :func:`polar_unitary`) and :func:`singular_values`
+(values only, for the d >= 3 spectrum) are the package's two SVD calls;
+both clamp sigma below :data:`SIGMA_FLOOR` in :func:`floor_sigmas`.
+:func:`real_matmul` is a complex product whose bits do not depend on the
+CPU kernel, for the Monte Carlo success Gram matrix; the instrument's d = 2
+products are written entry by entry in ``instrument._product``.
 """
 
 from __future__ import annotations
@@ -55,10 +58,24 @@ def svd(m: CMatrix) -> SvdResult:
     call for the stack, matrix for matrix the same bits as separate calls."""
     a = as_matrix(m, batched=True)
     u, s, vh = np.linalg.svd(a)
-    s = np.where(s < SIGMA_FLOOR, 0.0, s)
+    s = floor_sigmas(s)
     deficient = s[..., -1] == 0.0
     return SvdResult(left=u, sigmas=s, right=vh.conj().swapaxes(-1, -2),
                      rank_deficient=bool(deficient) if a.ndim == 2 else deficient)
+
+
+def singular_values(a: CMatrix) -> np.ndarray:
+    """The sigmas of :func:`svd` (descending, floored) without the vectors,
+    of a square matrix or a stack along leading axes already checked by
+    :func:`as_matrix`: one LAPACK call."""
+    return floor_sigmas(np.linalg.svd(a, compute_uv=False))
+
+
+def floor_sigmas(s: np.ndarray) -> np.ndarray:
+    """Set the singular values below :data:`SIGMA_FLOOR` to exact zeros, in
+    place, and return ``s``."""
+    s[s < SIGMA_FLOOR] = 0.0
+    return s
 
 
 def real_matmul(a: CMatrix, b: CMatrix) -> CMatrix:

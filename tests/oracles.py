@@ -10,9 +10,10 @@ arithmetic complex product on the operands' own layout
 (:func:`real_matmul_reference`), one ``format`` call per output cell
 (:func:`cells_reference`), the completeness and reversal residuals as
 products of whole 2 x 2 matrices (:func:`completeness_reference`,
-:func:`residual_reference`) and the closed-form reversers written through
-a copy of adj(M) (:func:`reversers_reference`).  The tests hold the
-stacked library code to these references.
+:func:`residual_reference`), the closed-form reversers written through
+a copy of adj(M) (:func:`reversers_reference`) and the d >= 3 reversers
+assembled from the full SVD (:func:`svd_reversers_reference`).  The tests
+hold the stacked library code to these references.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from telerev.errors import DimensionError, DomainError
 from telerev.instrument import ReversalPlan
 from telerev.jointmeas import JointMeasurement
-from telerev.linalg import CMatrix, as_matrix, complex_from
+from telerev.linalg import CMatrix, as_matrix, complex_from, svd
 from telerev.montecarlo import _haar_batch
 from telerev.qstate import DIR_FLOOR, NORM_TOL, BipartiteState, _radius, bloch_vectors
 from telerev.scenarios import COLUMNS
@@ -194,3 +195,15 @@ def reversers_reference(kraus: np.ndarray, plan: ReversalPlan) -> np.ndarray:
     adj[..., 0, 1] = -adj[..., 0, 1]
     adj[..., 1, 0] = -adj[..., 1, 0]
     return complex_from(kr * adj.real + ki * adj.imag, kr * adj.imag - ki * adj.real)
+
+
+def svd_reversers_reference(kraus: np.ndarray) -> np.ndarray:
+    """``instrument.spectrum``'s d >= 3 reversers in their earlier form, from
+    the full SVD M = U Sigma V^dag of every operator: sigma_min ((V Sigma^-1)
+    U^dag), zero on the degenerate outcomes."""
+    res = svd(kraus)
+    s = res.sigmas
+    smin, degenerate = s[..., -1], res.rank_deficient
+    inv = np.divide(1.0, s, out=np.zeros_like(s), where=~degenerate[..., None])
+    return smin[..., None, None] * (
+        res.right @ (inv[..., None] * np.eye(kraus.shape[-1])) @ res.left.conj().swapaxes(-1, -2))

@@ -2,13 +2,17 @@
 
 The reference rebuilds every grid row on its own from scalar factories.  At
 d = 2 it writes out the Kraus products and the closed-form plan in Python
-complex scalars; at d >= 3 it takes one ``np.linalg.svd`` per Kraus operator
-and builds reversers in the documented order sigma_min ((V Sigma^-1) U^dag).
-Kraus operators and reversers must be bit-identical to the reference, because
-the Monte Carlo cells replay bit for bit only from identical reversers.  At
+complex scalars; at d >= 3 it takes one values-only ``np.linalg.svd`` and
+one ``np.linalg.inv`` per Kraus operator, R = sigma_min M^-1.  Kraus
+operators and reversers must be bit-identical to the reference, because the
+Monte Carlo cells replay bit for bit only from identical reversers.  At
 every d, sigma and the metrics must agree with LAPACK to 1e-12, the
 degenerate flags must equal LAPACK's, and the reversers must pass the
-reversal residual gate.
+reversal residual gate.  At d >= 3 the reversers must also lie within 1e-12
+of the ones assembled from the full SVD (``oracles.svd_reversers_reference``)
+with a worst residual no larger than theirs, the flags must hold with
+sigma_min at half and at twice ``SIGMA_FLOOR``, and an operator that LU
+finds singular although its sigma_min clears the floor is refused.
 """
 
 import math
@@ -16,8 +20,8 @@ import math
 import numpy as np
 import pytest
 
-from telerev import (BipartiteState, build_instrument, ejm, ejm_channel,
-                     estimate_performance, max_entangled, optimal_reversal,
+from telerev import (BipartiteState, DimensionError, DomainError, build_instrument, ejm,
+                     ejm_channel, estimate_performance, max_entangled, optimal_reversal,
                      performance_report, schmidt_channel, xx_deformed, zx_zz)
 from telerev.instrument import ReversalPlan, kraus_stack, reversal_residual, spectrum
 from telerev.jointmeas import ejm_stack, xx_deformed_stack, zx_zz_stack
@@ -30,6 +34,7 @@ from telerev.scenarios import (BLOCK_ROWS, REVERSAL_GATE, GridSpec, Scenario,
 from telerev.theorems import random_basis
 
 from helpers import random_coeff
+from oracles import svd_reversers_reference
 
 PI4, PI2 = math.pi / 4, math.pi / 2
 METRIC_TOL = 1e-12
@@ -51,12 +56,13 @@ FAMILIES["tradeoff-scan"] = FAMILIES["ejm-scan"]
 
 def _lapack(m):
     """Singular values (floored as the engine floors them), degenerate flag
-    and reverser of one operator, by np.linalg.svd."""
-    u, s, vh = np.linalg.svd(m)
+    and reverser sigma_min M^-1 of one operator, by np.linalg.svd without
+    vectors and np.linalg.inv."""
+    s = np.linalg.svd(m, compute_uv=False)
     s = np.where(s < SIGMA_FLOOR, 0.0, s)
     if s[-1] == 0.0:
         return s, True, np.zeros_like(m)
-    return s, False, float(s[-1]) * (vh.conj().T @ np.diag(1.0 / s) @ u.conj().T)
+    return s, False, float(s[-1]) * np.linalg.inv(m)
 
 
 def _lapack_sigmas(kraus):
@@ -229,6 +235,49 @@ def test_performance_report_in_dimension_d(d):
             assert abs(report.leakage_max - ref["leakage"]) <= METRIC_TOL
             assert abs(report.f_tele_standard - ref["f_standard"]) <= METRIC_TOL
             assert abs(report.tradeoff_lhs - ref["tradeoff"]) <= METRIC_TOL
+
+
+def test_reversers_agree_with_the_svd_assembled_ones():
+    rng = np.random.default_rng(15)
+    for d in range(3, 9):
+        kraus = np.stack([build_instrument(BipartiteState(d=d, coeff=random_coeff(d, rng)),
+                                           random_basis(d, rng)).kraus for _ in range(25)])
+        plan = spectrum(kraus)
+        ref = svd_reversers_reference(kraus)
+        assert np.max(np.abs(plan.reversers - ref)) <= 1e-12, d
+        worst_ref = np.max(ReversalPlan(plan.sigmas, ref, plan.degenerate).residual(kraus))
+        assert np.max(plan.residual(kraus)) <= worst_ref, d
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6, 7, 8])
+@pytest.mark.parametrize("scale, degenerate", [(0.5, True), (2.0, False)])
+def test_reversal_with_sigma_min_at_the_floor_in_dimension_d(d, scale, degenerate):
+    rng = np.random.default_rng(100 * d + int(4 * scale))
+    z = rng.standard_normal((2, 40, d, d)) + 1j * rng.standard_normal((2, 40, d, d))
+    left, right = np.linalg.qr(z)[0]
+    sigmas = np.sort(rng.uniform(0.1, 1.0, (40, d)), axis=-1)[:, ::-1]
+    sigmas[:, -1] = scale * SIGMA_FLOOR
+    kraus = (left * sigmas[:, None, :]) @ right.conj().swapaxes(-1, -2)
+    plan = spectrum(kraus)
+    assert np.array_equal(plan.degenerate, svd(kraus).rank_deficient)
+    assert np.all(plan.degenerate == degenerate)
+    assert plan.residual(kraus) <= REVERSAL_GATE
+    assert np.all(np.isfinite(plan.reversers)) and not plan.reversers[plan.degenerate].any()
+
+
+def test_operator_singular_to_working_precision_is_refused():
+    # rank 2; LU meets an exact zero pivot, while the SVD reads sigma_min of
+    # about 4e-11 (rounding noise) above the floor
+    kraus = 1e4 * np.array([[[2, -3, 2], [-2, -3, 3], [0, 12, -10]]], dtype=complex)
+    assert np.linalg.svd(kraus, compute_uv=False)[0, -1] >= SIGMA_FLOOR
+    with pytest.raises(DomainError, match="singular to working precision"):
+        spectrum(kraus)
+
+
+@pytest.mark.parametrize("d", [2, 3, 8])
+def test_single_matrix_without_outcome_axis_is_refused(d):
+    with pytest.raises(DimensionError, match=r"\(\.\.\., n, d, d\)"):
+        spectrum(np.eye(d) * 0.5)
 
 
 # The d = 2 closed form at its edges, against the LAPACK oracle (linalg.svd).
