@@ -5,7 +5,8 @@ complex128 numpy array and all functions are pure, so the module is safe to
 use from any number of threads.  :func:`svd` (with vectors, for the Monte
 Carlo leakage guess and :func:`polar_unitary`) and :func:`singular_values`
 (values only, for the d >= 3 spectrum) are the package's two SVD calls;
-both clamp sigma below :data:`SIGMA_FLOOR` in :func:`floor_sigmas`.
+both clamp sigma below :data:`SIGMA_FLOOR` in :func:`floor_sigmas`.  Both, like
+:func:`polar_unitary`, take a stack with the bits of separate calls.
 :func:`real_matmul` is a complex product whose bits do not depend on the
 CPU kernel, for the Monte Carlo success Gram matrix; the instrument's d = 2
 products are written entry by entry in ``instrument._product``.
@@ -99,6 +100,6 @@ def complex_from(re: np.ndarray, im: np.ndarray) -> CMatrix:
 
 
 def polar_unitary(m: CMatrix) -> CMatrix:
-    """Unitary U maximizing |Tr(U m)|; the maximum equals the nuclear norm of m."""
+    """Unitary U maximizing |Tr(U m)|, the nuclear norm of m; one per matrix of a stack."""
     res = svd(m)
-    return res.right @ res.left.conj().T
+    return res.right @ res.left.conj().swapaxes(-1, -2)

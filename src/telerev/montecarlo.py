@@ -91,19 +91,20 @@ def check_budget(n: int) -> None:
 
 
 def _sample(d: int, n: int, rng: RngSpec, kernel, k: int = 1) -> np.ndarray:
-    """k per-sample arrays over n Haar states, which ``kernel(phi, acc)`` fills
-    chunk by chunk.  The near-equal chunks replay the one-shot draw; none holds
-    one sample unless n = 1, as a one-row matmul in the BLAS kernels rounds
-    differently."""
+    """The (k, n) per-sample arrays over n Haar states: ``kernel(phi)`` returns
+    k arrays for one chunk's states, each written in place into its row.  The
+    near-equal chunks replay the one-shot draw; none holds one sample unless
+    n = 1, as a one-row matmul in the BLAS kernels rounds differently."""
     if n < 1:
         raise DomainError(f"sample count must be >= 1, got {n}")
     check_budget(n)
     gen, parts = rng.generator(), max(n // CHUNK, 1)
     ends = [n * j // parts for j in range(parts + 1)]
-    acc = np.zeros((k, n))
+    out = np.zeros((k, n))
     for lo, hi in zip(ends, ends[1:]):
-        kernel(_haar_batch(d, hi - lo, gen), acc[:, lo:hi])
-    return acc
+        for row, values in zip(out[:, lo:hi], kernel(_haar_batch(d, hi - lo, gen)), strict=True):
+            row[...] = values
+    return out
 
 
 def _estimate(samples: np.ndarray) -> McEstimate:
@@ -135,11 +136,13 @@ def _success(g: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return diag + 2.0 * cross
 
 
-def _reversed_ops(inst: Instrument, plan: ReversalPlan) -> list[np.ndarray]:
-    """(R_r M_r)^T of the recoverable outcomes, in outcome order, to right-multiply
-    a batch of input rows."""
-    return [(r @ m).T for m, r, deg in zip(inst.kraus, plan.reversers, plan.degenerate)
-            if not deg]
+def _overlaps(phi: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """sum_r |phi^dag A_r phi|^2 of every row of phi, for the stack ops of the
+    A_r^T, the outcomes added in order starting from zeros."""
+    phic, out = phi.conj(), np.zeros(phi.shape[0])
+    for op in ops:
+        out += np.abs(_rowsum(phic * (phi @ op))) ** 2
+    return out
 
 
 def estimate_performance(inst: Instrument, plan: ReversalPlan, n: int,
@@ -150,13 +153,9 @@ def estimate_performance(inst: Instrument, plan: ReversalPlan, n: int,
     is the success-weighted output fidelity; it is 1 up to rounding whenever
     the resources are pure.
     """
-    g, ops = _success_gram(inst, plan), _reversed_ops(inst, plan)
-    def kernel(phi, acc):
-        acc[0] = _success(g, phi)
-        phic = phi.conj()
-        for op in ops:
-            acc[1] += np.abs(_rowsum(phic * (phi @ op))) ** 2
-    succ, overlap = _sample(inst.d, n, rng, kernel, 2)
+    g, keep = _success_gram(inst, plan), ~np.asarray(plan.degenerate)
+    ops = (plan.reversers[keep] @ np.asarray(inst.kraus)[keep]).swapaxes(-1, -2)
+    succ, overlap = _sample(inst.d, n, rng, lambda phi: (_success(g, phi), _overlaps(phi, ops)), 2)
     f_cond = np.where(succ > 0.0, overlap / np.where(succ > 0.0, succ, 1.0), 1.0)
     return {"p_succ": _estimate(succ), "f_cond": _estimate(f_cond)}
 
@@ -166,25 +165,23 @@ def estimate_success(inst: Instrument, plan: ReversalPlan, n: int, rng: RngSpec)
     ``estimate_performance(inst, plan, n, rng)["p_succ"]``, without the
     overlap and conditional-fidelity work."""
     g = _success_gram(inst, plan)
-    def kernel(phi, acc):
-        acc[0] = _success(g, phi)
-    return _estimate(_sample(inst.d, n, rng, kernel)[0])
+    return _estimate(_sample(inst.d, n, rng, lambda phi: (_success(g, phi),))[0])
 
 
 def estimate_leakage(inst: Instrument, n: int, rng: RngSpec) -> McEstimate:
     """Empirical estimation fidelity with the top-eigenvector guess states."""
-    ops = [(m.T, svd(m).right[:, 0].conj()) for m in inst.kraus]
-    def kernel(phi, acc):
-        for mt, guess in ops:
-            acc[0] += _rowsum(np.abs(phi @ mt) ** 2) * np.abs(phi @ guess) ** 2
+    kraus = np.asarray(inst.kraus)
+    kt, guesses = kraus.swapaxes(-1, -2), svd(kraus).right[..., :, 0].conj()
+    def kernel(phi):
+        out = np.zeros(phi.shape[0])
+        for mt, guess in zip(kt, guesses):
+            out += _rowsum(np.abs(phi @ mt) ** 2) * np.abs(phi @ guess) ** 2
+        return (out,)
     return _estimate(_sample(inst.d, n, rng, kernel)[0])
 
 
 def estimate_standard_fidelity(inst: Instrument, n: int, rng: RngSpec) -> McEstimate:
     """Empirical average fidelity of the polar-unitary correction protocol."""
-    ops = [(polar_unitary(m) @ m).T for m in inst.kraus]
-    def kernel(phi, acc):
-        phic = phi.conj()
-        for op in ops:
-            acc[0] += np.abs(_rowsum(phic * (phi @ op))) ** 2
-    return _estimate(_sample(inst.d, n, rng, kernel)[0])
+    kraus = np.asarray(inst.kraus)
+    ops = (polar_unitary(kraus) @ kraus).swapaxes(-1, -2)
+    return _estimate(_sample(inst.d, n, rng, lambda phi: (_overlaps(phi, ops),))[0])

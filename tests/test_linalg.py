@@ -96,6 +96,24 @@ def test_polar_trace_equals_nuclear_norm():
         assert abs(abs(np.trace(u @ m)) - np.sum(svd(m).sigmas)) < 1e-10
 
 
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("d, k", [(2, 2), (2, 4), (3, 5), (8, 3)])
+def test_polar_of_a_stack_is_the_per_matrix_polar_bit_for_bit(d, k):
+    rng = np.random.default_rng(10 * d + k)
+    stack = rng.standard_normal((k, d, d)) + 1j * rng.standard_normal((k, d, d))
+    stack[1] = np.outer(stack[1, 0], stack[1, :, 0])  # rank one
+    got = polar_unitary(stack)
+    assert got.shape == stack.shape
+    for m, u in zip(stack, got):
+        assert np.array_equal(_bits(u), _bits(polar_unitary(m)))
+    one = stack[0]
+    res = svd(one)
+    assert np.array_equal(_bits(polar_unitary(one)), _bits(res.right @ res.left.conj().T))
+
+
 def test_polar_rejects_non_square():
     with pytest.raises(DimensionError):
         polar_unitary(np.ones((3, 2)))

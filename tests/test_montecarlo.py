@@ -339,14 +339,14 @@ def test_chunked_draws_replay_the_one_shot_draw(d, n):
     one_shot = _haar_batch(d, n, RngSpec(seed=61).generator())
     chunks = []
 
-    def kernel(phi, acc):
-        assert acc.shape == (2, phi.shape[0])
+    def kernel(phi):
+        m = phi.shape[0]
         chunks.append(phi.copy())
-        acc += phi.shape[0]
-    acc = _sample(d, n, RngSpec(seed=61), kernel, 2)
+        return np.full((2, m), m)
+    out = _sample(d, n, RngSpec(seed=61), kernel, 2)
     sizes = [phi.shape[0] for phi in chunks]
     assert len(chunks) == max(n // CHUNK, 1) and (n == 1 or min(sizes) > 1)
-    assert np.array_equal(acc, np.repeat(sizes, sizes)[None].repeat(2, axis=0))
+    assert np.array_equal(out, np.repeat(sizes, sizes)[None].repeat(2, axis=0))
     assert np.array_equal(np.concatenate(chunks), one_shot)
     ref = _ref_haar_batch(d, n, RngSpec(seed=61).generator())
     if d <= 3:
@@ -389,6 +389,14 @@ def _half_degenerate():
                 np.array([[0, b], [-b, 0]], dtype=complex))
     inst = build_instrument(max_entangled(2), JointMeasurement(2, elements, "product+bell"))
     return inst, optimal_reversal(inst)
+
+
+@pytest.mark.parametrize("n", [1, 2, 2000, CHUNK + 1])
+def test_estimators_of_degenerate_instruments_are_bit_identical(n):
+    # the stacked SVD and products see zero and rank-deficient operators here
+    for k, inst in enumerate((_half_degenerate()[0], _zz_row(0.0, 0.52)[0])):
+        new, ref = _pairs(inst, n, RngSpec(80 + k, stream=n))
+        assert new == ref, inst.provenance
 
 
 def _success_cases():
