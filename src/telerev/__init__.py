@@ -11,9 +11,9 @@ from .qstate import (BipartiteState, concurrence, ejm_channel, g_concurrence,
 from .jointmeas import (JointMeasurement, bell_basis, ejm, element_entanglement,
                         xx_deformed, zx_zz)
 from .instrument import (Instrument, PerformanceReport, ReversalPlan,
-                         apply_kraus_oracle, build_instrument, leakage_max,
-                         optimal_reversal, performance_report,
-                         standard_fidelity, success_probability, tradeoff_lhs)
+                         build_instrument, leakage_max, optimal_reversal,
+                         performance_report, standard_fidelity,
+                         success_probability, tradeoff_lhs)
 from .theorems import (Thm1Inputs, Thm2Bounds, g_of_t, saturating_spectrum,
                        solve_tr, thm1_outcome_success, thm1_total_success,
                        thm2_bounds)
@@ -31,7 +31,7 @@ __all__ = [
     "JointMeasurement", "bell_basis", "xx_deformed", "ejm", "zx_zz",
     "element_entanglement",
     "Instrument", "ReversalPlan", "PerformanceReport", "build_instrument",
-    "apply_kraus_oracle", "optimal_reversal", "success_probability",
+    "optimal_reversal", "success_probability",
     "leakage_max", "standard_fidelity", "tradeoff_lhs", "performance_report",
     "Thm1Inputs", "Thm2Bounds", "thm1_outcome_success", "thm1_total_success",
     "g_of_t", "solve_tr", "thm2_bounds", "saturating_spectrum",

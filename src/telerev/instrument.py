@@ -212,8 +212,9 @@ def spectrum(kraus: np.ndarray) -> ReversalPlan:
     LU inverse; raises DomainError if an operator with sigma_min at least
     SIGMA_FLOOR is singular to working precision."""
     kraus = as_matrix(kraus, batched=True)
-    if kraus.ndim < 3:
-        raise DimensionError(f"expected Kraus operators (..., n, d, d), got shape {kraus.shape}")
+    if kraus.ndim < 3 or kraus.shape[-1] == 0:
+        raise DimensionError(
+            f"expected Kraus operators (..., n, d, d) with d >= 1, got shape {kraus.shape}")
     d = kraus.shape[-1]
     if d == 2:
         return _qubit_spectrum(kraus)
@@ -243,33 +244,6 @@ def build_instrument(channel: BipartiteState, jm: JointMeasurement) -> Instrumen
     kraus, _ = kraus_stack(channel.coeff, np.asarray(jm.elements))
     return Instrument(d=channel.d, kraus=kraus,
                       provenance=f"{channel.label or 'channel'}+{jm.label}")
-
-
-def apply_kraus_oracle(channel: BipartiteState, jm: JointMeasurement,
-                       phi, r: int) -> np.ndarray:
-    """Unnormalized post-measurement state by direct tensor contraction.
-
-    Contracts <w_r| against |phi> tensor |Phi> with an explicit sum over all
-    d^3 index triples, deliberately avoiding the E^T W_r^dag identity.  Serves
-    as the independent oracle for :func:`build_instrument`.
-    """
-    if channel.d != jm.d:
-        raise DimensionError(
-            f"channel dimension {channel.d} != measurement dimension {jm.d}")
-    v = np.asarray(phi, dtype=np.complex128).ravel()
-    d = channel.d
-    if v.size != d:
-        raise DimensionError(f"input vector has length {v.size}, expected {d}")
-    e = channel.coeff
-    w = jm.elements[r]
-    out = np.zeros(d, dtype=np.complex128)
-    for j in range(d):
-        acc = 0.0 + 0.0j
-        for p in range(d):
-            for i in range(d):
-                acc += np.conj(w[p, i]) * v[p] * e[i, j]
-        out[j] = acc
-    return out
 
 
 def optimal_reversal(inst: Instrument) -> ReversalPlan:

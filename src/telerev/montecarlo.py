@@ -46,10 +46,7 @@ class RngSpec:
 
     def __post_init__(self):
         for name, value in (("seed", self.seed), ("stream", self.stream)):
-            try:
-                operator.index(value)
-            except TypeError:
-                raise DomainError(f"{name} {value!r} is not an integer") from None
+            check_integer(value, name)
             if not 0 <= value < _KEY_LIMIT:
                 raise DomainError(f"{name} {value} outside [0, 2^64)")
 
@@ -65,6 +62,15 @@ class McEstimate:
     mean: float
     std_error: float
     n: int
+
+
+def check_integer(value, name: str) -> None:
+    """Refuse a count or key that is not an integer (numpy integers pass), as
+    ``operator.index`` reads it, before numpy fails on it with a bare TypeError."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} {value!r} is not an integer") from None
 
 
 def _haar_batch(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -95,6 +101,7 @@ def _sample(d: int, n: int, rng: RngSpec, kernel, k: int = 1) -> np.ndarray:
     k arrays for one chunk's states, each written in place into its row.  The
     near-equal chunks replay the one-shot draw; none holds one sample unless
     n = 1, as a one-row matmul in the BLAS kernels rounds differently."""
+    check_integer(n, "sample count")
     if n < 1:
         raise DomainError(f"sample count must be >= 1, got {n}")
     check_budget(n)
@@ -114,14 +121,12 @@ def _estimate(samples: np.ndarray) -> McEstimate:
 
 
 def _success_gram(inst: Instrument, plan: ReversalPlan) -> np.ndarray:
-    """G = sum_r (R_r M_r)^dag (R_r M_r) over the recoverable outcomes, so a
-    state's success probability sum_r |R_r M_r phi|^2 is phi^dag G phi; real
-    arithmetic throughout, at every d."""
-    keep = ~np.asarray(plan.degenerate)
-    if not keep.any():
-        return np.zeros((inst.d, inst.d), dtype=np.complex128)
-    a = real_matmul(plan.reversers[keep], np.asarray(inst.kraus)[keep])
-    return reduce(np.add, real_matmul(a.conj().swapaxes(-1, -2), a))
+    """G = sum_r (R_r M_r)^dag (R_r M_r) over every outcome, added in order, so a state's
+    success probability sum_r |R_r M_r phi|^2 is phi^dag G phi; a degenerate outcome adds a
+    zeroed term, whatever its reverser holds.  Real arithmetic throughout, at every d."""
+    a = real_matmul(plan.reversers, np.asarray(inst.kraus))
+    terms = real_matmul(a.conj().swapaxes(-1, -2), a)
+    return reduce(np.add, np.where(np.asarray(plan.degenerate)[:, None, None], 0.0, terms))
 
 
 def _success(g: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -153,8 +158,8 @@ def estimate_performance(inst: Instrument, plan: ReversalPlan, n: int,
     is the success-weighted output fidelity; it is 1 up to rounding whenever
     the resources are pure.
     """
-    g, keep = _success_gram(inst, plan), ~np.asarray(plan.degenerate)
-    ops = (plan.reversers[keep] @ np.asarray(inst.kraus)[keep]).swapaxes(-1, -2)
+    g, zero = _success_gram(inst, plan), np.asarray(plan.degenerate)[:, None, None]
+    ops = np.where(zero, 0.0, plan.reversers @ np.asarray(inst.kraus)).swapaxes(-1, -2)
     succ, overlap = _sample(inst.d, n, rng, lambda phi: (_success(g, phi), _overlaps(phi, ops)), 2)
     f_cond = np.where(succ > 0.0, overlap / np.where(succ > 0.0, succ, 1.0), 1.0)
     return {"p_succ": _estimate(succ), "f_cond": _estimate(f_cond)}

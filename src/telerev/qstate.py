@@ -106,7 +106,7 @@ def schmidt_stack(phi, basis: str = "z") -> np.ndarray:
     """Coefficient stack of :func:`schmidt_channel` over an array of angles."""
     phi = _check_angles(phi, 0.0, math.pi / 4, "phi")
     c, s = np.cos(phi), np.sin(phi)
-    b = basis.lower()
+    b = str(basis).lower()  # None and other non-strings fall through to the refusal
     if b == "z":
         coeff = _pack(phi.size, c, 0.0, 0.0, s)
     elif b == "y":

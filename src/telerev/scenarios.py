@@ -23,7 +23,7 @@ from . import __version__
 from .errors import DomainError
 from .instrument import COMPLETENESS_TOL, Instrument, kraus_stack, spectrum
 from .jointmeas import ejm_stack, xx_deformed_stack, zx_zz_stack
-from .montecarlo import RngSpec, check_budget, estimate_success
+from .montecarlo import RngSpec, check_budget, check_integer, estimate_success
 from .qstate import _check_angles, ejm_channel_stack, max_entangled_stack, schmidt_stack
 from .theorems import solve_tr, thm1_success_stack
 
@@ -72,6 +72,7 @@ class GridSpec:
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
             raise DomainError(
                 f"grid bounds must be finite, got [{self.start!r}, {self.stop!r}]")
+        check_integer(self.steps, "grid steps")
         if self.steps < 2:
             raise DomainError(f"grid needs at least 2 steps, got {self.steps}")
         if self.stop < self.start:
@@ -151,8 +152,10 @@ def validate_scenario(sc: Scenario) -> None:
     entry = SCENARIOS.get(sc.name)
     if entry is None:
         raise DomainError(f"unknown scenario {sc.name!r}")
-    if sc.mc_samples is not None and sc.mc_samples < 1:
-        raise DomainError(f"--samples must be >= 1, got {sc.mc_samples}")
+    if sc.mc_samples is not None:
+        check_integer(sc.mc_samples, "--samples")
+        if sc.mc_samples < 1:
+            raise DomainError(f"--samples must be >= 1, got {sc.mc_samples}")
     if sc.grid2 is not None and not entry.takes_grid2:
         raise DomainError(f"{sc.name} takes no second grid")
     if sc.mc_samples and entry.measurement is None:

@@ -48,19 +48,16 @@ class Thm2Bounds:
     t_values: tuple[float, ...]
 
 
-def _unit_interval(value, name: str):
-    """Check a scalar, or a sequence at once naming its first bad index, against
-    [0, 1] (NaN fails); returns it clipped."""
-    if isinstance(value, (float, int, np.number)):
-        if not (-_RANGE_TOL <= value <= 1.0 + _RANGE_TOL):
-            raise DomainError(f"{name}={value!r} outside [0, 1]")
-        return min(max(float(value), 0.0), 1.0)
+def _in_range(value, name: str, lo=0, hi=1):
+    """``value`` as a float array (a scalar as a 0-d one) checked against [lo, hi] within
+    _RANGE_TOL, NaN failing, and clipped onto it; a refusal names the first bad entry as a
+    plain number, with its index in an array."""
     v = np.asarray(value, dtype=np.float64)
-    bad = ~((-_RANGE_TOL <= v) & (v <= 1.0 + _RANGE_TOL))
+    bad = ~((lo - _RANGE_TOL <= v) & (v <= hi + _RANGE_TOL))
     if bad.any():
         i = int(np.argmax(bad))
-        raise DomainError(f"{name}[{i}]={float(v.flat[i])!r} outside [0, 1]")
-    return np.clip(v, 0.0, 1.0)
+        raise DomainError(f"{name}{[i] if v.ndim else ''}={float(v.flat[i])} outside [{lo}, {hi}]")
+    return np.clip(v, lo, hi)
 
 
 def thm1_outcome_success(inp: Thm1Inputs) -> float:
@@ -73,13 +70,10 @@ def thm1_outcome_success(inp: Thm1Inputs) -> float:
     rewrites avoid catastrophic cancellation near alignment ties, where the
     naive expression loses seven digits.
     """
-    e_c = _unit_interval(inp.e_c, "e_c")
-    e_r = _unit_interval(inp.e_r, "e_r")
-    if inp.x_r is not None and not (-1.0 - _RANGE_TOL <= inp.x_r <= 1.0 + _RANGE_TOL):
-        raise DomainError(f"x_r={inp.x_r!r} outside [-1, 1]")
-    u = math.sqrt((1.0 - e_c) * (1.0 + e_c))
-    v = math.sqrt((1.0 - e_r) * (1.0 + e_r))
-    return float(_closed_form(e_c, e_r, u, v, 0.0 if inp.x_r is None else inp.x_r))
+    e_c, e_r = _in_range(inp.e_c, "e_c"), _in_range(inp.e_r, "e_r")
+    x = 0.0 if inp.x_r is None else _in_range(inp.x_r, "x_r", -1)
+    u, v = (math.sqrt((1.0 - e) * (1.0 + e)) for e in (e_c, e_r))
+    return float(_closed_form(e_c, e_r, u, v, x))
 
 
 def _closed_form(e_c, e_r, u, v, x):
@@ -135,14 +129,14 @@ def g_of_t(d: int, t: float) -> float:
 
 def solve_tr(d, e_r):
     """Unique t in [0, 1/d] with g(t) = (e_r/d)^d, to a relative 2e-14, over arrays
-    d and e_r at once (a float for scalar e_r).  With w = log(d t) and F(w) =
+    d and e_r at once (a float when both are 0-d).  With w = log(d t) and F(w) =
     w + (d-1) log1p((1 - e^w)/(d-1)) = d log e_r, Newton on sqrt(-d log e_r) -
     sqrt(-F) keeps a simple root as e_r -> 1, and bisection on [log(d t0), 0]
     guards it (t0 = (e_r/d)^d (d-1)^(d-1) <= t, as g(t) <= t/(d-1)^(d-1)).  A step
     s in w, relative in t, leaves an error near s^2/3: steps below 1e-7 end it."""
     if not np.all(np.asarray(d) >= 2):  # NaN fails too
         raise DomainError(f"dimension must be >= 2, got {np.min(d)}")
-    e_r = _unit_interval(e_r, "e_r")
+    e_r = _in_range(e_r, "e_r")
     e = np.atleast_1d(e_r)
     inner = (0.0 < e) & (e < 1.0)  # e = 0 and e = 1 are set at the end
     k, r2 = d - 1.0, -d * np.log(np.where(inner, e, 0.5))
@@ -165,7 +159,7 @@ def solve_tr(d, e_r):
         w = w - step
         w = np.where((lo <= w) & (w < hi), w, 0.5 * (lo + hi))
     t = np.where(inner, np.exp(w) / d, np.where(e == 1.0, 1.0 / d, 0.0))
-    return float(t[0]) if isinstance(e_r, float) and np.ndim(d) == 0 else t
+    return float(t[0]) if np.ndim(e_r) == 0 and np.ndim(d) == 0 else t
 
 
 def thm2_bounds(d: int, e_list) -> Thm2Bounds:
@@ -177,7 +171,7 @@ def thm2_bounds(d: int, e_list) -> Thm2Bounds:
     """
     if d < 2:
         raise DomainError(f"dimension must be >= 2, got {d}")
-    es = _unit_interval(e_list, "e_list")
+    es = _in_range(e_list, "e_list")
     if np.size(es) != d * d:
         raise DomainError(f"expected {d * d} entanglement values, got {np.size(es)}")
     ts = tuple(solve_tr(d, es).tolist())

@@ -3,8 +3,10 @@
 Each function restates, one matrix at a time, an invariant that the library
 computes on stacks: the Bloch geometry of a reduced operator (with a None
 direction where the radius is below ``qstate.DIR_FLOOR``), a basis
-orthonormality report, the Theorem 1 alignment of one outcome, the d = 3
-trigonometric root of Theorem 2 and a single Haar draw.  More keep an
+orthonormality report, the Theorem 1 alignment of one outcome, one
+outcome's post-measurement state by explicit tensor contraction
+(:func:`apply_kraus_oracle`, the independent check of M_r = E^T W_r^dag),
+the d = 3 trigonometric root of Theorem 2 and a single Haar draw.  More keep an
 earlier form of a library function whose output must not change: the real
 arithmetic complex product on the operands' own layout
 (:func:`real_matmul_reference`), one ``format`` call per output cell
@@ -30,7 +32,7 @@ from telerev.linalg import CMatrix, as_matrix, complex_from, svd
 from telerev.montecarlo import _haar_batch
 from telerev.qstate import DIR_FLOOR, NORM_TOL, BipartiteState, _radius, bloch_vectors
 from telerev.scenarios import COLUMNS
-from telerev.theorems import _alignment, _unit_interval
+from telerev.theorems import _alignment, _in_range
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
@@ -123,9 +125,36 @@ def alignment_x(channel: BipartiteState, jm: JointMeasurement, r: int) -> float 
     return float(x) if aligned else None
 
 
+def apply_kraus_oracle(channel: BipartiteState, jm: JointMeasurement,
+                       phi, r: int) -> np.ndarray:
+    """Unnormalized post-measurement state by direct tensor contraction.
+
+    Contracts <w_r| against |phi> tensor |Phi> with an explicit sum over all
+    d^3 index triples, deliberately avoiding the E^T W_r^dag identity.  Serves
+    as the independent oracle for :func:`build_instrument`.
+    """
+    if channel.d != jm.d:
+        raise DimensionError(
+            f"channel dimension {channel.d} != measurement dimension {jm.d}")
+    v = np.asarray(phi, dtype=np.complex128).ravel()
+    d = channel.d
+    if v.size != d:
+        raise DimensionError(f"input vector has length {v.size}, expected {d}")
+    e = channel.coeff
+    w = jm.elements[r]
+    out = np.zeros(d, dtype=np.complex128)
+    for j in range(d):
+        acc = 0.0 + 0.0j
+        for p in range(d):
+            for i in range(d):
+                acc += np.conj(w[p, i]) * v[p] * e[i, j]
+        out[j] = acc
+    return out
+
+
 def tr_closed_form_d3(e_r: float) -> float:
     """Closed-form root for d = 3 via the trigonometric cubic solution."""
-    e_r = _unit_interval(e_r, "e_r")
+    e_r = _in_range(e_r, "e_r")
     c = min(max(2.0 * e_r ** 3 - 1.0, -1.0), 1.0)
     return 2.0 / 3.0 + 2.0 / 3.0 * math.cos(math.acos(c) / 3.0 + 2.0 * math.pi / 3.0)
 

@@ -20,12 +20,11 @@ from telerev import (BipartiteState, RngSpec, Thm1Inputs, bell_basis,
                      thm1_outcome_success, thm1_total_success, thm2_bounds,
                      xx_deformed, zx_zz)
 from telerev.cli import main as cli_main
-from telerev.instrument import apply_kraus_oracle
 from telerev.jointmeas import ZX_ZZ_LIMIT, element_entanglement
 from telerev.theorems import random_basis
 
 from helpers import compare_csv_text, dev_up_to_phase, random_coeff, random_ket
-from oracles import reduced_bloch, tr_closed_form_d3
+from oracles import apply_kraus_oracle, reduced_bloch, tr_closed_form_d3
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 MC_N = 100_000

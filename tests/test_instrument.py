@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from telerev import (BipartiteState, DimensionError, DomainError, apply_kraus_oracle,
-                     bell_basis, build_instrument, ejm, leakage_max,
+from telerev import (BipartiteState, DimensionError, DomainError, bell_basis,
+                     build_instrument, ejm, leakage_max,
                      max_entangled, optimal_reversal, performance_report,
                      schmidt_channel, standard_fidelity, success_probability,
                      tradeoff_lhs, xx_deformed, zx_zz)
@@ -17,7 +17,7 @@ from telerev.qstate import schmidt_stack
 from telerev.theorems import random_basis
 
 from helpers import dev_up_to_phase, random_coeff, random_ket
-from oracles import PAULI_X, PAULI_Y, PAULI_Z
+from oracles import PAULI_X, PAULI_Y, PAULI_Z, apply_kraus_oracle
 
 KET0Y = np.array([1.0, 1.0j]) / math.sqrt(2)
 KET1Y = np.array([1.0, -1.0j]) / math.sqrt(2)

@@ -10,7 +10,7 @@ from telerev import (McEstimate, RngSpec, build_instrument, ejm,
                      schmidt_channel, standard_fidelity, xx_deformed,
                      bell_basis)
 from telerev.errors import DomainError
-from telerev.instrument import Instrument, kraus_stack, spectrum
+from telerev.instrument import Instrument, ReversalPlan, kraus_stack, spectrum
 from telerev.jointmeas import JointMeasurement, zx_zz_stack
 from telerev.linalg import polar_unitary, svd
 from telerev.montecarlo import (CHUNK, MC_BUDGET_BYTES, _haar_batch, _success,
@@ -455,3 +455,27 @@ def test_estimate_success_refuses_an_oversized_count_at_the_shared_budget():
     n = MC_BUDGET_BYTES // 24 + 1
     with pytest.raises(DomainError, match=f"over the {MC_BUDGET_BYTES} B budget"):
         estimate_success(inst, plan, n, RngSpec(1))
+
+
+def test_fractional_sample_counts_are_refused():
+    inst, plan = _elegant(0.0)
+    for call in (lambda: estimate_success(inst, plan, 2.5, RngSpec(1)),
+                 lambda: estimate_performance(inst, plan, 2.5, RngSpec(1)),
+                 lambda: estimate_leakage(inst, 2.5, RngSpec(1)),
+                 lambda: estimate_standard_fidelity(inst, 2.5, RngSpec(1))):
+        with pytest.raises(DomainError, match=r"^sample count 2\.5 is not an integer$"):
+            call()
+
+
+@pytest.mark.parametrize("n", [2000, CHUNK + 1])
+def test_degenerate_outcomes_add_zero_whatever_their_reversers_hold(n):
+    # a degenerate outcome's term is zeroed in the Gram sum and in the overlap
+    # kernel, so NaN reversers there give the estimates of the real plan
+    for k, (inst, plan) in enumerate((_half_degenerate(), _zz_row(0.0, 0.52))):
+        junk = plan.reversers.copy()
+        junk[plan.degenerate] = np.nan
+        nan_plan, spec = ReversalPlan(plan.sigmas, junk, plan.degenerate), RngSpec(97 + k, n)
+        assert plan.degenerate.any() and np.isnan(nan_plan.reversers).any()
+        assert estimate_success(inst, nan_plan, n, spec) == estimate_success(inst, plan, n, spec)
+        assert (estimate_performance(inst, nan_plan, n, spec)
+                == estimate_performance(inst, plan, n, spec)), inst.provenance

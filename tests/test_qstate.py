@@ -61,6 +61,11 @@ def test_schmidt_channel_rejects_out_of_range():
         schmidt_channel(0.1, "w")
 
 
+def test_schmidt_basis_that_is_not_a_string_is_named():
+    with pytest.raises(DomainError, match=r"^unknown basis None; expected 'z' or 'y'$"):
+        schmidt_channel(0.3, None)
+
+
 @settings(max_examples=80, deadline=None)
 @given(phi=st.floats(0.0, math.pi / 4))
 def test_schmidt_concurrence_is_sin_2phi(phi):

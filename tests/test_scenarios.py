@@ -182,6 +182,20 @@ def test_nonpositive_samples_refused_before_any_row(samples, tmp_path, monkeypat
     assert not (tmp_path / "out").exists()
 
 
+def test_fractional_samples_refused_before_any_row(tmp_path, monkeypatch):
+    _refuse_rows(monkeypatch)
+    sc = Scenario("ejm-scan", GridSpec(0.0, 1.0, 3), mc_samples=2.5)
+    with pytest.raises(DomainError, match=r"^--samples 2\.5 is not an integer$"):
+        scenarios.run(sc, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+def test_fractional_grid_steps_are_refused():
+    with pytest.raises(DomainError, match=r"^grid steps 2\.5 is not an integer$"):
+        GridSpec(0.0, 1.0, 2.5)
+    assert GridSpec(0.0, 1.0, np.int64(3)).values().tolist() == [0.0, 0.5, 1.0]
+
+
 def _refuse_rows(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a row was evaluated")

@@ -280,6 +280,11 @@ def test_single_matrix_without_outcome_axis_is_refused(d):
         spectrum(np.eye(d) * 0.5)
 
 
+def test_operators_of_dimension_zero_are_refused():
+    with pytest.raises(DimensionError, match=r"with d >= 1, got shape \(4, 0, 0\)"):
+        spectrum(np.zeros((4, 0, 0)))
+
+
 # The d = 2 closed form at its edges, against the LAPACK oracle (linalg.svd).
 PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]],
                   dtype=complex)

@@ -319,6 +319,16 @@ def test_solve_tr_stacks_over_dimensions_and_endpoints():
         solve_tr(3, -0.5)
 
 
+def test_a_refused_numpy_scalar_is_named_as_a_plain_number():
+    with pytest.raises(DomainError, match=re.escape("e_c=1.5 outside [0, 1]")):
+        thm1_outcome_success(Thm1Inputs(np.float64(1.5), 0.5, 0.0))
+    with pytest.raises(DomainError, match=re.escape("e_r=-0.5 outside [0, 1]")):
+        solve_tr(3, np.float64(-0.5))
+    with pytest.raises(DomainError, match=re.escape("x_r=-1.5 outside [-1, 1]")):
+        thm1_outcome_success(Thm1Inputs(0.5, 0.5, np.float64(-1.5)))
+    assert isinstance(solve_tr(np.int64(3), np.array(0.5)), float)
+
+
 @pytest.mark.parametrize("call, got", [
     (lambda: solve_tr(1, 0.5), "1"), (lambda: solve_tr(0, 0.5), "0"),
     (lambda: solve_tr(-3, [0.5, 0.2]), "-3"), (lambda: saturating_spectrum(1, 0.5), "1"),
@@ -447,7 +457,7 @@ def test_random_basis_is_orthonormal_and_complete():
 # Scalar references that live in tests/oracles.py and nowhere in the library.
 TEST_ONLY = ("PAULI_X", "PAULI_Y", "PAULI_Z", "BlochPoint", "_bloch_point", "channel_operator",
              "reduced_bloch", "channel_bloch", "BasisReport", "validate", "element_bloch",
-             "alignment_x", "tr_closed_form_d3", "haar_state")
+             "alignment_x", "tr_closed_form_d3", "haar_state", "apply_kraus_oracle")
 
 
 def test_public_names_resolve_and_test_oracles_stay_out_of_the_library():
