@@ -9,13 +9,12 @@ stream indices are independent.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_integer
 from .instrument import Instrument, ReversalPlan
 from .linalg import polar_unitary, real_matmul, svd
 
@@ -25,10 +24,11 @@ _KEY_LIMIT = 1 << 64
 # 2000).  The success kernel is elementwise, so its values do not depend on
 # where the chunks split; the overlap, leakage and fidelity kernels multiply
 # through BLAS, which rounds a one-row product differently (see _sample).
-# The per-sample arrays stay whole: estimate_performance holds succ, overlap
-# and f_cond, 24 B per sample; estimate_success, the scenario estimator,
-# holds succ alone, 8 B.  Every estimator refuses a count over
-# MC_BUDGET_BYTES / 24 (about 11.2 million), so one limit serves them all.
+# One float buffer, sized by the largest chunk, takes the normals of every
+# chunk of a call.  The per-sample arrays stay whole: estimate_performance
+# holds succ, overlap and f_cond, 24 B per sample; estimate_success, the
+# scenario estimator, holds succ alone, 8 B.  Every estimator refuses a count
+# over MC_BUDGET_BYTES / 24 (about 11.2 million), so one limit serves them all.
 CHUNK = 8192
 MC_BUDGET_BYTES = 1 << 28
 
@@ -64,23 +64,21 @@ class McEstimate:
     n: int
 
 
-def check_integer(value, name: str) -> None:
-    """Refuse a count or key that is not an integer (numpy integers pass), as
-    ``operator.index`` reads it, before numpy fails on it with a bare TypeError."""
-    try:
-        operator.index(value)
-    except TypeError:
-        raise DomainError(f"{name} {value!r} is not an integer") from None
-
-
-def _haar_batch(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    # Each sample takes its 2d normals in turn, so n draws of one state replay
-    # one draw of n on the same generator.
-    # Scaling the normals by 1/|v| gives the bits of dividing v by |v| + 0j,
-    # as numpy's complex division multiplies by the reciprocal, only faster.
-    z = rng.standard_normal((n, d, 2))
+def _haar_batch(d: int, n: int, rng: np.random.Generator, out=None) -> np.ndarray:
+    """n Haar states as the rows of a complex view of their normals, drawn into
+    ``out`` (an (n, d, 2) float buffer, which the states then view) or into a fresh
+    array.  Each sample takes its 2d normals in turn, so n draws of one state replay
+    one draw of n on the same generator.  |v|^2 comes from numpy's complex multiply,
+    in place on conj(v).  Scaling the normals by 1/|v| gives the bits of dividing v
+    by |v| + 0j, as numpy's complex division multiplies by the reciprocal, only
+    faster; the scale runs over one float column of n normals at a time."""
+    z = rng.standard_normal((n, d, 2), out=out)
     v = z.view(np.complex128)[..., 0]
-    z *= (1.0 / np.sqrt(_rowsum((v.conj() * v).real)))[:, None, None]
+    w = np.conjugate(v)
+    s = _rowsum(np.multiply(w, v, out=w).real)
+    np.divide(1.0, np.sqrt(s, out=s), out=s)
+    for col in z.reshape(n, 2 * d).T:
+        col *= s
     return v
 
 
@@ -100,16 +98,20 @@ def _sample(d: int, n: int, rng: RngSpec, kernel, k: int = 1) -> np.ndarray:
     """The (k, n) per-sample arrays over n Haar states: ``kernel(phi)`` returns
     k arrays for one chunk's states, each written in place into its row.  The
     near-equal chunks replay the one-shot draw; none holds one sample unless
-    n = 1, as a one-row matmul in the BLAS kernels rounds differently."""
+    n = 1, as a one-row matmul in the BLAS kernels rounds differently.  Every chunk
+    is drawn into one buffer, sized by the largest chunk (the first can be one
+    sample shorter), and a kernel's arrays, which may view phi, are copied out
+    before the next chunk is drawn."""
     check_integer(n, "sample count")
     if n < 1:
         raise DomainError(f"sample count must be >= 1, got {n}")
     check_budget(n)
     gen, parts = rng.generator(), max(n // CHUNK, 1)
     ends = [n * j // parts for j in range(parts + 1)]
-    out = np.zeros((k, n))
+    out, buf = np.zeros((k, n)), np.empty((-(-n // parts), d, 2))
     for lo, hi in zip(ends, ends[1:]):
-        for row, values in zip(out[:, lo:hi], kernel(_haar_batch(d, hi - lo, gen)), strict=True):
+        phi = _haar_batch(d, hi - lo, gen, buf[:hi - lo])
+        for row, values in zip(out[:, lo:hi], kernel(phi), strict=True):
             row[...] = values
     return out
 

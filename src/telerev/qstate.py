@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, DomainError, check_integer
 from .linalg import CMatrix, as_matrix
 
 NORM_TOL = 1e-10
@@ -90,6 +90,7 @@ def _pack(n: int, *entries) -> np.ndarray:
 
 def max_entangled_stack(d: int, rows: int) -> np.ndarray:
     """``rows`` copies of the coefficient matrix I/sqrt(d)."""
+    check_integer(d, "local dimension")
     if d < 2:
         raise DimensionError(f"local dimension must be >= 2, got {d}")
     one = (np.eye(d) / math.sqrt(d)).astype(np.complex128)

@@ -20,10 +20,10 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .errors import DomainError
+from .errors import DomainError, check_integer
 from .instrument import COMPLETENESS_TOL, Instrument, kraus_stack, spectrum
 from .jointmeas import ejm_stack, xx_deformed_stack, zx_zz_stack
-from .montecarlo import RngSpec, check_budget, check_integer, estimate_success
+from .montecarlo import RngSpec, check_budget, estimate_success
 from .qstate import _check_angles, ejm_channel_stack, max_entangled_stack, schmidt_stack
 from .theorems import solve_tr, thm1_success_stack
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, DomainError, check_integer
 from .jointmeas import JointMeasurement
 from .qstate import DIR_FLOOR, BipartiteState, _normalised, _radius, bloch_vectors, concurrences
 
@@ -169,6 +169,7 @@ def thm2_bounds(d: int, e_list) -> Thm2Bounds:
         d: local dimension, >= 2.
         e_list: the d^2 per-outcome G-concurrences of the measurement.
     """
+    check_integer(d, "dimension")
     if d < 2:
         raise DomainError(f"dimension must be >= 2, got {d}")
     es = _in_range(e_list, "e_list")
@@ -184,6 +185,7 @@ def saturating_spectrum(d: int, e_r: float) -> np.ndarray:
     The first d-1 values equal sqrt((1-t_r)/(d-1)) and the last equals
     sqrt(t_r); their squares sum to one.
     """
+    check_integer(d, "dimension")
     t = solve_tr(d, e_r)
     lam = np.full(d, math.sqrt((1.0 - t) / (d - 1)))
     lam[-1] = math.sqrt(t)
@@ -196,6 +198,7 @@ def random_basis(d: int, rng: np.random.Generator) -> JointMeasurement:
     The unitary mixes the computational product basis; column r, reshaped
     row-major to d x d, becomes the coefficient matrix W_r.
     """
+    check_integer(d, "dimension")
     n = d * d
     z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2)
     q, r = np.linalg.qr(z)

@@ -354,6 +354,23 @@ def test_chunked_draws_replay_the_one_shot_draw(d, n):
     assert np.max(np.abs(one_shot - ref)) <= 1e-15
 
 
+# Every chunk of a call is drawn into one buffer, sized by the largest chunk (the
+# first can be one sample shorter), and a kernel's arrays are copied out before the
+# next chunk is drawn, so a kernel may return a view of phi.  At 2 CHUNK + 1 and
+# 3 CHUNK - 1 the chunks differ in size.
+@pytest.mark.parametrize("d, n", [(2, CHUNK + 1), (3, 2 * CHUNK + 1), (8, 3 * CHUNK - 1)])
+def test_a_kernel_may_return_a_view_of_the_shared_draw_buffer(d, n):
+    from telerev.montecarlo import _estimate, _sample
+    out = _sample(d, n, RngSpec(seed=62), lambda phi: (phi.real[:, 0],))
+    one_shot = _haar_batch(d, n, RngSpec(seed=62).generator()).real[:, 0]
+    assert np.array_equal(out[0].view(np.uint64), one_shot.view(np.uint64))
+    got = _estimate(out[0])
+    ref = _ref_estimate(_ref_haar_batch(d, n, RngSpec(seed=62).generator()).real[:, 0])
+    if d <= 3:
+        assert (got.mean, got.std_error) == ref
+    assert np.max(np.abs(np.subtract((got.mean, got.std_error), ref))) <= 1e-15
+
+
 @pytest.mark.parametrize("n", [0, -5])
 def test_sample_counts_below_one_are_refused(n):
     inst, plan = _elegant(0.0)

@@ -10,7 +10,7 @@ from telerev import (BipartiteState, DimensionError, concurrence, ejm_channel,
 from telerev.errors import DomainError
 from telerev.jointmeas import ejm, ejm_stack, element_entanglement, xx_deformed
 from telerev.linalg import svd
-from telerev.qstate import NORM_TOL, ejm_channel_stack
+from telerev.qstate import NORM_TOL, ejm_channel_stack, max_entangled_stack
 from telerev.theorems import random_basis
 
 from helpers import random_coeff
@@ -280,3 +280,14 @@ def test_from_vector_round_trip():
     assert np.array_equal(state.coeff, coeff)
     with pytest.raises(DimensionError):
         BipartiteState.from_vector(np.ones(3) / math.sqrt(3))
+
+
+# A fractional dimension is refused by name, before numpy fails on it with a bare TypeError.
+def test_max_entangled_refuses_a_fractional_dimension():
+    with pytest.raises(DomainError, match=r"^local dimension 2\.5 is not an integer$"):
+        max_entangled(2.5)
+
+
+def test_max_entangled_stack_refuses_a_fractional_dimension():
+    with pytest.raises(DomainError, match=r"^local dimension 2\.5 is not an integer$"):
+        max_entangled_stack(2.5, 3)

@@ -469,3 +469,23 @@ def test_public_names_resolve_and_test_oracles_stay_out_of_the_library():
     modules = [telerev] + [importlib.import_module(f"telerev.{m.name}")
                            for m in pkgutil.iter_modules(telerev.__path__)]
     assert [(m.__name__, name) for m in modules for name in TEST_ONLY if hasattr(m, name)] == []
+
+
+# A fractional dimension, a float-typed whole one too, is refused by name, before
+# numpy fails on it with a bare TypeError or an entry count of d^2 = 6.25.
+def test_saturating_spectrum_refuses_a_fractional_dimension():
+    with pytest.raises(DomainError, match=r"^dimension 2\.5 is not an integer$"):
+        saturating_spectrum(2.5, 0.5)
+    with pytest.raises(DomainError, match=r"^dimension np\.float64\(3\.0\) is not an integer$"):
+        saturating_spectrum(np.float64(3.0), 0.5)
+    assert np.array_equal(saturating_spectrum(np.int64(3), 0.5), saturating_spectrum(3, 0.5))
+
+
+def test_thm2_bounds_refuses_a_fractional_dimension():
+    with pytest.raises(DomainError, match=r"^dimension 2\.5 is not an integer$"):
+        thm2_bounds(2.5, [0.5] * 6)
+
+
+def test_random_basis_refuses_a_fractional_dimension():
+    with pytest.raises(DomainError, match=r"^dimension 2\.5 is not an integer$"):
+        random_basis(2.5, np.random.default_rng(0))
