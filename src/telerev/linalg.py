@@ -1,11 +1,11 @@
 """Dense complex linear algebra for small matrices.
 
 The design envelope is local dimension d <= 8; everything is a plain
-complex128 numpy array and all functions are pure, so the module is safe to
-use from any number of threads.  :func:`svd` (with vectors, for the Monte
-Carlo leakage guess and :func:`polar_unitary`) and :func:`singular_values`
-(values only, for the d >= 3 spectrum) are the package's two SVD calls;
-both clamp sigma below :data:`SIGMA_FLOOR` in :func:`floor_sigmas`.  Both, like
+complex128 numpy array and all functions are pure.  :func:`svd` (with
+vectors, for the Monte Carlo leakage guess and :func:`polar_unitary`) and
+:func:`singular_values` (values only, for the d >= 3 spectrum) are the package's
+two SVD calls; both clamp sigma below :data:`SIGMA_FLOOR` in
+:func:`floor_sigmas`.  Both, like
 :func:`polar_unitary`, take a stack with the bits of separate calls.
 :func:`real_matmul` is a complex product whose bits do not depend on the
 CPU kernel, for the Monte Carlo success Gram matrix; the instrument's d = 2

@@ -29,6 +29,8 @@ _KEY_LIMIT = 1 << 64
 # holds succ, overlap and f_cond, 24 B per sample; estimate_success, the
 # scenario estimator, holds succ alone, 8 B.  Every estimator refuses a count
 # over MC_BUDGET_BYTES / 24 (about 11.2 million), so one limit serves them all.
+# The budget covers every row in flight at once: a scenario draws its rows on
+# several threads only while that many rows of 24 B per sample fit in it.
 CHUNK = 8192
 MC_BUDGET_BYTES = 1 << 28
 
@@ -117,9 +119,17 @@ def _sample(d: int, n: int, rng: RngSpec, kernel, k: int = 1) -> np.ndarray:
 
 
 def _estimate(samples: np.ndarray) -> McEstimate:
+    """Mean and standard error of a per-sample row, which is consumed: its deviations
+    from the mean are squared in place, in the operations and order of numpy's
+    ``np.mean`` and ``np.std(ddof=1)``, so the bits are theirs without an n-sized
+    temporary."""
     n = samples.size
-    se = float(np.std(samples, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return McEstimate(mean=float(np.mean(samples)), std_error=se, n=n)
+    mean, se = np.add.reduce(samples) / n, 0.0
+    if n > 1:
+        samples -= mean
+        np.multiply(samples, samples, out=samples)
+        se = float(np.sqrt(np.add.reduce(samples) / (n - 1)) / math.sqrt(n))
+    return McEstimate(mean=float(mean), std_error=se, n=n)
 
 
 def _success_gram(inst: Instrument, plan: ReversalPlan) -> np.ndarray:

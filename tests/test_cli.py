@@ -194,6 +194,7 @@ def test_scan_writes_data_and_manifest(tmp_path):
     assert all(v >= 0.0 for v in phases.values())
     assert phases["rows"] == manifest["wall_time_s"]
     assert phases["mc"] == 0.0
+    assert manifest["mc_threads"] is None
 
 
 def test_xx_scan_columns_match_closed_forms(tmp_path):
@@ -268,12 +269,24 @@ def test_mc_runs_are_deterministic(tmp_path):
 def test_mc_cells_present_with_samples(tmp_path):
     assert main(["--scenario", "ejm-scan", "--grid", "0:1.0:3", "--samples", "300",
                  "--seed", "5", "--out", str(tmp_path)]) == 0
-    phases = json.loads((tmp_path / "ejm-scan_manifest.json").read_text())["phase_times_s"]
+    manifest = json.loads((tmp_path / "ejm-scan_manifest.json").read_text())
+    phases = manifest["phase_times_s"]
     assert 0.0 < phases["mc"] <= phases["rows"]
+    assert manifest["mc_threads"] == 1  # 300 samples a row run serially
     for row in _rows(tmp_path / "ejm-scan.csv"):
         p_mc = float(row["P_succ_mc"])
         assert abs(p_mc - float(row["P_succ_svd"])) < 0.05
         assert float(row["P_succ_mc_stderr"]) >= 0.0
+
+
+def test_manifest_records_the_monte_carlo_threads(tmp_path, monkeypatch):
+    # rows of a full chunk share the CPUs this process may run on, one thread per row
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    argv = ["--scenario", "ejm-scan", "--samples", "8192", "--out", str(tmp_path)]
+    for grid, threads in (("0:1:2", 2), ("0:1:5", 4)):
+        assert main(argv + ["--grid", grid]) == 0
+        manifest = json.loads((tmp_path / "ejm-scan_manifest.json").read_text())
+        assert manifest["mc_threads"] == threads
 
 
 def test_config_file_presets_flags(tmp_path):

@@ -371,6 +371,25 @@ def test_a_kernel_may_return_a_view_of_the_shared_draw_buffer(d, n):
     assert np.max(np.abs(np.subtract((got.mean, got.std_error), ref))) <= 1e-15
 
 
+# _estimate squares the deviations in place on the row it is given, in the
+# operations and order of numpy's np.mean and np.std(ddof=1), so it keeps their bits
+# (one all-equal row has zero variance) and consumes the row.
+@pytest.mark.parametrize("n", [1, 2, 2000, CHUNK + 1, 100_000])
+@pytest.mark.parametrize("kind", ["uniform", "spread", "all-equal"])
+def test_estimate_in_place_is_np_mean_and_std_bit_for_bit(n, kind):
+    from telerev.montecarlo import _estimate
+    rng = np.random.default_rng(n)
+    samples = {"uniform": rng.random(n), "spread": 0.7 + 1e-17 * rng.standard_normal(n),
+               "all-equal": np.full(n, 0.25)}[kind]
+    want = _ref_estimate(samples)
+    got = _estimate(samples.copy())
+    assert np.array_equal(np.array([got.mean, got.std_error]).view(np.uint64),
+                          np.array(want).view(np.uint64))
+    assert got.n == n
+    if kind == "all-equal":
+        assert got.std_error == 0.0
+
+
 @pytest.mark.parametrize("n", [0, -5])
 def test_sample_counts_below_one_are_refused(n):
     inst, plan = _elegant(0.0)

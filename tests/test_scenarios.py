@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -18,10 +19,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from telerev import montecarlo, scenarios
+from telerev import cli, montecarlo, scenarios
 from telerev.errors import DomainError
 from telerev.instrument import Instrument, kraus_stack, spectrum
-from telerev.montecarlo import MC_BUDGET_BYTES, RngSpec, estimate_success
+from telerev.montecarlo import CHUNK, MC_BUDGET_BYTES, RngSpec, estimate_success
 from telerev.scenarios import (COLUMNS, SCENARIOS, GridSpec, Scenario, _cells,
                                _qubit_columns, validate_scenario)
 
@@ -239,6 +240,105 @@ def test_stream_base_past_the_last_key_refused_before_any_row(tmp_path, monkeypa
     with pytest.raises(DomainError, match=r"stream 18446744073709551616 outside \[0, 2\^64\)"):
         scenarios.run(sc, tmp_path / "out")
     assert not (tmp_path / "out").exists()
+
+
+def _per_row_cells(name: str, grid: GridSpec, n: int, rng: RngSpec):
+    """The MC cells of each row from its own estimate_success call, on stream base + k."""
+    entry, t = SCENARIOS[name], grid.values()
+    angle = np.full(t.size, entry.angle)
+    kraus, _ = kraus_stack(entry.channel(angle), entry.measurement(t))
+    spec = spectrum(kraus)
+    return [tuple(format(v, ".15g") for v in (e.mean, e.std_error)) for e in (
+        estimate_success(Instrument(2, kraus[k], "row"), spec.plan(k), n,
+                         RngSpec(rng.seed, rng.stream + k)) for k in range(t.size))]
+
+
+def _force_workers(monkeypatch, workers: int):
+    monkeypatch.setattr(scenarios, "_mc_workers", lambda n, rows: min(workers, rows))
+
+
+@pytest.mark.parametrize("name", ["ejm-scan", "xx-scan"])
+def test_threaded_monte_carlo_rows_are_the_serial_rows(name, tmp_path, monkeypatch):
+    # Rows are shared between threads, but each row keeps its own stream and slot.
+    sc = Scenario(name, GridSpec(0.0, 0.7, 5), mc_samples=2 * CHUNK + 1, rng=RngSpec(8, 3))
+    data = {}
+    for workers in (1, 2):
+        _force_workers(monkeypatch, workers)
+        result = scenarios.run(sc, tmp_path / str(workers))
+        assert json.loads(result.manifest_path.read_text())["mc_threads"] == workers
+        data[workers] = result.data_path.read_bytes()
+    assert data[1] == data[2]
+    assert _mc_cells(tmp_path / "2" / f"{name}.csv") == _per_row_cells(
+        name, sc.grid, sc.mc_samples, sc.rng)
+
+
+def test_more_threads_than_cpus_switching_often_keep_every_row(tmp_path, monkeypatch):
+    # A row taken twice or skipped would show as a cell out of place or a missing one.
+    sc = Scenario("ejm-scan", GridSpec(0.0, 1.0, 9), mc_samples=64, rng=RngSpec(5))
+    serial = scenarios.run(sc, tmp_path / "serial").data_path.read_bytes()
+    _force_workers(monkeypatch, 2 * os.cpu_count() + 2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = scenarios.run(sc, tmp_path / "threaded").data_path.read_bytes()
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+
+
+def test_an_error_on_a_helper_row_comes_out_of_run_and_the_cli(tmp_path, monkeypatch, capsys):
+    argv = ["--scenario", "ejm-scan", "--samples", "64", "--out", str(tmp_path)]
+    assert cli.main(argv + ["--grid", "0:1:3"]) == 0
+    real, helper_failed = estimate_success, threading.Event()
+
+    def failing(inst, plan, n, rng):
+        # the calling thread's row waits until a helper's row has failed
+        if threading.current_thread() is threading.main_thread():
+            assert helper_failed.wait(timeout=30)
+            return real(inst, plan, n, rng)
+        helper_failed.set()
+        raise DomainError("helper row failed")
+
+    monkeypatch.setattr(scenarios, "estimate_success", failing)
+    _force_workers(monkeypatch, 2)
+    threads = threading.active_count()
+    sc = Scenario("ejm-scan", GridSpec(0.0, 1.0, 5), mc_samples=64)
+    with pytest.raises(DomainError, match="^helper row failed$"):
+        scenarios.run(sc, tmp_path)
+    assert threading.active_count() == threads
+    helper_failed.clear()
+    assert cli.main(argv + ["--grid", "0:1:5"]) == 2
+    assert capsys.readouterr().err == "error: helper row failed\n"
+    assert threading.active_count() == threads
+    # the failed runs wrote nothing: the first run's data and manifest still agree
+    manifest = json.loads((tmp_path / "ejm-scan_manifest.json").read_text())
+    assert manifest["rows"] == len(_mc_cells(tmp_path / "ejm-scan.csv")) == 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ejm-scan.csv",
+                                                           "ejm-scan_manifest.json"]
+
+
+# The worker-count rule alone: no thread is started and no array allocated.
+@pytest.mark.parametrize("n, rows, cpus, workers", [
+    (MC_BUDGET_BYTES // 48 + 1, 10, 8, 1),            # two rows would overrun the budget
+    (MC_BUDGET_BYTES // 48, 10, 8, 2),                # exactly two rows fit
+    (scenarios._THREAD_MIN_SAMPLES - 1, 10, 8, 1),    # below the gate
+    (10 ** 5, 1, 8, 1),                               # a one-row block
+    (scenarios._THREAD_MIN_SAMPLES, 3, 8, 3),         # min(cpus, rows)
+    (10 ** 5, 100, 8, 8),
+    (10 ** 5, 100, 2, 2),
+    (10 ** 5, 100, 1, 1),
+])
+def test_monte_carlo_worker_count_rule(n, rows, cpus, workers, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    assert scenarios._mc_workers(n, rows) == workers
+
+
+@pytest.mark.parametrize("count, workers", [(4, 4), (None, 1)])
+def test_worker_count_without_an_affinity_call_uses_the_cpu_count(count, workers,
+                                                                 monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    assert scenarios._mc_workers(10 ** 5, 100) == workers
 
 
 # Cells that one text form must not hide: both signed zeros, NaNs of either
