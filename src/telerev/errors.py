@@ -15,10 +15,12 @@ class DomainError(TelerevError, ValueError):
     """A numeric argument lies outside its mathematical domain."""
 
 
-def check_integer(value, name: str) -> None:
-    """Refuse a count, key or dimension that is not an integer (numpy integers pass),
-    as ``operator.index`` reads it, before numpy fails on it with a bare TypeError."""
+def check_integer(value, name: str, low: int | None = None) -> None:
+    """Refuse a count, key or dimension below ``low`` or not an integer as ``operator.index``
+    reads it (numpy integers pass, bools do not), before numpy fails on it with a bare error."""
     try:
-        operator.index(value)
+        operator.index(None if isinstance(value, bool) else value)
     except TypeError:
         raise DomainError(f"{name} {value!r} is not an integer") from None
+    if low is not None and value < low:
+        raise DomainError(f"{name} must be >= {low}, got {value}")

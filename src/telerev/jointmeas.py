@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, check_integer
 from .linalg import CMatrix, as_matrix
 from .qstate import _check_angles, _ejm_elements, _normalised, _pack, concurrences
 
@@ -111,5 +111,9 @@ def zx_zz(t: float) -> JointMeasurement:
 
 
 def element_entanglement(jm: JointMeasurement, r: int) -> float:
-    """G-concurrence of element r (the concurrence for d=2), checked like a state."""
-    return float(jm._concurrences[r])
+    """G-concurrence of element r in [0, d^2) (the concurrence for d=2), checked like a state."""
+    values = jm._concurrences
+    check_integer(r, "outcome")
+    if not 0 <= r < values.size:
+        raise IndexError(f"outcome {r} outside [0, {values.size})")
+    return float(values[r])

@@ -14,7 +14,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import DomainError, check_integer
+from .errors import DimensionError, DomainError, check_integer
 from .instrument import Instrument, ReversalPlan
 from .linalg import polar_unitary, real_matmul, svd
 
@@ -24,13 +24,12 @@ _KEY_LIMIT = 1 << 64
 # 2000).  The success kernel is elementwise, so its values do not depend on
 # where the chunks split; the overlap, leakage and fidelity kernels multiply
 # through BLAS, which rounds a one-row product differently (see _sample).
-# One float buffer, sized by the largest chunk, takes the normals of every
-# chunk of a call.  The per-sample arrays stay whole: estimate_performance
-# holds succ, overlap and f_cond, 24 B per sample; estimate_success, the
-# scenario estimator, holds succ alone, 8 B.  Every estimator refuses a count
-# over MC_BUDGET_BYTES / 24 (about 11.2 million), so one limit serves them all.
-# The budget covers every row in flight at once: a scenario draws its rows on
-# several threads only while that many rows of 24 B per sample fit in it.
+# The per-sample arrays stay whole: estimate_performance holds succ, overlap
+# and f_cond, 24 B per sample; a success estimate, as a scenario row draws it,
+# holds succ alone, 8 B.  Every estimator refuses a count over
+# MC_BUDGET_BYTES / 24 (about 11.2 million), so one limit serves them all.
+# It also caps a scenario's rows in flight: as many rows at once, one per
+# thread, as fit in it at 24 B per sample.
 CHUNK = 8192
 MC_BUDGET_BYTES = 1 << 28
 
@@ -104,9 +103,7 @@ def _sample(d: int, n: int, rng: RngSpec, kernel, k: int = 1) -> np.ndarray:
     is drawn into one buffer, sized by the largest chunk (the first can be one
     sample shorter), and a kernel's arrays, which may view phi, are copied out
     before the next chunk is drawn."""
-    check_integer(n, "sample count")
-    if n < 1:
-        raise DomainError(f"sample count must be >= 1, got {n}")
+    check_integer(n, "sample count", 1)
     check_budget(n)
     gen, parts = rng.generator(), max(n // CHUNK, 1)
     ends = [n * j // parts for j in range(parts + 1)]
@@ -132,13 +129,17 @@ def _estimate(samples: np.ndarray) -> McEstimate:
     return McEstimate(mean=float(mean), std_error=se, n=n)
 
 
-def _success_gram(inst: Instrument, plan: ReversalPlan) -> np.ndarray:
-    """G = sum_r (R_r M_r)^dag (R_r M_r) over every outcome, added in order, so a state's
-    success probability sum_r |R_r M_r phi|^2 is phi^dag G phi; a degenerate outcome adds a
-    zeroed term, whatever its reverser holds.  Real arithmetic throughout, at every d."""
-    a = real_matmul(plan.reversers, np.asarray(inst.kraus))
+def _success_gram(kraus: np.ndarray, plan: ReversalPlan) -> np.ndarray:
+    """G = sum_r (R_r M_r)^dag (R_r M_r) of Kraus operators (..., n, d, d), the outcomes added
+    in order along axis -3, so a state's success probability sum_r |R_r M_r phi|^2 is
+    phi^dag G phi; a degenerate outcome adds a zeroed term, whatever its reverser holds.
+    Real arithmetic throughout, so row i of a stack's G is, bit for bit, that row's own."""
+    if plan.reversers.shape != kraus.shape:
+        raise DimensionError(f"plan shape {plan.reversers.shape} != Kraus shape {kraus.shape}")
+    a = real_matmul(plan.reversers, kraus)
     terms = real_matmul(a.conj().swapaxes(-1, -2), a)
-    return reduce(np.add, np.where(np.asarray(plan.degenerate)[:, None, None], 0.0, terms))
+    terms = np.where(np.asarray(plan.degenerate)[..., None, None], 0.0, terms)
+    return reduce(np.add, np.moveaxis(terms, -3, 0))
 
 
 def _success(g: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -170,8 +171,9 @@ def estimate_performance(inst: Instrument, plan: ReversalPlan, n: int,
     is the success-weighted output fidelity; it is 1 up to rounding whenever
     the resources are pure.
     """
-    g, zero = _success_gram(inst, plan), np.asarray(plan.degenerate)[:, None, None]
-    ops = np.where(zero, 0.0, plan.reversers @ np.asarray(inst.kraus)).swapaxes(-1, -2)
+    kraus = np.asarray(inst.kraus)
+    g, zero = _success_gram(kraus, plan), np.asarray(plan.degenerate)[:, None, None]
+    ops = np.where(zero, 0.0, plan.reversers @ kraus).swapaxes(-1, -2)
     succ, overlap = _sample(inst.d, n, rng, lambda phi: (_success(g, phi), _overlaps(phi, ops)), 2)
     f_cond = np.where(succ > 0.0, overlap / np.where(succ > 0.0, succ, 1.0), 1.0)
     return {"p_succ": _estimate(succ), "f_cond": _estimate(f_cond)}
@@ -181,8 +183,12 @@ def estimate_success(inst: Instrument, plan: ReversalPlan, n: int, rng: RngSpec)
     """Empirical success probability alone: equal, bit for bit, to
     ``estimate_performance(inst, plan, n, rng)["p_succ"]``, without the
     overlap and conditional-fidelity work."""
-    g = _success_gram(inst, plan)
-    return _estimate(_sample(inst.d, n, rng, lambda phi: (_success(g, phi),))[0])
+    return _success_estimate(_success_gram(np.asarray(inst.kraus), plan), n, rng)
+
+
+def _success_estimate(g: np.ndarray, n: int, rng: RngSpec) -> McEstimate:
+    """The success estimate of n Haar states from one instrument's Gram matrix G (d, d)."""
+    return _estimate(_sample(g.shape[-1], n, rng, lambda phi: (_success(g, phi),))[0])
 
 
 def estimate_leakage(inst: Instrument, n: int, rng: RngSpec) -> McEstimate:

@@ -91,6 +91,7 @@ def _pack(n: int, *entries) -> np.ndarray:
 def max_entangled_stack(d: int, rows: int) -> np.ndarray:
     """``rows`` copies of the coefficient matrix I/sqrt(d)."""
     check_integer(d, "local dimension")
+    check_integer(rows, "row count", 0)
     if d < 2:
         raise DimensionError(f"local dimension must be >= 2, got {d}")
     one = (np.eye(d) / math.sqrt(d)).astype(np.complex128)

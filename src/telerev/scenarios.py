@@ -22,9 +22,10 @@ import numpy as np
 
 from . import __version__
 from .errors import DomainError, check_integer
-from .instrument import COMPLETENESS_TOL, Instrument, kraus_stack, spectrum
+from .instrument import COMPLETENESS_TOL, kraus_stack, spectrum
 from .jointmeas import ejm_stack, xx_deformed_stack, zx_zz_stack
-from .montecarlo import CHUNK, MC_BUDGET_BYTES, RngSpec, check_budget, estimate_success
+from .montecarlo import (MC_BUDGET_BYTES, RngSpec, _success_estimate, _success_gram,
+                         check_budget)
 from .qstate import _check_angles, ejm_channel_stack, max_entangled_stack, schmidt_stack
 from .theorems import solve_tr, thm1_success_stack
 
@@ -61,13 +62,6 @@ BLOCK_ROWS = 1024
 MAX_ROWS = 80_000
 
 
-# Samples per Monte Carlo row from which a block's rows are shared between threads.
-# A short row is mostly Python overhead, which holds the GIL.  MC phase of a
-# 1001-row ejm-scan, serial -> 2 threads, medians of 7 runs on a 2-vCPU x86-64
-# host: 0.33 -> 0.34 s at n = 1024, 0.28 -> 0.26 s at 1500, 0.45 -> 0.33 s at 2048.
-_THREAD_MIN_SAMPLES = CHUNK // 4
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Inclusive linear grid with at least two steps."""
@@ -80,9 +74,7 @@ class GridSpec:
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
             raise DomainError(
                 f"grid bounds must be finite, got [{self.start!r}, {self.stop!r}]")
-        check_integer(self.steps, "grid steps")
-        if self.steps < 2:
-            raise DomainError(f"grid needs at least 2 steps, got {self.steps}")
+        check_integer(self.steps, "grid steps", 2)
         if self.stop < self.start:
             raise DomainError(f"grid stop {self.stop!r} below start {self.start!r}")
 
@@ -161,9 +153,7 @@ def validate_scenario(sc: Scenario) -> None:
     if entry is None:
         raise DomainError(f"unknown scenario {sc.name!r}")
     if sc.mc_samples is not None:
-        check_integer(sc.mc_samples, "--samples")
-        if sc.mc_samples < 1:
-            raise DomainError(f"--samples must be >= 1, got {sc.mc_samples}")
+        check_integer(sc.mc_samples, "--samples", 1)
     if sc.grid2 is not None and not entry.takes_grid2:
         raise DomainError(f"{sc.name} takes no second grid")
     if sc.mc_samples and entry.measurement is None:
@@ -192,8 +182,9 @@ def validate_scenario(sc: Scenario) -> None:
 
 def _qubit_block(sc: Scenario, lo: int, t: np.ndarray, x: np.ndarray) -> dict:
     """Columns of the grid rows lo, lo+1, ... from one stacked spectrum and one
-    stacked Theorem 1, plus each row's residuals; Monte Carlo row k draws
-    from its own stream sc.rng.stream + k, with that row's reversers from the block."""
+    stacked Theorem 1, plus each row's residuals.  With Monte Carlo, one stacked
+    success Gram matrix G serves the block, and row k only draws, from its own
+    stream sc.rng.stream + k, with its row of G."""
     entry = SCENARIOS[sc.name]
     coeffs, elements = entry.channel(x), entry.measurement(t)
     kraus, completeness = kraus_stack(coeffs, elements)
@@ -207,14 +198,10 @@ def _qubit_block(sc: Scenario, lo: int, t: np.ndarray, x: np.ndarray) -> dict:
     if sc.mc_samples:
         t0 = time.perf_counter()
         seed, base, n = sc.rng.seed, sc.rng.stream + lo, sc.mc_samples
-
-        def draw(i):
-            return estimate_success(Instrument(2, kraus[i], f"{sc.name}[{lo + i}]"),
-                                    spec.plan(i), n, RngSpec(seed, base + i))
-        workers = _mc_workers(n, len(kraus))
-        est = _in_threads(draw, len(kraus), workers)
-        cols["P_succ_mc"] = [e.mean for e in est]
-        cols["P_succ_mc_stderr"] = [e.std_error for e in est]
+        g, workers = _success_gram(kraus, spec), _mc_workers(n, len(kraus))
+        est = _in_threads(lambda i: _success_estimate(g[i], n, RngSpec(seed, base + i)),
+                          len(kraus), workers)
+        cols["P_succ_mc"], cols["P_succ_mc_stderr"] = zip(*[(e.mean, e.std_error) for e in est])
         cols["mc_s"], cols["mc_threads"] = [time.perf_counter() - t0], [workers]
     return cols
 
@@ -222,9 +209,7 @@ def _qubit_block(sc: Scenario, lo: int, t: np.ndarray, x: np.ndarray) -> dict:
 def _mc_workers(n: int, rows: int) -> int:
     """Threads that draw a block's Monte Carlo rows of n samples: one per CPU this
     process may run on, at most one per row, and only as many rows at once as fit in
-    MC_BUDGET_BYTES at 24 B per sample.  Rows below _THREAD_MIN_SAMPLES run serially."""
-    if n < _THREAD_MIN_SAMPLES:
-        return 1
+    MC_BUDGET_BYTES at 24 B per sample."""
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     return min(cpus, rows, MC_BUDGET_BYTES // (24 * n))
@@ -235,9 +220,9 @@ def _in_threads(draw: Callable, rows: int, workers: int) -> list:
     workers - 1 helper threads, each taking the next row index in turn and writing its
     result into that row's slot, so the list does not depend on the thread count.  A row
     draws from its own generator, whose normals release the GIL, and otherwise runs pure
-    functions (``linalg``'s among them) on arrays it owns or only reads, so rows are safe
-    to run at once.  The first error stops the others from taking rows, and is raised
-    once every helper is joined."""
+    functions on arrays it owns or only reads, so rows are safe to run at once.  The
+    first error stops the others from taking rows, and is raised once every helper is
+    joined."""
     out, errors, todo = [None] * rows, [], iter(range(rows))
     lock, stop = threading.Lock(), threading.Event()
 

@@ -124,6 +124,7 @@ def thm1_total_success(channel: BipartiteState, jm: JointMeasurement) -> float:
 
 def g_of_t(d: int, t: float) -> float:
     """g(t) = t ((1-t)/(d-1))^(d-1), strictly increasing on [0, 1/d]."""
+    check_integer(d, "dimension", 2)
     return t * ((1.0 - t) / (d - 1)) ** (d - 1)
 
 
@@ -169,12 +170,12 @@ def thm2_bounds(d: int, e_list) -> Thm2Bounds:
         d: local dimension, >= 2.
         e_list: the d^2 per-outcome G-concurrences of the measurement.
     """
-    check_integer(d, "dimension")
-    if d < 2:
-        raise DomainError(f"dimension must be >= 2, got {d}")
+    check_integer(d, "dimension", 2)
     es = _in_range(e_list, "e_list")
     if np.size(es) != d * d:
         raise DomainError(f"expected {d * d} entanglement values, got {np.size(es)}")
+    if es.ndim != 1:
+        raise DimensionError(f"e_list must be flat, got shape {es.shape}")
     ts = tuple(solve_tr(d, es).tolist())
     return Thm2Bounds(lower=sum(ts) / d, upper=sum(es.tolist()) / d ** 2, t_values=ts)
 
@@ -198,7 +199,7 @@ def random_basis(d: int, rng: np.random.Generator) -> JointMeasurement:
     The unitary mixes the computational product basis; column r, reshaped
     row-major to d x d, becomes the coefficient matrix W_r.
     """
-    check_integer(d, "dimension")
+    check_integer(d, "dimension", 2)
     n = d * d
     z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2)
     q, r = np.linalg.qr(z)

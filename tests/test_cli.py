@@ -266,13 +266,14 @@ def test_mc_runs_are_deterministic(tmp_path):
         (tmp_path / "b" / "xx-scan.csv").read_bytes()
 
 
-def test_mc_cells_present_with_samples(tmp_path):
+def test_mc_cells_present_with_samples(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     assert main(["--scenario", "ejm-scan", "--grid", "0:1.0:3", "--samples", "300",
                  "--seed", "5", "--out", str(tmp_path)]) == 0
     manifest = json.loads((tmp_path / "ejm-scan_manifest.json").read_text())
     phases = manifest["phase_times_s"]
     assert 0.0 < phases["mc"] <= phases["rows"]
-    assert manifest["mc_threads"] == 1  # 300 samples a row run serially
+    assert manifest["mc_threads"] == 2  # 3 rows of 300 samples on two CPUs
     for row in _rows(tmp_path / "ejm-scan.csv"):
         p_mc = float(row["P_succ_mc"])
         assert abs(p_mc - float(row["P_succ_svd"])) < 0.05

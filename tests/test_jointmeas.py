@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from telerev import bell_basis, ejm, element_entanglement, xx_deformed, zx_zz
 from telerev.errors import DomainError
 from telerev.jointmeas import ZX_ZZ_LIMIT, JointMeasurement
+from telerev.theorems import random_basis
 
 from helpers import dev_up_to_phase
 from oracles import element_bloch, validate
@@ -205,3 +206,18 @@ def test_element_entanglement_refuses_a_bad_element_at_any_index(d):
         error = DimensionError if message == "shape" else DomainError
         with pytest.raises(error, match=message):
             element_entanglement(broken, 0)
+
+
+# An outcome outside [0, d^2) is refused by name; -1 would read element d^2 - 1.
+@pytest.mark.parametrize("r", [9, -1, 4 * 4])
+def test_element_entanglement_refuses_an_outcome_out_of_range(r):
+    jm = random_basis(3, np.random.default_rng(5))
+    with pytest.raises(IndexError, match=rf"^outcome {r} outside \[0, 9\)$"):
+        element_entanglement(jm, r)
+    with pytest.raises(IndexError, match=rf"^outcome {r} outside \[0, 4\)$"):
+        element_entanglement(bell_basis(), r)
+
+
+def test_element_entanglement_refuses_a_fractional_outcome():
+    with pytest.raises(DomainError, match=r"^outcome 1\.5 is not an integer$"):
+        element_entanglement(bell_basis(), 1.5)

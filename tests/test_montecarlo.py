@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from telerev import (McEstimate, RngSpec, build_instrument, ejm,
                      leakage_max, max_entangled, optimal_reversal,
                      schmidt_channel, standard_fidelity, xx_deformed,
                      bell_basis)
-from telerev.errors import DomainError
+from telerev.errors import DimensionError, DomainError
 from telerev.instrument import Instrument, ReversalPlan, kraus_stack, spectrum
 from telerev.jointmeas import JointMeasurement, zx_zz_stack
 from telerev.linalg import polar_unitary, svd
@@ -470,7 +471,7 @@ def _direct_success(inst, plan, phi):
 def test_gram_success_matches_the_direct_sum_per_sample():
     for k, (inst, plan) in enumerate(_success_cases()):
         phi = _haar_batch(inst.d, 2000, RngSpec(seed=90 + k).generator())
-        gram = _success(_success_gram(inst, plan), phi)
+        gram = _success(_success_gram(np.asarray(inst.kraus), plan), phi)
         assert np.max(np.abs(gram - _direct_success(inst, plan, phi))) <= 1e-15, inst.provenance
 
 
@@ -515,3 +516,56 @@ def test_degenerate_outcomes_add_zero_whatever_their_reversers_hold(n):
         assert estimate_success(inst, nan_plan, n, spec) == estimate_success(inst, plan, n, spec)
         assert (estimate_performance(inst, nan_plan, n, spec)
                 == estimate_performance(inst, plan, n, spec)), inst.provenance
+
+
+def _random_stack(d, rows, seed):
+    """A (rows, d^2, d, d) stack of random operators, a third of them with a zero row,
+    so degenerate and recoverable outcomes share rows."""
+    gen = np.random.default_rng(seed)
+    kraus = gen.standard_normal((rows, d * d, d, d)) + 1j * gen.standard_normal((rows, d * d, d, d))
+    kraus[gen.random((rows, d * d)) < 1 / 3, 0] = 0.0
+    return kraus
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_stacked_success_gram_is_the_per_instrument_gram_row_for_row(d):
+    # a block's Gram stack adds each row's outcomes in order, so it holds that row's own bits
+    kraus = _random_stack(d, 6, 40 + d)
+    plan = spectrum(kraus)
+    assert plan.degenerate.any() and not plan.degenerate.all()
+    stacked = _success_gram(kraus, plan)
+    assert _same_bits(stacked, np.stack([_success_gram(kraus[i], plan.plan(i)) for i in range(6)]))
+    # the outcomes are axis -3 under any leading shape
+    grid = kraus.reshape(2, 3, d * d, d, d)
+    assert _same_bits(_success_gram(grid, spectrum(grid)), stacked.reshape(2, 3, d, d))
+
+
+def test_stacked_success_gram_keeps_the_half_degenerate_instrument_bits():
+    insts = [_half_degenerate()[0], _zz_row(0.0, 0.52)[0], _elegant(0.3)[0]]
+    kraus = np.stack([np.asarray(inst.kraus) for inst in insts])
+    stacked = _success_gram(kraus, spectrum(kraus))
+    for i, inst in enumerate(insts):
+        own = _success_gram(np.asarray(inst.kraus), optimal_reversal(inst))
+        assert _same_bits(stacked[i], own), inst.provenance
+
+
+def test_a_plan_of_another_shape_is_refused_by_name():
+    inst, plan = _elegant(0.0)[0], optimal_reversal(_qudit(3, 31))
+    message = re.escape("plan shape (9, 3, 3) != Kraus shape (4, 2, 2)")
+    for call in (lambda: estimate_success(inst, plan, 10, RngSpec(1)),
+                 lambda: estimate_performance(inst, plan, 10, RngSpec(1))):
+        with pytest.raises(DimensionError, match=message):
+            call()
+
+
+@pytest.mark.parametrize("value", [True, False, np.True_])
+def test_a_boolean_seed_or_stream_is_refused(value):
+    # operator.index reads True as 1, so RngSpec(True) would replay seed 1
+    with pytest.raises(DomainError, match=rf"^seed {re.escape(repr(value))} is not an integer$"):
+        RngSpec(value)
+    with pytest.raises(DomainError, match=rf"^stream {re.escape(repr(value))} is not an integer$"):
+        RngSpec(1, value)

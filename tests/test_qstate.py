@@ -291,3 +291,11 @@ def test_max_entangled_refuses_a_fractional_dimension():
 def test_max_entangled_stack_refuses_a_fractional_dimension():
     with pytest.raises(DomainError, match=r"^local dimension 2\.5 is not an integer$"):
         max_entangled_stack(2.5, 3)
+
+
+def test_max_entangled_stack_refuses_a_negative_row_count():
+    with pytest.raises(DomainError, match=r"^row count must be >= 0, got -1$"):
+        max_entangled_stack(2, -1)
+    with pytest.raises(DomainError, match=r"^row count True is not an integer$"):
+        max_entangled_stack(2, True)
+    assert max_entangled_stack(2, 0).shape == (0, 2, 2)

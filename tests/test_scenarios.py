@@ -9,6 +9,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -23,8 +24,8 @@ from telerev import cli, montecarlo, scenarios
 from telerev.errors import DomainError
 from telerev.instrument import Instrument, kraus_stack, spectrum
 from telerev.montecarlo import CHUNK, MC_BUDGET_BYTES, RngSpec, estimate_success
-from telerev.scenarios import (COLUMNS, SCENARIOS, GridSpec, Scenario, _cells,
-                               _qubit_columns, validate_scenario)
+from telerev.scenarios import (BLOCK_ROWS, COLUMNS, SCENARIOS, GridSpec, Scenario, _cells,
+                               _qubit_columns, _rows, validate_scenario)
 
 from oracles import cells_reference
 
@@ -191,6 +192,16 @@ def test_fractional_samples_refused_before_any_row(tmp_path, monkeypatch):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("samples", [True, np.True_])
+def test_boolean_samples_refused_before_any_row(samples, tmp_path, monkeypatch):
+    # operator.index reads True as 1; the row phase would then fail in np.zeros
+    _refuse_rows(monkeypatch)
+    sc = Scenario("ejm-scan", GridSpec(0.0, 1.0, 3), mc_samples=samples)
+    with pytest.raises(DomainError, match=rf"^--samples {re.escape(repr(samples))} is not an "):
+        scenarios.run(sc, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 def test_fractional_grid_steps_are_refused():
     with pytest.raises(DomainError, match=r"^grid steps 2\.5 is not an integer$"):
         GridSpec(0.0, 1.0, 2.5)
@@ -289,17 +300,17 @@ def test_more_threads_than_cpus_switching_often_keep_every_row(tmp_path, monkeyp
 def test_an_error_on_a_helper_row_comes_out_of_run_and_the_cli(tmp_path, monkeypatch, capsys):
     argv = ["--scenario", "ejm-scan", "--samples", "64", "--out", str(tmp_path)]
     assert cli.main(argv + ["--grid", "0:1:3"]) == 0
-    real, helper_failed = estimate_success, threading.Event()
+    real, helper_failed = montecarlo._success_estimate, threading.Event()
 
-    def failing(inst, plan, n, rng):
+    def failing(g, n, rng):
         # the calling thread's row waits until a helper's row has failed
         if threading.current_thread() is threading.main_thread():
             assert helper_failed.wait(timeout=30)
-            return real(inst, plan, n, rng)
+            return real(g, n, rng)
         helper_failed.set()
         raise DomainError("helper row failed")
 
-    monkeypatch.setattr(scenarios, "estimate_success", failing)
+    monkeypatch.setattr(scenarios, "_success_estimate", failing)
     _force_workers(monkeypatch, 2)
     threads = threading.active_count()
     sc = Scenario("ejm-scan", GridSpec(0.0, 1.0, 5), mc_samples=64)
@@ -317,13 +328,33 @@ def test_an_error_on_a_helper_row_comes_out_of_run_and_the_cli(tmp_path, monkeyp
                                                            "ejm-scan_manifest.json"]
 
 
+@pytest.mark.parametrize("name, grid, grid2, n", [
+    ("xx-scan", GridSpec(0.0, PI4, BLOCK_ROWS + 1), None, 16),
+    ("zz-scan", GridSpec(0.0, 1.3, 6), GridSpec(0.0, PI4, 5), 64)], ids=["xx-scan", "zz-scan"])
+def test_block_monte_carlo_cells_are_per_row_estimate_success_bit_for_bit(name, grid, grid2, n):
+    # one Gram stack per block; each row still draws from stream base + k
+    sc = Scenario(name, grid, grid2, mc_samples=n, rng=RngSpec(31, 4))
+    cols = _qubit_columns(sc)[0]
+    entry = SCENARIOS[name]
+    _, t, x = _rows(entry, grid.values(), None if grid2 is None else grid2.values())
+    kraus, _ = kraus_stack(entry.channel(x), entry.measurement(t))
+    spec = spectrum(kraus)
+    est = [estimate_success(Instrument(2, kraus[k], "row"), spec.plan(k), n, RngSpec(31, 4 + k))
+           for k in range(t.size)]
+    for column, field in (("P_succ_mc", "mean"), ("P_succ_mc_stderr", "std_error")):
+        want = np.array([getattr(e, field) for e in est])
+        assert np.array_equal(cols[column].view(np.uint64), want.view(np.uint64)), column
+    if name == "zz-scan":  # the phi = 0 channel leaves every outcome unrecoverable
+        assert np.count_nonzero(x == 0.0) == grid.steps
+        assert spec.degenerate[x == 0.0].all() and not np.any(cols["P_succ_mc"][x == 0.0])
+
+
 # The worker-count rule alone: no thread is started and no array allocated.
 @pytest.mark.parametrize("n, rows, cpus, workers", [
     (MC_BUDGET_BYTES // 48 + 1, 10, 8, 1),            # two rows would overrun the budget
     (MC_BUDGET_BYTES // 48, 10, 8, 2),                # exactly two rows fit
-    (scenarios._THREAD_MIN_SAMPLES - 1, 10, 8, 1),    # below the gate
     (10 ** 5, 1, 8, 1),                               # a one-row block
-    (scenarios._THREAD_MIN_SAMPLES, 3, 8, 3),         # min(cpus, rows)
+    (2048, 3, 8, 3),                                  # min(cpus, rows)
     (10 ** 5, 100, 8, 8),
     (10 ** 5, 100, 2, 2),
     (10 ** 5, 100, 1, 1),

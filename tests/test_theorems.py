@@ -489,3 +489,21 @@ def test_thm2_bounds_refuses_a_fractional_dimension():
 def test_random_basis_refuses_a_fractional_dimension():
     with pytest.raises(DomainError, match=r"^dimension 2\.5 is not an integer$"):
         random_basis(2.5, np.random.default_rng(0))
+
+
+# Dimensions below two are refused by name, before a division by d - 1 = 0 or an
+# empty "measurement".
+@pytest.mark.parametrize("d", [0, 1])
+def test_random_basis_refuses_dimensions_below_two(d):
+    with pytest.raises(DomainError, match=rf"^dimension must be >= 2, got {d}$"):
+        random_basis(d, np.random.default_rng(0))
+
+
+def test_g_of_t_refuses_dimensions_below_two():
+    with pytest.raises(DomainError, match=r"^dimension must be >= 2, got 1$"):
+        g_of_t(1, 0.5)
+
+
+def test_thm2_bounds_refuses_a_nested_list_of_the_right_size():
+    with pytest.raises(DimensionError, match=re.escape("e_list must be flat, got shape (2, 2)")):
+        thm2_bounds(2, [[0.5, 0.5], [0.5, 0.5]])
