@@ -4,7 +4,7 @@ closed-form laws with an independent SVD oracle, and figure-data scenarios."""
 
 __version__ = "0.1.0"
 
-from .errors import DimensionError, DomainError, TelerevError
+from .errors import DimensionError, DomainError, OutcomeError, TelerevError
 from .linalg import SvdResult, polar_unitary, svd
 from .qstate import (BipartiteState, concurrence, ejm_channel, g_concurrence,
                      max_entangled, schmidt_channel)
@@ -24,7 +24,7 @@ from .scenarios import COLUMNS, GridSpec, Scenario, run
 
 __all__ = [
     "__version__",
-    "TelerevError", "DimensionError", "DomainError",
+    "TelerevError", "DimensionError", "DomainError", "OutcomeError",
     "SvdResult", "svd", "polar_unitary",
     "BipartiteState", "max_entangled", "schmidt_channel", "ejm_channel",
     "concurrence", "g_concurrence",

@@ -8,6 +8,7 @@ environment variable, which overrides built-in defaults.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -45,6 +46,7 @@ def _read_config(path: str) -> dict[str, str]:
     return cfg
 
 
+@functools.cache  # one per process: scripts call main many times
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="telerev",

@@ -15,6 +15,10 @@ class DomainError(TelerevError, ValueError):
     """A numeric argument lies outside its mathematical domain."""
 
 
+class OutcomeError(TelerevError, IndexError):
+    """An outcome index lies outside a measurement's outcomes."""
+
+
 def check_integer(value, name: str, low: int | None = None) -> None:
     """Refuse a count, key or dimension below ``low`` or not an integer as ``operator.index``
     reads it (numpy integers pass, bools do not), before numpy fails on it with a bare error."""

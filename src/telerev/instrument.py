@@ -20,13 +20,14 @@ vector is formed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from .errors import DimensionError, DomainError
 from .jointmeas import JointMeasurement
-from .linalg import SIGMA_FLOOR, as_matrix, complex_from, floor_sigmas, singular_values
+from .linalg import (SIGMA_FLOOR, as_matrix, complex_from, floor_sigmas, fold,
+                     singular_values)
 from .qstate import BipartiteState
 
 COMPLETENESS_TOL = 1e-10
@@ -83,10 +84,12 @@ class ReversalPlan:
     @cached_property
     def _values(self) -> tuple[np.ndarray, ...]:
         s, d = self.sigmas, self.sigmas.shape[-1]
-        top, nuclear = s[..., 0], np.sum(s, axis=-1)
-        p_succ = np.sum(self.outcome_success, axis=-1)
-        leakage = (d + np.sum(top * top, axis=-1)) / (d * (d + 1))
-        f_ent = np.sum(nuclear * nuclear, axis=-1) / d ** 2  # polar-unitary correction
+        # d = 2 folds its 2 sigmas and 4 outcomes, to numpy's bits (see linalg.fold)
+        total = partial(fold, np.add) if d == 2 else partial(np.sum, axis=-1)
+        top, nuclear = s[..., 0], total(s)
+        p_succ = total(self.outcome_success)
+        leakage = (d + total(top * top)) / (d * (d + 1))
+        f_ent = total(nuclear * nuclear) / d ** 2  # polar-unitary correction
         tradeoff = d * (d + 1) * leakage + (d - 1) * p_succ
         return p_succ, leakage, (d * f_ent + 1.0) / (d + 1.0), tradeoff
 
@@ -101,6 +104,9 @@ class ReversalPlan:
         dev = _product(self.reversers, kraus)
         diag = np.einsum("...ii->...i", dev.real)  # a writeable view
         diag -= self.sigmas[..., -1, None]
+        if self.sigmas.shape[-1] == 2:  # the 2 x 2 entries, then the 4 outcomes, folded
+            dev = fold(np.maximum, fold(np.maximum, np.abs(dev)))
+            return fold(np.maximum, np.where(self.degenerate, 0.0, dev))
         dev = np.max(np.abs(dev), axis=(-2, -1))
         return np.max(np.where(self.degenerate, 0.0, dev), axis=-1)
 
@@ -122,8 +128,13 @@ def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     and returned as a (..., 2, 2) view (see the module docstring)."""
     if x.shape[-1] != 2:
         return x @ y
-    xs, ys = _entries(x), _entries(y)
-    out = np.empty((2, 2) + np.broadcast_shapes(x.shape[:-2], y.shape[:-2]), dtype=np.complex128)
+    shape = np.broadcast_shapes(x.shape, y.shape)
+    # an operand that broadcasts (a channel against its outcomes) is copied out to the
+    # common shape: read in place, its entries would split every operation below into
+    # inner loops as short as the axis it broadcasts along
+    xs, ys = (_entries(m if m.shape == shape else np.broadcast_to(m, shape).copy())
+              for m in (x, y))
+    out = np.empty((2, 2) + shape[:-2], dtype=np.complex128)
     for i in (0, 1):
         (pr, pi), (qr, qi) = xs[i]
         for j in (0, 1):  # x_i0 y_0j + x_i1 y_1j
@@ -215,6 +226,8 @@ def spectrum(kraus: np.ndarray) -> ReversalPlan:
     if kraus.ndim < 3 or kraus.shape[-1] == 0:
         raise DimensionError(
             f"expected Kraus operators (..., n, d, d) with d >= 1, got shape {kraus.shape}")
+    if kraus.shape[-3] == 0:
+        raise DimensionError(f"expected at least one Kraus operator, got shape {kraus.shape}")
     d = kraus.shape[-1]
     if d == 2:
         return _qubit_spectrum(kraus)

@@ -15,9 +15,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionError, check_integer
+from .errors import DimensionError, OutcomeError, check_integer
 from .linalg import CMatrix, as_matrix
-from .qstate import _check_angles, _ejm_elements, _normalised, _pack, concurrences
+from .qstate import (_check_angles, _ejm_elements, _normalised, _one_angle, _pack,
+                     concurrences)
 
 ZX_ZZ_LIMIT = math.sqrt(3) * math.pi / 4
 
@@ -55,7 +56,7 @@ def xx_deformed(t: float) -> JointMeasurement:
     The rotation angle is theta = pi/4 - t for t in [0, pi/4]; every element
     has concurrence cos(2t).  t = 0 is the ideal limit.
     """
-    return JointMeasurement(d=2, elements=tuple(xx_deformed_stack([t])[0]),
+    return JointMeasurement(d=2, elements=tuple(xx_deformed_stack([_one_angle(t, "t")])[0]),
                             label=f"xx_deformed(t={t:.6g})")
 
 
@@ -81,7 +82,7 @@ def ejm(t: float) -> JointMeasurement:
     Bloch vectors share the radius (sqrt(3)/2) cos t and point to the corners
     of a regular tetrahedron.  t = pi/2 is locally Bell-equivalent.
     """
-    return JointMeasurement(d=2, elements=tuple(ejm_stack([t])[0]),
+    return JointMeasurement(d=2, elements=tuple(ejm_stack([_one_angle(t, "t")])[0]),
                             label=f"ejm(t={t:.6g})")
 
 
@@ -106,7 +107,7 @@ def zx_zz(t: float) -> JointMeasurement:
     element concurrence is |sin 2R(t)|, which decreases monotonically from 1
     at t = 0 towards 0 at the (excluded) upper end of the range.
     """
-    return JointMeasurement(d=2, elements=tuple(zx_zz_stack([t])[0]),
+    return JointMeasurement(d=2, elements=tuple(zx_zz_stack([_one_angle(t, "t")])[0]),
                             label=f"zx_zz(t={t:.6g})")
 
 
@@ -115,5 +116,5 @@ def element_entanglement(jm: JointMeasurement, r: int) -> float:
     values = jm._concurrences
     check_integer(r, "outcome")
     if not 0 <= r < values.size:
-        raise IndexError(f"outcome {r} outside [0, {values.size})")
+        raise OutcomeError(f"outcome {r} outside [0, {values.size})")
     return float(values[r])

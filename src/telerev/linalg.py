@@ -9,12 +9,16 @@ two SVD calls; both clamp sigma below :data:`SIGMA_FLOOR` in
 :func:`polar_unitary`, take a stack with the bits of separate calls.
 :func:`real_matmul` is a complex product whose bits do not depend on the
 CPU kernel, for the Monte Carlo success Gram matrix; the instrument's d = 2
-products are written entry by entry in ``instrument._product``.
+products are written entry by entry in ``instrument._product``.  :func:`fold`
+reduces a short axis left to right in whole-array operations: the bits of
+numpy's own sum or max over an axis shorter than 8, without its per-row
+inner loops, for the qubit metrics, residuals, Theorem 1 and the Haar norms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -90,6 +94,16 @@ def real_matmul(a: CMatrix, b: CMatrix) -> CMatrix:
         tr, ti = xr * yr - xi * yi, xr * yi + xi * yr
         cr, ci = (tr, ti) if k == 0 else (cr + tr, ci + ti)
     return complex_from(cr, ci)
+
+
+def fold(op, a: np.ndarray, axis: int = -1) -> np.ndarray:
+    """``op`` over ``axis`` of ``a``, applied left to right between whole slices:
+    op(op(a_0, a_1), a_2) ...  Numpy adds an axis shorter than 8 in the same order,
+    so ``fold(np.add, a)`` has the bits of ``np.sum(a, axis=-1)`` there, and
+    ``fold(np.maximum, a)`` those of ``np.max`` on any axis; at 8 and above numpy's
+    pairwise sum adds in another order."""
+    tail = (slice(None),) * (a.ndim - 1 - axis % a.ndim)  # slices, cheaper than np.moveaxis
+    return reduce(op, (a[(..., k) + tail] for k in range(a.shape[axis])))
 
 
 def complex_from(re: np.ndarray, im: np.ndarray) -> CMatrix:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError, check_integer
 from .instrument import Instrument, ReversalPlan
-from .linalg import polar_unitary, real_matmul, svd
+from .linalg import fold, polar_unitary, real_matmul, svd
 
 _KEY_LIMIT = 1 << 64
 
@@ -76,17 +76,11 @@ def _haar_batch(d: int, n: int, rng: np.random.Generator, out=None) -> np.ndarra
     z = rng.standard_normal((n, d, 2), out=out)
     v = z.view(np.complex128)[..., 0]
     w = np.conjugate(v)
-    s = _rowsum(np.multiply(w, v, out=w).real)
+    s = fold(np.add, np.multiply(w, v, out=w).real)
     np.divide(1.0, np.sqrt(s, out=s), out=s)
     for col in z.reshape(n, 2 * d).T:
         col *= s
     return v
-
-
-def _rowsum(a: np.ndarray) -> np.ndarray:
-    """Sum over the d columns, added left to right as numpy adds them for d <= 3,
-    without numpy's reduction over a short axis, which is several times slower."""
-    return reduce(np.add, a.T)
 
 
 def check_budget(n: int) -> None:
@@ -139,7 +133,7 @@ def _success_gram(kraus: np.ndarray, plan: ReversalPlan) -> np.ndarray:
     a = real_matmul(plan.reversers, kraus)
     terms = real_matmul(a.conj().swapaxes(-1, -2), a)
     terms = np.where(np.asarray(plan.degenerate)[..., None, None], 0.0, terms)
-    return reduce(np.add, np.moveaxis(terms, -3, 0))
+    return fold(np.add, terms, -3)
 
 
 def _success(g: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -159,7 +153,7 @@ def _overlaps(phi: np.ndarray, ops: np.ndarray) -> np.ndarray:
     A_r^T, the outcomes added in order starting from zeros."""
     phic, out = phi.conj(), np.zeros(phi.shape[0])
     for op in ops:
-        out += np.abs(_rowsum(phic * (phi @ op))) ** 2
+        out += np.abs(fold(np.add, phic * (phi @ op))) ** 2
     return out
 
 
@@ -198,7 +192,7 @@ def estimate_leakage(inst: Instrument, n: int, rng: RngSpec) -> McEstimate:
     def kernel(phi):
         out = np.zeros(phi.shape[0])
         for mt, guess in zip(kt, guesses):
-            out += _rowsum(np.abs(phi @ mt) ** 2) * np.abs(phi @ guess) ** 2
+            out += fold(np.add, np.abs(phi @ mt) ** 2) * np.abs(phi @ guess) ** 2
         return (out,)
     return _estimate(_sample(inst.d, n, rng, kernel)[0])
 

@@ -69,6 +69,14 @@ def _check_angles(values, lo: float, hi: float, name: str,
     return np.minimum(np.maximum(v, lo), hi)
 
 
+def _one_angle(value, name: str):
+    """``value`` if it is one number: an array or a string would pass the range
+    check (a string is parsed) and fail only as a scalar factory's label is formatted."""
+    if isinstance(value, (str, bytes, list, tuple)) or np.ndim(value) != 0:
+        raise DomainError(f"{name} must be a single number, got {value!r}")
+    return value
+
+
 def _normalised(coeffs: np.ndarray) -> np.ndarray:
     """Check Tr(E^dag E) = 1 for a stack of coefficient matrices at once."""
     norms = np.real(np.einsum("nij,nij->n", coeffs.conj(), coeffs))
@@ -127,7 +135,7 @@ def schmidt_channel(phi: float, basis: str = "z") -> BipartiteState:
         basis: "z" for the computational basis, "y" for the same state written
             in the sigma_y eigenbasis |0_y>, |1_y>.
     """
-    return BipartiteState(d=2, coeff=schmidt_stack([phi], basis)[0],
+    return BipartiteState(d=2, coeff=schmidt_stack([_one_angle(phi, "phi")], basis)[0],
                           label=f"schmidt(phi={phi:.6g},{basis.lower()})")
 
 
@@ -151,7 +159,7 @@ def ejm_channel(s: float) -> BipartiteState:
     Its reduced Bloch direction is antiparallel to the measurement direction
     n_0 and its concurrence is sqrt(1 - (3/4) cos^2 s) for s in [0, pi/2].
     """
-    return BipartiteState(d=2, coeff=ejm_channel_stack([s])[0],
+    return BipartiteState(d=2, coeff=ejm_channel_stack([_one_angle(s, "s")])[0],
                           label=f"ejm_channel(s={s:.6g})")
 
 

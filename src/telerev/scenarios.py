@@ -1,9 +1,14 @@
 """Parameter-sweep scenarios emitting the figure data as CSV/JSON artifacts.
 
 Every scenario writes one data file with a fixed column schema (unused cells
-hold the literal ``NA``) plus a JSON run manifest.  Grid points are evaluated
-in grid order, in blocks of rows sharing one stacked spectrum (a closed form
-at d = 2), with a dedicated Monte Carlo stream per row, so output files are
+hold the literal ``NA``) plus a JSON run manifest.  A qubit scan is two axes
+and a row index: the measurement factory runs once on the primary grid, the
+channel factory once on the channel axis (the second grid, the fixed angle
+of a 1-D scan, or the grid itself on the s = t diagonal), and each side's
+Theorem 1 invariants are made once per axis value.  Grid points are then
+evaluated in grid order, in blocks of rows that gather their channel and
+measurement by index and share one stacked spectrum (a closed form at
+d = 2), with a dedicated Monte Carlo stream per row, so output files are
 deterministic for a fixed seed.
 """
 
@@ -26,8 +31,9 @@ from .instrument import COMPLETENESS_TOL, kraus_stack, spectrum
 from .jointmeas import ejm_stack, xx_deformed_stack, zx_zz_stack
 from .montecarlo import (MC_BUDGET_BYTES, RngSpec, _success_estimate, _success_gram,
                          check_budget)
-from .qstate import _check_angles, ejm_channel_stack, max_entangled_stack, schmidt_stack
-from .theorems import solve_tr, thm1_success_stack
+from .qstate import (_check_angles, _normalised, ejm_channel_stack, max_entangled_stack,
+                     schmidt_stack)
+from .theorems import _thm1_mixed, _thm1_side, solve_tr
 
 COLUMNS = [
     "param1", "param2", "E_c", "E_M", "F_standard", "F_mr",
@@ -135,13 +141,25 @@ SCENARIO_NAMES = tuple(SCENARIOS)
 DEFAULT_GRIDS = {name: (entry.grid, entry.grid2) for name, entry in SCENARIOS.items()}
 
 
+def _axes(entry: ScenarioSpec, t: np.ndarray, second: np.ndarray | None):
+    """Parameter columns of every row, in grid order with t outer; the channel-angle
+    axis; and each row's index of its t and of its channel angle.  The channel axis is
+    the second grid, else the fixed ``angle`` of a 1-D scan or, on the s = t diagonal,
+    t itself."""
+    if second is not None:
+        n = second.size
+        it, ix = np.repeat(np.arange(t.size), n), np.tile(np.arange(n), t.size)
+        return {"param1": t[it], "param2": second[ix]}, second, it, ix
+    rows = np.arange(t.size)
+    x, ix = (t, rows) if entry.angle is None else (np.full(1, entry.angle), np.zeros_like(rows))
+    return {"param1": t}, x, rows, ix
+
+
 def _rows(entry: ScenarioSpec, t: np.ndarray, second: np.ndarray | None):
     """Parameter columns, primary parameter and channel angle of every row,
     in grid order with t outer."""
-    if second is None:
-        return {"param1": t}, t, t if entry.angle is None else np.full(t.size, entry.angle)
-    t, x = np.repeat(t, second.size), np.tile(second, t.size)
-    return {"param1": t, "param2": x}, t, x
+    cols, x, _, ix = _axes(entry, t, second)
+    return cols, cols["param1"], x[ix]
 
 
 def validate_scenario(sc: Scenario) -> None:
@@ -180,17 +198,24 @@ def validate_scenario(sc: Scenario) -> None:
         raise DomainError(f"{sc.name}: {exc}") from exc
 
 
-def _qubit_block(sc: Scenario, lo: int, t: np.ndarray, x: np.ndarray) -> dict:
-    """Columns of the grid rows lo, lo+1, ... from one stacked spectrum and one
-    stacked Theorem 1, plus each row's residuals.  With Monte Carlo, one stacked
-    success Gram matrix G serves the block, and row k only draws, from its own
-    stream sc.rng.stream + k, with its row of G."""
-    entry = SCENARIOS[sc.name]
-    coeffs, elements = entry.channel(x), entry.measurement(t)
-    kraus, completeness = kraus_stack(coeffs, elements)
+def _qubit_block(sc: Scenario, lo: int, sides, it: np.ndarray, ix: np.ndarray) -> dict:
+    """Columns of the grid rows lo, lo+1, ..., row k pairing measurement it[k] with
+    channel ix[k] of ``sides``, each factory's stack on its axis with that side's
+    Theorem 1 invariants: one stacked spectrum and one stacked Theorem 1, plus each
+    row's residuals.  The rows are gathered by index and gated in the order of a stack
+    made per row: the instrument's completeness, its spectrum, then the elements'
+    normalisation.  The invariants are gathered last, for the closed form alone, once
+    the gathered elements are freed, so that the block's peak memory does not grow.
+    With Monte Carlo, one stacked success Gram matrix G serves the block, and row k
+    only draws, from its own stream sc.rng.stream + k, with its row of G."""
+    (coeffs, channel), (elements, element) = sides
+    elements = elements.take(it, axis=0)
+    kraus, completeness = kraus_stack(coeffs.take(ix, axis=0), elements)
     spec = spectrum(kraus)
-    e_c, e_m, closed = thm1_success_stack(coeffs, elements)
-    cols = {"E_c": e_c, "E_M": e_m[:, 0],
+    _normalised(elements.reshape(-1, 2, 2))
+    del elements
+    closed = _thm1_mixed(channel.take(ix, axis=1), element.take(it, axis=1))
+    cols = {"E_c": channel[0, :, 0].take(ix), "E_M": element[0, :, 0].take(it),
             "F_standard": spec.f_standard, "P_succ_closed": closed,
             "P_succ_svd": spec.p_succ, "L_max": spec.leakage,
             "tradeoff_lhs": spec.tradeoff, "completeness": completeness,
@@ -255,13 +280,21 @@ def _in_threads(draw: Callable, rows: int, workers: int) -> list:
 
 
 def _qubit_columns(sc: Scenario):
-    """Columns of a qubit scenario, BLOCK_ROWS grid rows (param1 outer) at a time."""
-    cols, t, x = _rows(SCENARIOS[sc.name], sc.grid.values(),
-                       None if sc.grid2 is None else sc.grid2.values())
-    blocks = [_qubit_block(sc, lo, t[lo:lo + BLOCK_ROWS], x[lo:lo + BLOCK_ROWS])
-              for lo in range(0, t.size, BLOCK_ROWS)]
+    """Columns of a qubit scenario, BLOCK_ROWS grid rows (param1 outer) at a time.  The
+    measurement factory runs once on the primary grid and the channel factory once on
+    the channel axis, and each side's Theorem 1 invariants once per axis value."""
+    entry = SCENARIOS[sc.name]
+    t, second = sc.grid.values(), None if sc.grid2 is None else sc.grid2.values()
+    cols, x, it, ix = _axes(entry, t, second)
+    coeffs, elements = entry.channel(x), entry.measurement(t)
+    # the channel's invariants repeated for each outcome, so that the closed form
+    # reads no broadcast axis (see instrument._product)
+    channel = np.repeat(_thm1_side(coeffs, coeffs)[..., None], elements.shape[1], axis=-1)
+    sides = (coeffs, channel), (elements, _thm1_side(elements, elements.swapaxes(-1, -2)))
+    blocks = [_qubit_block(sc, lo, sides, it[lo:lo + BLOCK_ROWS], ix[lo:lo + BLOCK_ROWS])
+              for lo in range(0, it.size, BLOCK_ROWS)]
     cols.update((k, np.concatenate([b[k] for b in blocks])) for k in blocks[0])
-    cols["F_mr"] = np.ones(t.size)
+    cols["F_mr"] = np.ones(it.size)
     return cols, float(np.max(cols.pop("completeness"))), float(np.max(cols.pop("reversal")))
 
 
@@ -279,12 +312,13 @@ def _cells(cols, n: int):
 
 def _column_text(values) -> list[str]:
     """``format(v, ".15g")`` of every value, made once per distinct float64
-    bit pattern and shared by the cells that hold it: keyed on bits, -0.0
-    still prints -0 and a NaN merges with nothing but its own bits."""
+    bit pattern, all in one ``%`` call, and shared by the cells that hold it:
+    keyed on bits, -0.0 still prints -0 and a NaN merges with nothing but its
+    own bits."""
     bits = np.asarray(values, dtype=np.float64).view(np.int64)
     keys, inverse = np.unique(bits, return_inverse=True)
-    text = np.array([format(v, ".15g") for v in keys.view(np.float64).tolist()], dtype=object)
-    return text[inverse].tolist()
+    text = ("%.15g\n" * keys.size % tuple(keys.view(np.float64).tolist())).split("\n")
+    return np.array(text, dtype=object)[inverse].tolist()
 
 
 def _write_atomic(path: Path, text: str) -> None:

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError, check_integer
 from .jointmeas import JointMeasurement
+from .linalg import fold
 from .qstate import DIR_FLOOR, BipartiteState, _normalised, _radius, bloch_vectors, concurrences
 
 __all__ = ["Thm1Inputs", "Thm2Bounds", "thm1_outcome_success", "thm1_success_stack",
@@ -93,26 +94,50 @@ def _closed_form(e_c, e_r, u, v, x):
 
 
 def _alignment(channels: np.ndarray, elements: np.ndarray):
-    """Bloch radii u, v, alignment x (0 where undefined) and the mask where x is defined."""
-    # B_r = W_r^dag W_r is the reduced operator conj(E) @ E.T of E = W_r^T
-    (xc, yc, zc), (xr, yr, zr) = bloch_vectors(channels), bloch_vectors(elements.swapaxes(-1, -2))
-    u, v = _radius(xc, yc, zc), _radius(xr, yr, zr)
+    """:func:`_aligned` of qubit channels and measurement elements."""
+    return _aligned(_thm1_side(channels, channels), _thm1_side(elements, elements.swapaxes(-1, -2)))
+
+
+def _thm1_side(states: np.ndarray, reduced: np.ndarray) -> np.ndarray:
+    """Theorem 1's invariants of one side, stacked on a new first axis: the concurrences
+    of ``states`` and the Bloch components x, y, z and radius of the reduced operators
+    conj(E) @ E.T of ``reduced`` (a channel's own E; W_r^T for element r, as
+    B_r = W_r^dag W_r is conj(W_r^T) @ W_r)."""
+    x, y, z = bloch_vectors(reduced)
+    return np.stack([concurrences(states), x, y, z, _radius(x, y, z)])
+
+
+def _aligned(channel: np.ndarray, element: np.ndarray):
+    """Bloch radii u, v, alignment x (0 where undefined) and the mask where x is defined,
+    from the :func:`_thm1_side` stacks of channels and elements."""
+    _, xc, yc, zc, u = channel
+    _, xr, yr, zr, v = element
     aligned = (u >= DIR_FLOOR) & (v >= DIR_FLOOR)
     x = np.divide(xc * xr + yc * yr + zc * zr, u * v, out=np.zeros(v.shape), where=aligned)
     return u, v, x, aligned
+
+
+def _thm1_mixed(channel: np.ndarray, element: np.ndarray) -> np.ndarray:
+    """Total success probabilities (...) from the :func:`_thm1_side` stacks of channels
+    (5, ..., 1) and of their measurements' elements (5, ..., n), or of both already
+    gathered to (5, ..., n): the alignment and closed form of every outcome, added in
+    outcome order."""
+    u, v, x, _ = _aligned(channel, element)
+    p = _closed_form(np.minimum(channel[0], 1.0), np.minimum(element[0], 1.0), u, v, x)
+    return fold(np.add, p)  # n = 4 outcomes: numpy's own order (see linalg.fold)
 
 
 def thm1_success_stack(coeffs: np.ndarray, elements: np.ndarray):
     """Theorem 1 over qubit channels (..., 2, 2) and measurements
     (..., n, 2, 2): channel concurrences (...), element concurrences
     (..., n) and total success probabilities (...), all from elementwise
-    2x2 invariants.  Raises DomainError if an element is not normalised."""
+    2x2 invariants: :func:`_thm1_side` of each side, then :func:`_thm1_mixed`.
+    Raises DomainError if an element is not normalised."""
     _normalised(elements.reshape(-1, 2, 2))
     channels = coeffs[..., None, :, :]  # broadcasts against the n elements of its row
-    e_c, e_r = concurrences(channels), concurrences(elements)
-    u, v, x, _ = _alignment(channels, elements)
-    p = _closed_form(np.minimum(e_c, 1.0), np.minimum(e_r, 1.0), u, v, x)
-    return e_c[..., 0], e_r, np.add.reduce(p, axis=-1)
+    channel = _thm1_side(channels, channels)
+    element = _thm1_side(elements, elements.swapaxes(-1, -2))
+    return channel[0, ..., 0], element[0], _thm1_mixed(channel, element)
 
 
 def thm1_total_success(channel: BipartiteState, jm: JointMeasurement) -> float:
@@ -154,7 +179,7 @@ def solve_tr(d, e_r):
         psi = s - rho
         lo, hi = np.where(psi <= 0.0, w, lo), np.where(psi <= 0.0, hi, w)
         step = psi * rho * (k + um) / (0.5 * d * um)
-        if np.abs(step).max() <= 1e-7:
+        if np.all(np.abs(step) <= 1e-7):  # NaN fails; no step at all ends an empty e_r
             w = np.minimum(np.maximum(w - step, lo), hi)
             break
         w = w - step

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -335,3 +337,27 @@ def test_golden_invocations_cover_all_scenarios():
     manifest = json.loads((GOLDEN_DIR / "invocations.json").read_text())
     from telerev.scenarios import SCENARIO_NAMES
     assert sorted(entry["name"] for entry in manifest) == sorted(SCENARIO_NAMES)
+
+
+def test_a_second_call_in_one_process_writes_what_a_fresh_process_writes(tmp_path):
+    # one parser serves every call in a process: flags the first call gave
+    # (a second grid, JSON) must not reach a call that omits them
+    assert main(["--scenario", "zz-scan", "--grid", "0:1:4", "--grid2", "0:0.5:3",
+                 "--format", "json", "--out", str(tmp_path / "first")]) == 0
+    second = ["--scenario", "zz-scan", "--grid", "0:1:5"]
+    assert main(second + ["--out", str(tmp_path / "again")]) == 0
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "telerev.cli", *second,
+                           "--out", str(tmp_path / "fresh")],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    again, fresh = tmp_path / "again", tmp_path / "fresh"
+    assert sorted(p.name for p in again.iterdir()) == ["zz-scan.csv", "zz-scan_manifest.json"]
+    assert (again / "zz-scan.csv").read_bytes() == (fresh / "zz-scan.csv").read_bytes()
+    manifests = [json.loads((d / "zz-scan_manifest.json").read_text()) for d in (again, fresh)]
+    for m in manifests:
+        for key in ("wall_time_s", "phase_times_s"):
+            m.pop(key)
+    assert manifests[0] == manifests[1]

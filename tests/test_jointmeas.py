@@ -1,4 +1,5 @@
 import math
+import re
 from itertools import combinations
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from telerev import bell_basis, ejm, element_entanglement, xx_deformed, zx_zz
-from telerev.errors import DomainError
+from telerev.errors import DomainError, TelerevError
 from telerev.jointmeas import ZX_ZZ_LIMIT, JointMeasurement
 from telerev.theorems import random_basis
 
@@ -216,6 +217,23 @@ def test_element_entanglement_refuses_an_outcome_out_of_range(r):
         element_entanglement(jm, r)
     with pytest.raises(IndexError, match=rf"^outcome {r} outside \[0, 4\)$"):
         element_entanglement(bell_basis(), r)
+
+
+@pytest.mark.parametrize("r", [4, -1])
+def test_an_outcome_out_of_range_is_a_telerev_error(r):
+    with pytest.raises(TelerevError, match=rf"^outcome {r} outside \[0, 4\)$"):
+        element_entanglement(bell_basis(), r)
+
+
+# One angle is due: an array or a string passed the range check and failed
+# with a bare TypeError or ValueError as the label was formatted.
+@pytest.mark.parametrize("factory, value", [(ejm, [0.1, 0.2]), (xx_deformed, [0.1]),
+                                            (zx_zz, np.array([0.1, 0.2])), (ejm, "0.1"),
+                                            (xx_deformed, [[0.1], [0.2, 0.3]])],
+                         ids=["ejm", "xx_deformed", "zx_zz", "ejm-string", "ragged"])
+def test_scalar_factories_refuse_more_than_one_angle(factory, value):
+    with pytest.raises(DomainError, match=re.escape(f"t must be a single number, got {value!r}")):
+        factory(value)
 
 
 def test_element_entanglement_refuses_a_fractional_outcome():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -105,6 +106,16 @@ def test_ejm_channel_rejects_out_of_range():
         ejm_channel(-0.2)
     with pytest.raises(DomainError):
         ejm_channel(math.pi / 2 + 0.1)
+
+
+# One angle is due: an array or a string passed the range check and failed
+# with a bare TypeError or ValueError as the label was formatted.
+@pytest.mark.parametrize("factory, name, value", [
+    (schmidt_channel, "phi", "0.1"), (schmidt_channel, "phi", np.array([0.1, 0.2])),
+    (ejm_channel, "s", [0.3])], ids=["schmidt_channel-string", "schmidt_channel", "ejm_channel"])
+def test_scalar_channel_factories_refuse_more_than_one_angle(factory, name, value):
+    with pytest.raises(DomainError, match=re.escape(f"{name} must be a single number, got {value!r}")):
+        factory(value)
 
 
 def test_concurrence_examples():

@@ -26,6 +26,7 @@ from telerev.instrument import Instrument, kraus_stack, spectrum
 from telerev.montecarlo import CHUNK, MC_BUDGET_BYTES, RngSpec, estimate_success
 from telerev.scenarios import (BLOCK_ROWS, COLUMNS, SCENARIOS, GridSpec, Scenario, _cells,
                                _qubit_columns, _rows, validate_scenario)
+from telerev.theorems import thm1_success_stack
 
 from oracles import cells_reference
 
@@ -105,6 +106,43 @@ def test_aligned_scan_without_second_grid_is_the_diagonal():
     on_diagonal = surface["param1"] == surface["param2"]
     for col in ("E_c", "E_M", "P_succ_closed", "P_succ_svd", "L_max", "F_standard"):
         assert np.array_equal(surface[col][on_diagonal], diagonal[col]), col
+
+
+# Unequal axes, so that pairing a row with the other axis's index reads the wrong
+# factory value or runs off its axis; the last 2-D case and the 1-D one span two blocks.
+PER_ROW_CASES = [
+    ("ejm-aligned-scan", GridSpec(0.0, PI2, 16), GridSpec(0.0, PI2, 17)),
+    ("xx-scan", GridSpec(0.0, PI4, 9), GridSpec(0.0, PI4, 11)),
+    ("zz-scan", GridSpec(0.0, 1.3, 13), GridSpec(0.0, PI4, 7)),
+    ("zz-scan", GridSpec(0.0, 1.3, 41), GridSpec(0.0, PI4, 29)),
+    ("xx-scan", GridSpec(0.0, PI4, BLOCK_ROWS + 3), None),
+    ("ejm-scan", GridSpec(0.0, PI2, 23), None),
+    ("ejm-aligned-scan", GridSpec(0.0, PI2, 31), None),
+]
+
+
+@pytest.mark.parametrize("name, grid, grid2", PER_ROW_CASES, ids=[
+    f"{c[0]}-{c[1].steps}x{c[2].steps}" if c[2] else f"{c[0]}-{c[1].steps}" for c in PER_ROW_CASES])
+def test_per_axis_columns_are_the_per_row_stacks_bit_for_bit(name, grid, grid2):
+    # the reference: factories, Kraus stack, spectrum and Theorem 1 on full-length
+    # rows, each row's channel and measurement made for that row
+    cols, completeness_max, reversal_max = _qubit_columns(Scenario(name, grid, grid2))
+    entry = SCENARIOS[name]
+    params, t, x = _rows(entry, grid.values(), None if grid2 is None else grid2.values())
+    coeffs, elements = entry.channel(x), entry.measurement(t)
+    kraus, completeness = kraus_stack(coeffs, elements)
+    spec = spectrum(kraus)
+    e_c, e_m, closed = thm1_success_stack(coeffs, elements)
+    want = dict(params, E_c=e_c, E_M=e_m[:, 0], F_standard=spec.f_standard, F_mr=np.ones(t.size),
+                P_succ_closed=closed, P_succ_svd=spec.p_succ, L_max=spec.leakage,
+                tradeoff_lhs=spec.tradeoff)
+    assert sorted(cols) == sorted(want)
+    for column, values in want.items():
+        got = np.ascontiguousarray(cols[column], dtype=np.float64)
+        assert np.array_equal(got.view(np.uint64),
+                              np.ascontiguousarray(values).view(np.uint64)), column
+    assert completeness_max == float(np.max(completeness))
+    assert reversal_max == float(np.max(spec.residual(kraus)))
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))

@@ -16,6 +16,7 @@ finds singular although its sigma_min clears the floor is refused.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -283,6 +284,12 @@ def test_single_matrix_without_outcome_axis_is_refused(d):
 def test_operators_of_dimension_zero_are_refused():
     with pytest.raises(DimensionError, match=r"with d >= 1, got shape \(4, 0, 0\)"):
         spectrum(np.zeros((4, 0, 0)))
+
+
+@pytest.mark.parametrize("shape", [(0, 2, 2), (5, 0, 3, 3)])
+def test_an_empty_outcome_axis_is_refused(shape):
+    with pytest.raises(DimensionError, match=re.escape(f"got shape {shape}")):
+        spectrum(np.zeros(shape))
 
 
 # The d = 2 closed form at its edges, against the LAPACK oracle (linalg.svd).

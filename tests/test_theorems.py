@@ -319,6 +319,12 @@ def test_solve_tr_stacks_over_dimensions_and_endpoints():
         solve_tr(3, -0.5)
 
 
+@pytest.mark.parametrize("d", [2, np.array(3.0)])
+def test_solve_tr_of_no_values_is_empty(d):
+    t = solve_tr(d, [])
+    assert isinstance(t, np.ndarray) and t.shape == (0,) and t.dtype == np.float64
+
+
 def test_a_refused_numpy_scalar_is_named_as_a_plain_number():
     with pytest.raises(DomainError, match=re.escape("e_c=1.5 outside [0, 1]")):
         thm1_outcome_success(Thm1Inputs(np.float64(1.5), 0.5, 0.0))
