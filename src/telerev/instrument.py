@@ -173,7 +173,14 @@ def _qubit_completeness(kraus: np.ndarray) -> np.ndarray:
 def kraus_stack(coeffs: np.ndarray, elements: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Kraus stack M_r = E^T W_r^dag (..., d^2, d, d) of channels (..., d, d)
     and measurements (..., d^2, d, d), with each one's completeness residual;
-    raises DomainError if any is incomplete."""
+    raises DimensionError if the elements are not (..., n, d, d) with n >= 1 and
+    the channels' d, and DomainError if any instrument is incomplete."""
+    if elements.ndim < 3 or elements.shape[-3] == 0 or elements.shape[-1] != elements.shape[-2]:
+        raise DimensionError(f"expected measurement elements (..., n, d, d) with n >= 1, "
+                             f"got shape {elements.shape}")
+    if elements.shape[-1] != coeffs.shape[-1]:
+        raise DimensionError(
+            f"element shape {elements.shape} does not match channel shape {coeffs.shape}")
     kraus = _product(coeffs.swapaxes(-1, -2)[..., None, :, :], elements.conj().swapaxes(-1, -2))
     residual = _completeness(kraus)
     worst = float(np.max(residual))
@@ -293,14 +300,23 @@ def tradeoff_lhs(inst: Instrument, plan: ReversalPlan) -> float:
     return performance_report(inst, plan).tradeoff_lhs
 
 
+def check_plan(plan: ReversalPlan, kraus: np.ndarray) -> ReversalPlan:
+    """``plan``, refused if it was made for Kraus operators of another shape than ``kraus``."""
+    if plan.reversers.shape != kraus.shape:
+        raise DimensionError(f"plan shape {plan.reversers.shape} != Kraus shape {kraus.shape}")
+    return plan
+
+
 def reversal_residual(inst: Instrument, plan: ReversalPlan) -> float:
     """Max-abs deviation of R_r M_r from sigma_min^r I over recoverable outcomes."""
-    return float(plan.residual(np.asarray(inst.kraus)))
+    kraus = np.asarray(inst.kraus)
+    return float(check_plan(plan, kraus).residual(kraus))
 
 
 def performance_report(inst: Instrument, plan: ReversalPlan | None = None) -> PerformanceReport:
-    """All scalar metrics of one instrument, read off its plan (made if not given)."""
-    plan = optimal_reversal(inst) if plan is None else plan
+    """All scalar metrics of one instrument, read off its plan (made if not given,
+    refused if made for another instrument's shape)."""
+    plan = optimal_reversal(inst) if plan is None else check_plan(plan, np.asarray(inst.kraus))
     return PerformanceReport(p_succ_max=float(plan.p_succ), f_tele_standard=float(plan.f_standard),
                              f_tele_mr=1.0, leakage_max=float(plan.leakage),
                              tradeoff_lhs=float(plan.tradeoff))

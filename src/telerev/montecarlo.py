@@ -14,8 +14,8 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, check_integer
-from .instrument import Instrument, ReversalPlan
+from .errors import DomainError, check_integer
+from .instrument import Instrument, ReversalPlan, check_plan
 from .linalg import fold, polar_unitary, real_matmul, svd
 
 _KEY_LIMIT = 1 << 64
@@ -29,7 +29,7 @@ _KEY_LIMIT = 1 << 64
 # holds succ alone, 8 B.  Every estimator refuses a count over
 # MC_BUDGET_BYTES / 24 (about 11.2 million), so one limit serves them all.
 # It also caps a scenario's rows in flight: as many rows at once, one per
-# thread, as fit in it at 24 B per sample.
+# thread, as fit in it at 24 B per sample (rows_in_budget).
 CHUNK = 8192
 MC_BUDGET_BYTES = 1 << 28
 
@@ -83,9 +83,14 @@ def _haar_batch(d: int, n: int, rng: np.random.Generator, out=None) -> np.ndarra
     return v
 
 
+def rows_in_budget(n: int) -> int:
+    """How many rows of n >= 1 samples, at 24 B per sample, fit in MC_BUDGET_BYTES at once."""
+    return MC_BUDGET_BYTES // (24 * n)
+
+
 def check_budget(n: int) -> None:
     """Refuse a sample count whose per-sample arrays would exceed MC_BUDGET_BYTES."""
-    if 24 * n > MC_BUDGET_BYTES:
+    if rows_in_budget(n) < 1:
         raise DomainError(f"{n} samples need {24 * n} B, over the {MC_BUDGET_BYTES} B budget")
 
 
@@ -128,8 +133,7 @@ def _success_gram(kraus: np.ndarray, plan: ReversalPlan) -> np.ndarray:
     in order along axis -3, so a state's success probability sum_r |R_r M_r phi|^2 is
     phi^dag G phi; a degenerate outcome adds a zeroed term, whatever its reverser holds.
     Real arithmetic throughout, so row i of a stack's G is, bit for bit, that row's own."""
-    if plan.reversers.shape != kraus.shape:
-        raise DimensionError(f"plan shape {plan.reversers.shape} != Kraus shape {kraus.shape}")
+    check_plan(plan, kraus)
     a = real_matmul(plan.reversers, kraus)
     terms = real_matmul(a.conj().swapaxes(-1, -2), a)
     terms = np.where(np.asarray(plan.degenerate)[..., None, None], 0.0, terms)

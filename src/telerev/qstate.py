@@ -93,7 +93,7 @@ def _pack(n: int, *entries) -> np.ndarray:
     out = np.empty((n, len(entries)), dtype=np.complex128)
     for k, x in enumerate(entries):
         out[:, k] = x
-    return out.reshape(n, -1, 2, 2) if len(entries) > 4 else out.reshape(n, 2, 2)
+    return out.reshape((n, len(entries) // 4, 2, 2) if len(entries) > 4 else (n, 2, 2))
 
 
 def max_entangled_stack(d: int, rows: int) -> np.ndarray:

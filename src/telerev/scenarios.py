@@ -29,8 +29,7 @@ from . import __version__
 from .errors import DomainError, check_integer
 from .instrument import COMPLETENESS_TOL, kraus_stack, spectrum
 from .jointmeas import ejm_stack, xx_deformed_stack, zx_zz_stack
-from .montecarlo import (MC_BUDGET_BYTES, RngSpec, _success_estimate, _success_gram,
-                         check_budget)
+from .montecarlo import RngSpec, _success_estimate, _success_gram, check_budget, rows_in_budget
 from .qstate import (_check_angles, _normalised, ejm_channel_stack, max_entangled_stack,
                      schmidt_stack)
 from .theorems import _thm1_mixed, _thm1_side, solve_tr
@@ -137,7 +136,6 @@ SCENARIOS: dict[str, ScenarioSpec] = {
     "tradeoff-scan": _EJM,
     "thm2-bounds": ScenarioSpec(GridSpec(0.0, 1.0, 51), GridSpec(3.0, 4.0, 2)),
 }
-SCENARIO_NAMES = tuple(SCENARIOS)
 DEFAULT_GRIDS = {name: (entry.grid, entry.grid2) for name, entry in SCENARIOS.items()}
 
 
@@ -155,18 +153,11 @@ def _axes(entry: ScenarioSpec, t: np.ndarray, second: np.ndarray | None):
     return {"param1": t}, x, rows, ix
 
 
-def _rows(entry: ScenarioSpec, t: np.ndarray, second: np.ndarray | None):
-    """Parameter columns, primary parameter and channel angle of every row,
-    in grid order with t outer."""
-    cols, x, _, ix = _axes(entry, t, second)
-    return cols, cols["param1"], x[ix]
-
-
 def validate_scenario(sc: Scenario) -> None:
     """Check the scenario name, sample count and grids, before anything the size of a grid
     is allocated: the row count against MAX_ROWS and, with Monte Carlo, the sample budget
-    and the last row's stream; the qubit factories check their domains on the grid
-    corners; thm2-bounds checks e and the dimensions."""
+    and the last row's stream; the qubit factories check their domains on the ends of
+    their axes; thm2-bounds checks e and the dimensions."""
     entry = SCENARIOS.get(sc.name)
     if entry is None:
         raise DomainError(f"unknown scenario {sc.name!r}")
@@ -185,9 +176,8 @@ def validate_scenario(sc: Scenario) -> None:
     ends = [None if g is None else np.array([g.start, g.stop]) for g in (sc.grid, sc.grid2)]
     try:
         if entry.measurement is not None:
-            _, t, x = _rows(entry, *ends)
-            entry.channel(x)
-            entry.measurement(t)
+            entry.channel(_axes(entry, *ends)[1])
+            entry.measurement(ends[0])
         else:
             _check_angles(ends[0], 0.0, 1.0, "e")
             for v in [] if sc.grid2 is None else sc.grid2.values():
@@ -234,10 +224,10 @@ def _qubit_block(sc: Scenario, lo: int, sides, it: np.ndarray, ix: np.ndarray) -
 def _mc_workers(n: int, rows: int) -> int:
     """Threads that draw a block's Monte Carlo rows of n samples: one per CPU this
     process may run on, at most one per row, and only as many rows at once as fit in
-    MC_BUDGET_BYTES at 24 B per sample."""
+    the sample budget (montecarlo.rows_in_budget)."""
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    return min(cpus, rows, MC_BUDGET_BYTES // (24 * n))
+    return min(cpus, rows, rows_in_budget(n))
 
 
 def _in_threads(draw: Callable, rows: int, workers: int) -> list:
@@ -299,7 +289,8 @@ def _qubit_columns(sc: Scenario):
 
 
 def _thm2_columns(sc: Scenario):
-    cols, e, d = _rows(SCENARIOS[sc.name], sc.grid.values(), np.round(sc.grid2.values()))
+    cols, dims, _, ix = _axes(SCENARIOS[sc.name], sc.grid.values(), np.round(sc.grid2.values()))
+    e, d = cols["param1"], dims[ix]
     cols.update(E_c=np.ones(e.size), E_M=e, thm2_lower=d * solve_tr(d, e), thm2_upper=e)
     return cols, 0.0, 0.0
 

@@ -20,9 +20,8 @@ from .jointmeas import JointMeasurement
 from .linalg import fold
 from .qstate import DIR_FLOOR, BipartiteState, _normalised, _radius, bloch_vectors, concurrences
 
-__all__ = ["Thm1Inputs", "Thm2Bounds", "thm1_outcome_success", "thm1_success_stack",
-           "thm1_total_success", "g_of_t", "solve_tr", "thm2_bounds",
-           "saturating_spectrum", "random_basis"]
+__all__ = ["Thm1Inputs", "Thm2Bounds", "thm1_outcome_success", "thm1_total_success",
+           "g_of_t", "solve_tr", "thm2_bounds", "saturating_spectrum", "random_basis"]
 
 _RANGE_TOL = 1e-9
 
@@ -93,11 +92,6 @@ def _closed_form(e_c, e_r, u, v, x):
     return np.divide(b * b, den, out=np.zeros(np.broadcast(b, den).shape), where=den > 0.0)
 
 
-def _alignment(channels: np.ndarray, elements: np.ndarray):
-    """:func:`_aligned` of qubit channels and measurement elements."""
-    return _aligned(_thm1_side(channels, channels), _thm1_side(elements, elements.swapaxes(-1, -2)))
-
-
 def _thm1_side(states: np.ndarray, reduced: np.ndarray) -> np.ndarray:
     """Theorem 1's invariants of one side, stacked on a new first axis: the concurrences
     of ``states`` and the Bloch components x, y, z and radius of the reduced operators
@@ -127,24 +121,16 @@ def _thm1_mixed(channel: np.ndarray, element: np.ndarray) -> np.ndarray:
     return fold(np.add, p)  # n = 4 outcomes: numpy's own order (see linalg.fold)
 
 
-def thm1_success_stack(coeffs: np.ndarray, elements: np.ndarray):
-    """Theorem 1 over qubit channels (..., 2, 2) and measurements
-    (..., n, 2, 2): channel concurrences (...), element concurrences
-    (..., n) and total success probabilities (...), all from elementwise
-    2x2 invariants: :func:`_thm1_side` of each side, then :func:`_thm1_mixed`.
-    Raises DomainError if an element is not normalised."""
-    _normalised(elements.reshape(-1, 2, 2))
-    channels = coeffs[..., None, :, :]  # broadcasts against the n elements of its row
-    channel = _thm1_side(channels, channels)
-    element = _thm1_side(elements, elements.swapaxes(-1, -2))
-    return channel[0, ..., 0], element[0], _thm1_mixed(channel, element)
-
-
 def thm1_total_success(channel: BipartiteState, jm: JointMeasurement) -> float:
-    """Closed-form total success probability summed over the four outcomes."""
+    """Closed-form total success probability summed over the four outcomes: :func:`_thm1_side`
+    of each side, then :func:`_thm1_mixed`; raises DomainError if an element is not normalised."""
     if channel.d != 2 or jm.d != 2:
         raise DimensionError("the closed form is defined for qubits only")
-    return float(thm1_success_stack(channel.coeff, np.asarray(jm.elements))[2])
+    elements = np.asarray(jm.elements)
+    _normalised(elements.reshape(-1, 2, 2))
+    channels = channel.coeff[None]  # broadcasts against the four elements
+    return float(_thm1_mixed(_thm1_side(channels, channels),
+                             _thm1_side(elements, elements.swapaxes(-1, -2))))
 
 
 def g_of_t(d: int, t: float) -> float:

@@ -15,7 +15,11 @@ products of whole 2 x 2 matrices (:func:`completeness_reference`,
 :func:`residual_reference`), the closed-form reversers written through
 a copy of adj(M) (:func:`reversers_reference`) and the d >= 3 reversers
 assembled from the full SVD (:func:`svd_reversers_reference`).  The tests
-hold the stacked library code to these references.
+hold the stacked library code to these references.  Three compose library
+parts that the library calls one by one: Theorem 1 over whole per-row
+stacks, with its channel and element concurrences (:func:`thm1_success_stack`),
+the alignment of channels and elements (:func:`_alignment`), and a scan's
+primary parameter and channel angle expanded to every row (:func:`_rows`).
 """
 
 from __future__ import annotations
@@ -30,9 +34,9 @@ from telerev.instrument import ReversalPlan
 from telerev.jointmeas import JointMeasurement
 from telerev.linalg import CMatrix, as_matrix, complex_from, svd
 from telerev.montecarlo import _haar_batch
-from telerev.qstate import DIR_FLOOR, NORM_TOL, BipartiteState, _radius, bloch_vectors
-from telerev.scenarios import COLUMNS
-from telerev.theorems import _alignment, _in_range
+from telerev.qstate import DIR_FLOOR, NORM_TOL, BipartiteState, _normalised, _radius, bloch_vectors
+from telerev.scenarios import COLUMNS, ScenarioSpec, _axes
+from telerev.theorems import _aligned, _in_range, _thm1_mixed, _thm1_side
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
@@ -113,6 +117,24 @@ def element_bloch(jm: JointMeasurement, r: int) -> BlochPoint:
     return channel_bloch(BipartiteState(d=2, coeff=jm.elements[r].T))
 
 
+def _alignment(channels: np.ndarray, elements: np.ndarray):
+    """:func:`_aligned` of qubit channels and measurement elements."""
+    return _aligned(_thm1_side(channels, channels), _thm1_side(elements, elements.swapaxes(-1, -2)))
+
+
+def thm1_success_stack(coeffs: np.ndarray, elements: np.ndarray):
+    """Theorem 1 over qubit channels (..., 2, 2) and measurements
+    (..., n, 2, 2): channel concurrences (...), element concurrences
+    (..., n) and total success probabilities (...), all from elementwise
+    2x2 invariants: :func:`_thm1_side` of each side, then :func:`_thm1_mixed`.
+    Raises DomainError if an element is not normalised."""
+    _normalised(elements.reshape(-1, 2, 2))
+    channels = coeffs[..., None, :, :]  # broadcasts against the n elements of its row
+    channel = _thm1_side(channels, channels)
+    element = _thm1_side(elements, elements.swapaxes(-1, -2))
+    return channel[0, ..., 0], element[0], _thm1_mixed(channel, element)
+
+
 def alignment_x(channel: BipartiteState, jm: JointMeasurement, r: int) -> float | None:
     """Bloch alignment u . n_r of the channel and measurement element r.
 
@@ -123,6 +145,13 @@ def alignment_x(channel: BipartiteState, jm: JointMeasurement, r: int) -> float 
     element = BipartiteState(d=2, coeff=jm.elements[r]).coeff  # checked like a channel
     _, _, x, aligned = _alignment(channel.coeff, element)
     return float(x) if aligned else None
+
+
+def _rows(entry: ScenarioSpec, t: np.ndarray, second: np.ndarray | None):
+    """Parameter columns, primary parameter and channel angle of every row,
+    in grid order with t outer."""
+    cols, x, _, ix = _axes(entry, t, second)
+    return cols, cols["param1"], x[ix]
 
 
 def apply_kraus_oracle(channel: BipartiteState, jm: JointMeasurement,

@@ -335,7 +335,7 @@ def test_env_seed_used_as_default(tmp_path, monkeypatch):
 
 def test_golden_invocations_cover_all_scenarios():
     manifest = json.loads((GOLDEN_DIR / "invocations.json").read_text())
-    from telerev.scenarios import SCENARIO_NAMES
+    from telerev.scenarios import SCENARIOS as SCENARIO_NAMES
     assert sorted(entry["name"] for entry in manifest) == sorted(SCENARIO_NAMES)
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -411,3 +412,37 @@ def test_a_nan_element_is_refused_as_incomplete():
     stack = np.stack([np.stack(bell_basis().elements), np.stack(elements)])
     with pytest.raises(DomainError, match="instrument is not complete"):
         kraus_stack(coeffs, stack)
+
+
+# A plan is read only against the instrument it was made for: a plan of another
+# dimension is refused by name, in both directions, before numpy broadcasts it.
+@pytest.mark.parametrize("d_inst, d_plan", [(2, 3), (3, 2)])
+def test_a_plan_of_another_instrument_is_refused_by_name(d_inst, d_plan):
+    inst, other = (build_instrument(max_entangled(d), random_basis(d, np.random.default_rng(d)))
+                   for d in (d_inst, d_plan))
+    plan = optimal_reversal(other)
+    message = re.escape(f"plan shape {(d_plan ** 2, d_plan, d_plan)} "
+                        f"!= Kraus shape {(d_inst ** 2, d_inst, d_inst)}")
+    for call in (performance_report, tradeoff_lhs, reversal_residual):
+        with pytest.raises(DimensionError, match=message):
+            call(inst, plan)
+
+
+def test_a_measurement_without_elements_is_refused_by_name():
+    message = re.escape("expected measurement elements (..., n, d, d) with n >= 1, got shape (0,)")
+    with pytest.raises(DimensionError, match=message):
+        build_instrument(max_entangled(2), JointMeasurement(2, (), "empty"))
+
+
+@pytest.mark.parametrize("shape", [(0, 2, 2), (4, 2), (4, 2, 3)],
+                         ids=["no-elements", "flat", "not-square"])
+def test_kraus_stack_refuses_elements_that_are_not_n_d_by_d(shape):
+    message = re.escape(f"expected measurement elements (..., n, d, d) with n >= 1, got shape {shape}")
+    with pytest.raises(DimensionError, match=message):
+        kraus_stack(max_entangled(2).coeff, np.zeros(shape, dtype=np.complex128))
+
+
+def test_kraus_stack_refuses_elements_of_another_dimension():
+    message = re.escape("element shape (9, 3, 3) does not match channel shape (2, 2)")
+    with pytest.raises(DimensionError, match=message):
+        kraus_stack(np.eye(2) / math.sqrt(2), np.zeros((9, 3, 3)))

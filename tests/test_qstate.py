@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from telerev import (BipartiteState, DimensionError, concurrence, ejm_channel,
                      g_concurrence, max_entangled, schmidt_channel)
 from telerev.errors import DomainError
-from telerev.jointmeas import ejm, ejm_stack, element_entanglement, xx_deformed
+from telerev.jointmeas import (ejm, ejm_stack, element_entanglement, xx_deformed,
+                               xx_deformed_stack, zx_zz_stack)
 from telerev.linalg import svd
-from telerev.qstate import NORM_TOL, ejm_channel_stack, max_entangled_stack
+from telerev.qstate import NORM_TOL, ejm_channel_stack, max_entangled_stack, schmidt_stack
 from telerev.theorems import random_basis
 
 from helpers import random_coeff
@@ -310,3 +311,14 @@ def test_max_entangled_stack_refuses_a_negative_row_count():
     with pytest.raises(DomainError, match=r"^row count True is not an integer$"):
         max_entangled_stack(2, True)
     assert max_entangled_stack(2, 0).shape == (0, 2, 2)
+
+
+# An empty angle array gives an empty stack from every factory, as it does from
+# schmidt_stack and max_entangled_stack(2, 0), not a reshape error.
+@pytest.mark.parametrize("factory, shape", [
+    (ejm_stack, (0, 4, 2, 2)), (xx_deformed_stack, (0, 4, 2, 2)), (zx_zz_stack, (0, 4, 2, 2)),
+    (ejm_channel_stack, (0, 2, 2)), (schmidt_stack, (0, 2, 2))],
+    ids=["ejm", "xx_deformed", "zx_zz", "ejm_channel", "schmidt"])
+def test_factories_of_no_angles_return_empty_stacks(factory, shape):
+    stack = factory([])
+    assert stack.shape == shape and stack.dtype == np.complex128

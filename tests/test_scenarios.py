@@ -25,10 +25,9 @@ from telerev.errors import DomainError
 from telerev.instrument import Instrument, kraus_stack, spectrum
 from telerev.montecarlo import CHUNK, MC_BUDGET_BYTES, RngSpec, estimate_success
 from telerev.scenarios import (BLOCK_ROWS, COLUMNS, SCENARIOS, GridSpec, Scenario, _cells,
-                               _qubit_columns, _rows, validate_scenario)
-from telerev.theorems import thm1_success_stack
+                               _qubit_columns, validate_scenario)
 
-from oracles import cells_reference
+from oracles import _rows, cells_reference, thm1_success_stack
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 

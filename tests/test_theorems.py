@@ -17,11 +17,12 @@ from telerev import (DimensionError, Thm1Inputs, build_instrument, ejm, ejm_chan
 from telerev.errors import DomainError
 from telerev.jointmeas import ZX_ZZ_LIMIT, JointMeasurement, element_entanglement, xx_deformed_stack
 from telerev.qstate import BipartiteState, max_entangled_stack
-from telerev.scenarios import SCENARIOS, _rows
-from telerev.theorems import _alignment, _closed_form, random_basis, thm1_success_stack
+from telerev.scenarios import SCENARIOS
+from telerev.theorems import _closed_form, random_basis
 
 from helpers import random_coeff
-from oracles import alignment_x, channel_bloch, element_bloch, reduced_bloch, tr_closed_form_d3
+from oracles import (_alignment, _rows, alignment_x, channel_bloch, element_bloch, reduced_bloch,
+                     thm1_success_stack, tr_closed_form_d3)
 
 
 def _closed_form_vs_svd(e_coeff, w_coeff):
@@ -111,6 +112,29 @@ def test_alignment_is_the_x_of_the_stacked_law(name):
             got = alignment_x(channel, jm, r)
             assert (got is None) == (not aligned[i, r])
             assert got is None or got == x[i, r]
+
+
+# thm1_total_success calls Theorem 1's parts itself; on every default-grid row of each
+# qubit family, the Bell row of xx-scan among them, and on zz-scan's rank-deficient
+# phi = 0 channel, it gives the bits of the stacked oracle on that row.
+@pytest.mark.parametrize("name, second", [(n, None) for n, e in SCENARIOS.items() if e.measurement]
+                         + [("zz-scan", np.zeros(1))],
+                         ids=[n for n, e in SCENARIOS.items() if e.measurement] + ["zz-scan-phi0"])
+def test_total_success_is_the_stacked_oracle_bit_for_bit(name, second):
+    entry = SCENARIOS[name]
+    if second is None and entry.grid2 is not None:
+        second = entry.grid2.values()
+    _, t, x = _rows(entry, entry.grid.values(), second)
+    coeffs, elements = entry.channel(x), entry.measurement(t)
+    got = np.array([thm1_total_success(BipartiteState(d=2, coeff=coeffs[i]),
+                                       JointMeasurement(d=2, elements=tuple(elements[i]), label=name))
+                    for i in range(t.size)])
+    want = np.array([thm1_success_stack(coeffs[i], elements[i])[2] for i in range(t.size)])
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    if name == "xx-scan":  # t = 0: the Bell measurement on the maximally entangled channel
+        assert got[0] == pytest.approx(1.0, abs=1e-15)
+    if second is not None and not second.any():  # phi = 0: E_c = 0, nothing recoverable
+        assert not got.any()
 
 
 def test_closed_form_matches_svd_on_random_pairs():
@@ -463,7 +487,8 @@ def test_random_basis_is_orthonormal_and_complete():
 # Scalar references that live in tests/oracles.py and nowhere in the library.
 TEST_ONLY = ("PAULI_X", "PAULI_Y", "PAULI_Z", "BlochPoint", "_bloch_point", "channel_operator",
              "reduced_bloch", "channel_bloch", "BasisReport", "validate", "element_bloch",
-             "alignment_x", "tr_closed_form_d3", "haar_state", "apply_kraus_oracle")
+             "alignment_x", "tr_closed_form_d3", "haar_state", "apply_kraus_oracle", "_rows",
+             "_alignment", "thm1_success_stack", "SCENARIO_NAMES")
 
 
 def test_public_names_resolve_and_test_oracles_stay_out_of_the_library():
