@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError
 from .jointmeas import JointMeasurement
-from .linalg import (SIGMA_FLOOR, as_matrix, complex_from, floor_sigmas, fold,
+from .linalg import (SIGMA_FLOOR, as_matrix, complex_from, entries, floor_sigmas, fold,
                      singular_values)
 from .qstate import BipartiteState
 
@@ -115,13 +115,6 @@ class ReversalPlan:
         return ReversalPlan(self.sigmas[row], self.reversers[row], self.degenerate[row])
 
 
-def _entries(m: np.ndarray) -> list:
-    """Entries [[a, b], [c, e]] of a 2 x 2 stack as (real, imaginary) pairs of
-    views with the stack's leading shape."""
-    re, im = m.real, m.imag
-    return [[(re[..., i, j], im[..., i, j]) for j in (0, 1)] for i in (0, 1)]
-
-
 def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """x @ y of stacks broadcast along leading axes; at d = 2 each entry in real
     arithmetic, its two products added in index order, written entries first
@@ -132,7 +125,7 @@ def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     # an operand that broadcasts (a channel against its outcomes) is copied out to the
     # common shape: read in place, its entries would split every operation below into
     # inner loops as short as the axis it broadcasts along
-    xs, ys = (_entries(m if m.shape == shape else np.broadcast_to(m, shape).copy())
+    xs, ys = (entries(m if m.shape == shape else np.broadcast_to(m, shape).copy())
               for m in (x, y))
     out = np.empty((2, 2) + shape[:-2], dtype=np.complex128)
     for i in (0, 1):
@@ -159,7 +152,7 @@ def _qubit_completeness(kraus: np.ndarray) -> np.ndarray:
     has the diagonal |a|^2 + |c|^2, |b|^2 + |e|^2 and the off-diagonal
     conj(a) b + conj(c) e (below it, its conjugate), each summed over the
     outcomes in order: the same bits as the real product and sum."""
-    ((ar, ai), (br, bi)), ((cr, ci), (er, ei)) = _entries(kraus)
+    ((ar, ai), (br, bi)), ((cr, ci), (er, ei)) = entries(kraus)
 
     def outcome_sum(v):  # in outcome order, as np.sum adds along axis -3
         return sum((v[..., r] for r in range(v.shape[-1])), np.zeros(v.shape[:-1]))
@@ -174,13 +167,19 @@ def kraus_stack(coeffs: np.ndarray, elements: np.ndarray) -> tuple[np.ndarray, n
     """Kraus stack M_r = E^T W_r^dag (..., d^2, d, d) of channels (..., d, d)
     and measurements (..., d^2, d, d), with each one's completeness residual;
     raises DimensionError if the elements are not (..., n, d, d) with n >= 1 and
-    the channels' d, and DomainError if any instrument is incomplete."""
+    the channels' d, or if the two stacks' leading shapes do not broadcast, and
+    DomainError if any instrument is incomplete."""
     if elements.ndim < 3 or elements.shape[-3] == 0 or elements.shape[-1] != elements.shape[-2]:
         raise DimensionError(f"expected measurement elements (..., n, d, d) with n >= 1, "
                              f"got shape {elements.shape}")
     if elements.shape[-1] != coeffs.shape[-1]:
         raise DimensionError(
             f"element shape {elements.shape} does not match channel shape {coeffs.shape}")
+    try:
+        np.broadcast_shapes(coeffs.shape[:-2], elements.shape[:-3])
+    except ValueError:
+        raise DimensionError(f"channel stack {coeffs.shape} and element stack {elements.shape} "
+                             "do not broadcast along their leading axes") from None
     kraus = _product(coeffs.swapaxes(-1, -2)[..., None, :, :], elements.conj().swapaxes(-1, -2))
     residual = _completeness(kraus)
     worst = float(np.max(residual))
@@ -196,7 +195,7 @@ def _qubit_spectrum(kraus: np.ndarray) -> ReversalPlan:
     sigma_min^2 = 2 |det M|^2 / (F + sqrt(disc)) keeps its precision where
     sigma_1 = sigma_2; sigma_max^2 = F - sigma_min^2, and
     R = sigma_min adj(M) / det M."""
-    ((ar, ai), (br, bi)), ((cr, ci), (er, ei)) = _entries(kraus)
+    ((ar, ai), (br, bi)), ((cr, ci), (er, ei)) = entries(kraus)
     top = (ar * ar + ai * ai) + (br * br + bi * bi)
     bottom = (cr * cr + ci * ci) + (er * er + ei * ei)
     frob = top + bottom

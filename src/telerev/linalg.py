@@ -9,7 +9,9 @@ two SVD calls; both clamp sigma below :data:`SIGMA_FLOOR` in
 :func:`polar_unitary`, take a stack with the bits of separate calls.
 :func:`real_matmul` is a complex product whose bits do not depend on the
 CPU kernel, for the Monte Carlo success Gram matrix; the instrument's d = 2
-products are written entry by entry in ``instrument._product``.  :func:`fold`
+products are written entry by entry in ``instrument._product``, from the
+(real, imaginary) views of :func:`entries`, which the d = 2 concurrences and
+Bloch vectors read too.  :func:`fold`
 reduces a short axis left to right in whole-array operations: the bits of
 numpy's own sum or max over an axis shorter than 8, without its per-row
 inner loops, for the qubit metrics, residuals, Theorem 1 and the Haar norms.
@@ -104,6 +106,13 @@ def fold(op, a: np.ndarray, axis: int = -1) -> np.ndarray:
     pairwise sum adds in another order."""
     tail = (slice(None),) * (a.ndim - 1 - axis % a.ndim)  # slices, cheaper than np.moveaxis
     return reduce(op, (a[(..., k) + tail] for k in range(a.shape[axis])))
+
+
+def entries(m: np.ndarray) -> list:
+    """Entries [[a, b], [c, e]] of a 2 x 2 stack as (real, imaginary) pairs of views
+    with the stack's leading shape."""
+    re, im = m.real, m.imag
+    return [[(re[..., i, j], im[..., i, j]) for j in (0, 1)] for i in (0, 1)]
 
 
 def complex_from(re: np.ndarray, im: np.ndarray) -> CMatrix:

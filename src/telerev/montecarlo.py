@@ -4,13 +4,20 @@ The estimators serve as the statistical oracle for every closed form in the
 package.  Randomness is counter-based (Philox keyed by seed and stream), so
 identical (seed, stream) pairs replay bit-for-bit and shards with distinct
 stream indices are independent.
+
+Each chunk of a draw reaches its kernel as raw normals z (m, d, 2), the state
+v = x + iy of each sample unnormalised.  The success kernel, which every
+scenario row runs, reads v^dag G v / |v|^2 straight from them in real multiply,
+add, subtract and divide, so its bits do not depend on numpy's SIMD loops; the
+overlap, leakage and fidelity kernels first normalise the states in place
+(:func:`_states`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from itertools import combinations
 
 import numpy as np
 
@@ -66,19 +73,25 @@ class McEstimate:
 
 
 def _haar_batch(d: int, n: int, rng: np.random.Generator, out=None) -> np.ndarray:
-    """n Haar states as the rows of a complex view of their normals, drawn into
-    ``out`` (an (n, d, 2) float buffer, which the states then view) or into a fresh
-    array.  Each sample takes its 2d normals in turn, so n draws of one state replay
-    one draw of n on the same generator.  |v|^2 comes from numpy's complex multiply,
-    in place on conj(v).  Scaling the normals by 1/|v| gives the bits of dividing v
-    by |v| + 0j, as numpy's complex division multiplies by the reciprocal, only
-    faster; the scale runs over one float column of n normals at a time."""
-    z = rng.standard_normal((n, d, 2), out=out)
+    """n Haar states drawn into ``out`` (an (n, d, 2) float buffer, which the states then
+    view) or into a fresh array, as :func:`_states` of their normals.  Each sample takes
+    its 2d normals in turn, so n draws of one state replay one draw of n on the same
+    generator."""
+    return _states(rng.standard_normal((n, d, 2), out=out))
+
+
+def _states(z: np.ndarray) -> np.ndarray:
+    """The unit states v / |v| of the normals v = x + iy of every sample of z (m, d, 2),
+    normalised in place and returned as a complex (m, d) view of z.  |v|^2 comes from
+    numpy's complex multiply, in place on conj(v).  Scaling the normals by 1/|v| gives
+    the bits of dividing v by |v| + 0j, as numpy's complex division multiplies by the
+    reciprocal, only faster; the scale runs over one float column of m normals at a time."""
+    m, d = z.shape[:2]
     v = z.view(np.complex128)[..., 0]
     w = np.conjugate(v)
     s = fold(np.add, np.multiply(w, v, out=w).real)
     np.divide(1.0, np.sqrt(s, out=s), out=s)
-    for col in z.reshape(n, 2 * d).T:
+    for col in z.reshape(m, 2 * d).T:
         col *= s
     return v
 
@@ -95,21 +108,21 @@ def check_budget(n: int) -> None:
 
 
 def _sample(d: int, n: int, rng: RngSpec, kernel, k: int = 1) -> np.ndarray:
-    """The (k, n) per-sample arrays over n Haar states: ``kernel(phi)`` returns
-    k arrays for one chunk's states, each written in place into its row.  The
-    near-equal chunks replay the one-shot draw; none holds one sample unless
-    n = 1, as a one-row matmul in the BLAS kernels rounds differently.  Every chunk
-    is drawn into one buffer, sized by the largest chunk (the first can be one
-    sample shorter), and a kernel's arrays, which may view phi, are copied out
-    before the next chunk is drawn."""
+    """The (k, n) per-sample arrays over n Haar states: ``kernel(z)`` returns k arrays for
+    one chunk's raw normals z (m, d, 2), each written in place into its row.  The
+    near-equal chunks replay the one-shot draw; none holds one sample unless n = 1, as a
+    one-row matmul in the BLAS kernels rounds differently.  Every chunk is drawn into one
+    buffer, sized by the largest chunk (the first can be one sample shorter), and a
+    kernel's arrays, which may view z, are copied out before the next chunk is drawn;
+    every entry of the output is written, so it starts empty."""
     check_integer(n, "sample count", 1)
     check_budget(n)
     gen, parts = rng.generator(), max(n // CHUNK, 1)
     ends = [n * j // parts for j in range(parts + 1)]
-    out, buf = np.zeros((k, n)), np.empty((-(-n // parts), d, 2))
+    out, buf = np.empty((k, n)), np.empty((-(-n // parts), d, 2))
     for lo, hi in zip(ends, ends[1:]):
-        phi = _haar_batch(d, hi - lo, gen, buf[:hi - lo])
-        for row, values in zip(out[:, lo:hi], kernel(phi), strict=True):
+        z = gen.standard_normal((hi - lo, d, 2), out=buf[:hi - lo])
+        for row, values in zip(out[:, lo:hi], kernel(z), strict=True):
             row[...] = values
     return out
 
@@ -140,16 +153,30 @@ def _success_gram(kraus: np.ndarray, plan: ReversalPlan) -> np.ndarray:
     return fold(np.add, terms, -3)
 
 
-def _success(g: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """phi^dag G phi of every row of phi for Hermitian G, in real arithmetic:
-    sum_i G_ii |phi_i|^2 + 2 sum_{i<j} Re(G_ij conj(phi_i) phi_j), each sum
-    added in index order, one column of samples at a time."""
-    x, y, d = phi.real.T, phi.imag.T, g.shape[-1]
-    diag = reduce(np.add, (g[k, k].real * (x[k] * x[k] + y[k] * y[k]) for k in range(d)))
-    cross = reduce(np.add, (g[i, j].real * (x[i] * x[j] + y[i] * y[j])
-                            - g[i, j].imag * (x[i] * y[j] - y[i] * x[j])
-                            for i in range(d) for j in range(i + 1, d)))
-    return diag + 2.0 * cross
+def _success(g: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The success v^dag G v / |v|^2 of the Haar state of every sample's normals
+    v = x + iy in z (m, d, 2), for Hermitian G, with no state formed.  With
+    s_k = x_k^2 + y_k^2: the terms G_kk s_k (k = 0, ..., d - 1), then, for each i < j in
+    order, 2 Re G_ij (x_i x_j + y_i y_j) and -2 Im G_ij (x_i y_j - y_i x_j), added one
+    by one into a running sum, which is divided by |v|^2 = s_0 + s_1 + ...  Only IEEE
+    multiply, add, subtract and divide, one column of samples at a time, so the bits do
+    not depend on numpy's SIMD loops; the scale of v cancels."""
+    x, y, (m, d) = z[..., 0].T, z[..., 1].T, z.shape[:2]
+    # num alone outlives the call, so the three scratch rows are freed before the next chunk
+    num, (norm, t, u) = np.empty(m), np.empty((3, m))
+
+    def square(k, out):  # s_k into out
+        return np.add(np.multiply(x[k], x[k], out=out), np.multiply(y[k], y[k], out=u), out=out)
+    np.multiply(square(0, norm), g[0, 0].real, out=num)
+    for k in range(1, d):
+        norm += square(k, t)
+        num += np.multiply(t, g[k, k].real, out=t)
+    for i, j in combinations(range(d), 2):
+        np.add(np.multiply(x[i], x[j], out=t), np.multiply(y[i], y[j], out=u), out=t)
+        num += np.multiply(t, 2.0 * g[i, j].real, out=t)
+        np.subtract(np.multiply(x[i], y[j], out=t), np.multiply(y[i], x[j], out=u), out=t)
+        num -= np.multiply(t, 2.0 * g[i, j].imag, out=t)
+    return np.divide(num, norm, out=num)
 
 
 def _overlaps(phi: np.ndarray, ops: np.ndarray) -> np.ndarray:
@@ -172,7 +199,8 @@ def estimate_performance(inst: Instrument, plan: ReversalPlan, n: int,
     kraus = np.asarray(inst.kraus)
     g, zero = _success_gram(kraus, plan), np.asarray(plan.degenerate)[:, None, None]
     ops = np.where(zero, 0.0, plan.reversers @ kraus).swapaxes(-1, -2)
-    succ, overlap = _sample(inst.d, n, rng, lambda phi: (_success(g, phi), _overlaps(phi, ops)), 2)
+    # the success reads the raw normals before _states normalises them in place
+    succ, overlap = _sample(inst.d, n, rng, lambda z: (_success(g, z), _overlaps(_states(z), ops)), 2)
     f_cond = np.where(succ > 0.0, overlap / np.where(succ > 0.0, succ, 1.0), 1.0)
     return {"p_succ": _estimate(succ), "f_cond": _estimate(f_cond)}
 
@@ -186,15 +214,15 @@ def estimate_success(inst: Instrument, plan: ReversalPlan, n: int, rng: RngSpec)
 
 def _success_estimate(g: np.ndarray, n: int, rng: RngSpec) -> McEstimate:
     """The success estimate of n Haar states from one instrument's Gram matrix G (d, d)."""
-    return _estimate(_sample(g.shape[-1], n, rng, lambda phi: (_success(g, phi),))[0])
+    return _estimate(_sample(g.shape[-1], n, rng, lambda z: (_success(g, z),))[0])
 
 
 def estimate_leakage(inst: Instrument, n: int, rng: RngSpec) -> McEstimate:
     """Empirical estimation fidelity with the top-eigenvector guess states."""
     kraus = np.asarray(inst.kraus)
     kt, guesses = kraus.swapaxes(-1, -2), svd(kraus).right[..., :, 0].conj()
-    def kernel(phi):
-        out = np.zeros(phi.shape[0])
+    def kernel(z):
+        phi, out = _states(z), np.zeros(z.shape[0])
         for mt, guess in zip(kt, guesses):
             out += fold(np.add, np.abs(phi @ mt) ** 2) * np.abs(phi @ guess) ** 2
         return (out,)
@@ -205,4 +233,4 @@ def estimate_standard_fidelity(inst: Instrument, n: int, rng: RngSpec) -> McEsti
     """Empirical average fidelity of the polar-unitary correction protocol."""
     kraus = np.asarray(inst.kraus)
     ops = (polar_unitary(kraus) @ kraus).swapaxes(-1, -2)
-    return _estimate(_sample(inst.d, n, rng, lambda phi: (_overlaps(phi, ops),))[0])
+    return _estimate(_sample(inst.d, n, rng, lambda z: (_overlaps(_states(z), ops),))[0])

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError, check_integer
-from .linalg import CMatrix, as_matrix
+from .linalg import CMatrix, as_matrix, entries
 
 NORM_TOL = 1e-10
 # Bloch radii below this have no meaningful direction; the alignment is 0 there.
@@ -164,20 +164,29 @@ def ejm_channel(s: float) -> BipartiteState:
 
 
 def concurrences(coeffs: np.ndarray) -> np.ndarray:
-    """G-concurrence d |det E|^(2/d) of each matrix of a stack; for d = 2, 2|ad - bc|."""
+    """G-concurrence d |det E|^(2/d) of each matrix of a stack.  For d = 2 it is 2|ad - bc|,
+    in real arithmetic on the entries' views: det = (a e - b c), each complex product in
+    numpy's own order (re re - im im, re im + im re), and |det| = sqrt(re^2 + im^2)."""
     e = np.asarray(coeffs)
     d = e.shape[-1]
-    det = e[..., 0, 0] * e[..., 1, 1] - e[..., 0, 1] * e[..., 1, 0] if d == 2 else np.linalg.det(e)
-    return d * np.abs(det) ** (2.0 / d)
+    if d != 2:
+        return d * np.abs(np.linalg.det(e)) ** (2.0 / d)
+    ((ar, ai), (br, bi)), ((cr, ci), (er, ei)) = entries(e)
+    det_r = (ar * er - ai * ei) - (br * cr - bi * ci)
+    det_i = (ar * ei + ai * er) - (br * ci + bi * cr)
+    return 2.0 * np.sqrt(det_r * det_r + det_i * det_i)
 
 
 def bloch_vectors(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Bloch components (x, y, z) of the reduced operators conj(E) @ E.T of a
-    stack of 2x2 coefficient matrices, elementwise."""
-    a, b, c, d = coeffs[..., 0, 0], coeffs[..., 0, 1], coeffs[..., 1, 0], coeffs[..., 1, 1]
-    off = a.conj() * c + b.conj() * d  # A_01
-    z = (a.conj() * a + b.conj() * b - c.conj() * c - d.conj() * d).real  # A_00 - A_11
-    return 2.0 * off.real, -2.0 * off.imag, z
+    """Bloch components (x, y, z) of the reduced operators conj(E) @ E.T of a stack of
+    2x2 coefficient matrices [[a, b], [c, e]], in real arithmetic on the entries' views:
+    A_01 = conj(a) c + conj(b) e and A_00 - A_11 = |a|^2 + |b|^2 - |c|^2 - |e|^2, added
+    left to right, each product in numpy's own complex order."""
+    ((ar, ai), (br, bi)), ((cr, ci), (er, ei)) = entries(coeffs)
+    off_r = (ar * cr + ai * ci) + (br * er + bi * ei)  # A_01
+    off_i = (ar * ci - ai * cr) + (br * ei - bi * er)
+    z = (((ar * ar + ai * ai) + (br * br + bi * bi)) - (cr * cr + ci * ci)) - (er * er + ei * ei)
+    return 2.0 * off_r, -2.0 * off_i, z
 
 
 def _radius(x, y, z):  # Theorem 1's Bloch radii u and v

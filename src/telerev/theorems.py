@@ -18,7 +18,8 @@ import numpy as np
 from .errors import DimensionError, DomainError, check_integer
 from .jointmeas import JointMeasurement
 from .linalg import fold
-from .qstate import DIR_FLOOR, BipartiteState, _normalised, _radius, bloch_vectors, concurrences
+from .qstate import (DIR_FLOOR, NORM_TOL, BipartiteState, _radius, bloch_vectors,
+                     concurrences)
 
 __all__ = ["Thm1Inputs", "Thm2Bounds", "thm1_outcome_success", "thm1_total_success",
            "g_of_t", "solve_tr", "thm2_bounds", "saturating_spectrum", "random_basis"]
@@ -123,14 +124,23 @@ def _thm1_mixed(channel: np.ndarray, element: np.ndarray) -> np.ndarray:
 
 def thm1_total_success(channel: BipartiteState, jm: JointMeasurement) -> float:
     """Closed-form total success probability summed over the four outcomes: :func:`_thm1_side`
-    of each side, then :func:`_thm1_mixed`; raises DomainError if an element is not normalised."""
+    of each side, then :func:`_thm1_mixed`; raises DimensionError unless the measurement has
+    four 2 x 2 elements, and DomainError unless they are orthonormal (a complete measurement)."""
     if channel.d != 2 or jm.d != 2:
         raise DimensionError("the closed form is defined for qubits only")
     elements = np.asarray(jm.elements)
-    _normalised(elements.reshape(-1, 2, 2))
-    channels = channel.coeff[None]  # broadcasts against the four elements
-    return float(_thm1_mixed(_thm1_side(channels, channels),
-                             _thm1_side(elements, elements.swapaxes(-1, -2))))
+    if elements.shape != (4, 2, 2):
+        raise DimensionError(f"expected the 4 elements (4, 2, 2) of a qubit measurement, "
+                             f"got shape {elements.shape}")
+    w = elements.reshape(4, 4)
+    gap = float(np.max(np.abs(w.conj() @ w.T - np.eye(4))))
+    if not gap <= NORM_TOL:  # NaN fails too
+        raise DomainError(f"measurement elements are not orthonormal: "
+                          f"max |Tr(W_r^dag W_s) - delta_rs| = {gap:.3e}")
+    # one elementwise pass over the channel and the four elements, split as (5, 1) and (5, 4)
+    states = np.concatenate([channel.coeff[None], elements])
+    side = _thm1_side(states, np.concatenate([channel.coeff[None], elements.swapaxes(-1, -2)]))
+    return float(_thm1_mixed(side[:, :1], side[:, 1:]))
 
 
 def g_of_t(d: int, t: float) -> float:

@@ -446,3 +446,11 @@ def test_kraus_stack_refuses_elements_of_another_dimension():
     message = re.escape("element shape (9, 3, 3) does not match channel shape (2, 2)")
     with pytest.raises(DimensionError, match=message):
         kraus_stack(np.eye(2) / math.sqrt(2), np.zeros((9, 3, 3)))
+
+
+def test_kraus_stack_refuses_stacks_whose_leading_shapes_do_not_broadcast():
+    coeffs, elements = schmidt_stack(np.linspace(0.1, 0.7, 3)), zx_zz_stack(np.linspace(0.0, 1.0, 5))
+    message = re.escape("channel stack (3, 2, 2) and element stack (5, 4, 2, 2) "
+                        "do not broadcast along their leading axes")
+    with pytest.raises(DimensionError, match=message):
+        kraus_stack(coeffs, elements)

@@ -210,12 +210,16 @@ def test_estimates_carry_sample_count():
 
 # Frozen copy of the unchunked estimators (one n-row draw, numpy reductions
 # over the d columns), kept as the reference for the chunked kernel.  Success
-# is the Gram form phi^dag G phi, G = sum_r (R_r M_r)^dag (R_r M_r), written
-# out here in Python complex scalars with every sum taken in index order.
-def _ref_haar_batch(d, n, rng):
-    z = rng.standard_normal((n, d, 2))
+# is the Gram form v^dag G v / |v|^2 of the raw normals v, with
+# G = sum_r (R_r M_r)^dag (R_r M_r) written out here in Python complex scalars
+# and every sum taken in index order.
+def _ref_states(z):
     v = z[..., 0] + 1j * z[..., 1]
     return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def _ref_haar_batch(d, n, rng):
+    return _ref_states(rng.standard_normal((n, d, 2)))
 
 
 def _ref_estimate(samples):
@@ -251,25 +255,27 @@ def _ref_gram(inst, plan):
     return np.zeros((inst.d, inst.d), complex) if g is None else np.array(g)
 
 
-def _ref_success(g, phi):
-    """phi^dag G phi per row: the diagonal terms, then twice the i < j terms."""
+def _ref_success(g, z):
+    """v^dag G v / |v|^2 per row of the raw normals z (n, d, 2), v = x + iy: the
+    diagonal terms, then twice the real and the imaginary part of each i < j term, added
+    one by one, over the sum of the squares |v_i|^2."""
     d = g.shape[0]
-    x, y = phi.real, phi.imag
-    diag = g[0, 0].real * (x[:, 0] * x[:, 0] + y[:, 0] * y[:, 0])
+    x, y = z[..., 0], z[..., 1]
+    square = [x[:, i] * x[:, i] + y[:, i] * y[:, i] for i in range(d)]
+    norm, num = square[0], g[0, 0].real * square[0]
     for i in range(1, d):
-        diag = diag + g[i, i].real * (x[:, i] * x[:, i] + y[:, i] * y[:, i])
-    cross = None
+        norm = norm + square[i]
+        num = num + g[i, i].real * square[i]
     for i in range(d):
         for j in range(i + 1, d):
-            term = (g[i, j].real * (x[:, i] * x[:, j] + y[:, i] * y[:, j])
-                    - g[i, j].imag * (x[:, i] * y[:, j] - y[:, i] * x[:, j]))
-            cross = term if cross is None else cross + term
-    return diag + 2.0 * cross
+            num = num + (2.0 * g[i, j].real) * (x[:, i] * x[:, j] + y[:, i] * y[:, j])
+            num = num - (2.0 * g[i, j].imag) * (x[:, i] * y[:, j] - y[:, i] * x[:, j])
+    return num / norm
 
 
 def _ref_performance(inst, plan, n, rng):
-    phi = _ref_haar_batch(inst.d, n, rng.generator())
-    succ = _ref_success(_ref_gram(inst, plan), phi)
+    z = rng.generator().standard_normal((n, inst.d, 2))
+    succ, phi = _ref_success(_ref_gram(inst, plan), z), _ref_states(z)
     overlap = np.zeros(n)
     for m, rev, deg in zip(inst.kraus, plan.reversers, plan.degenerate):
         if deg:
@@ -336,12 +342,12 @@ def test_chunked_estimators_match_reference_for_larger_d(d):
 
 @pytest.mark.parametrize("d, n", [(2, 1), (2, CHUNK + 1), (3, 2 * CHUNK + 1), (8, 3 * CHUNK - 1)])
 def test_chunked_draws_replay_the_one_shot_draw(d, n):
-    from telerev.montecarlo import _sample
+    from telerev.montecarlo import _sample, _states
     one_shot = _haar_batch(d, n, RngSpec(seed=61).generator())
     chunks = []
 
-    def kernel(phi):
-        m = phi.shape[0]
+    def kernel(z):
+        phi, m = _states(z), z.shape[0]
         chunks.append(phi.copy())
         return np.full((2, m), m)
     out = _sample(d, n, RngSpec(seed=61), kernel, 2)
@@ -361,8 +367,8 @@ def test_chunked_draws_replay_the_one_shot_draw(d, n):
 # 3 CHUNK - 1 the chunks differ in size.
 @pytest.mark.parametrize("d, n", [(2, CHUNK + 1), (3, 2 * CHUNK + 1), (8, 3 * CHUNK - 1)])
 def test_a_kernel_may_return_a_view_of_the_shared_draw_buffer(d, n):
-    from telerev.montecarlo import _estimate, _sample
-    out = _sample(d, n, RngSpec(seed=62), lambda phi: (phi.real[:, 0],))
+    from telerev.montecarlo import _estimate, _sample, _states
+    out = _sample(d, n, RngSpec(seed=62), lambda z: (_states(z).real[:, 0],))
     one_shot = _haar_batch(d, n, RngSpec(seed=62).generator()).real[:, 0]
     assert np.array_equal(out[0].view(np.uint64), one_shot.view(np.uint64))
     got = _estimate(out[0])
@@ -471,8 +477,18 @@ def _direct_success(inst, plan, phi):
 def test_gram_success_matches_the_direct_sum_per_sample():
     for k, (inst, plan) in enumerate(_success_cases()):
         phi = _haar_batch(inst.d, 2000, RngSpec(seed=90 + k).generator())
-        gram = _success(_success_gram(np.asarray(inst.kraus), plan), phi)
+        gram = _success(_success_gram(np.asarray(inst.kraus), plan), phi[..., None].view(np.float64))
         assert np.max(np.abs(gram - _direct_success(inst, plan, phi))) <= 1e-15, inst.provenance
+
+
+# The success reads the raw normals v and divides v^dag G v by |v|^2, so the scale of v
+# cancels; without the division, c v would scale every sample by c^2.
+@pytest.mark.parametrize("c", [1e-3, 1e3])
+def test_success_does_not_depend_on_the_scale_of_the_normals(c):
+    for k, (inst, plan) in enumerate(_success_cases()):
+        g = _success_gram(np.asarray(inst.kraus), plan)
+        z = RngSpec(seed=95 + k).generator().standard_normal((2000, inst.d, 2))
+        assert np.max(np.abs(_success(g, c * z) - _success(g, z))) <= 1e-15, inst.provenance
 
 
 def test_estimate_success_of_an_unrecoverable_instrument_is_zero():

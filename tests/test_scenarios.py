@@ -187,17 +187,16 @@ def test_scenario_monte_carlo_runs_without_the_full_estimator(name, tmp_path, mo
     assert len(got) == sc.grid.steps and got == want
 
 
-def test_monte_carlo_goldens_replay_on_an_avx2_blas_kernel(tmp_path):
-    # OpenBLAS picks its kernels by CPU; Haswell is the one AVX2-only hosts
-    # get.  The qubit chain uses no BLAS, so the Monte Carlo goldens replay
-    # byte for byte on it (a no-op where OpenBLAS is not DYNAMIC_ARCH).
+def _replay_monte_carlo_goldens(tmp_path, **env):
+    """Run the xx-scan and ejm-scan golden invocations in a subprocess with ``env`` set,
+    and compare their CSVs with the goldens byte for byte."""
     runs = json.loads((GOLDEN_DIR / "invocations.json").read_text())
     argvs = {r["name"]: r["argv"] for r in runs if r["name"] in ("xx-scan", "ejm-scan")}
     script = ("import sys; from telerev.cli import main; "
               "sys.exit(max(main(argv + ['--out', sys.argv[1]]) for argv in %r))"
               % list(argvs.values()))
     src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell",
+    env = dict(os.environ, **env,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
                           capture_output=True, text=True, timeout=60)
@@ -205,6 +204,22 @@ def test_monte_carlo_goldens_replay_on_an_avx2_blas_kernel(tmp_path):
     for name in argvs:
         got = (tmp_path / f"{name}.csv").read_bytes()
         assert got == (GOLDEN_DIR / f"{name}.csv").read_bytes(), name
+
+
+def test_monte_carlo_goldens_replay_on_an_avx2_blas_kernel(tmp_path):
+    # OpenBLAS picks its kernels by CPU; Haswell is the one AVX2-only hosts
+    # get.  The qubit chain uses no BLAS, so the Monte Carlo goldens replay
+    # byte for byte on it (a no-op where OpenBLAS is not DYNAMIC_ARCH).
+    _replay_monte_carlo_goldens(tmp_path, OPENBLAS_CORETYPE="Haswell")
+
+
+def test_monte_carlo_goldens_replay_on_numpy_baseline_loops(tmp_path):
+    # With its AVX2 and AVX-512 targets off, numpy runs its baseline SIMD loops, whose
+    # complex multiply and complex abs round differently (no FMA).  The qubit chain,
+    # the Theorem 1 invariants and the success kernel use none of them, only real
+    # multiply, add, subtract, divide and sqrt, so the goldens replay byte for byte.
+    _replay_monte_carlo_goldens(
+        tmp_path, NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL AVX512_SPR")
 
 
 @pytest.mark.parametrize("samples", [0, -5])

@@ -196,6 +196,26 @@ def test_total_success_rejects_unnormalised_elements():
         thm1_total_success(max_entangled(2), bad)
 
 
+# build_instrument refuses these measurements too: the shapes by name, an incomplete set
+# as an incomplete instrument.
+def test_total_success_refuses_a_measurement_with_no_elements():
+    with pytest.raises(DimensionError, match=re.escape("got shape (0,)")):
+        thm1_total_success(max_entangled(2), JointMeasurement(2, (), "none"))
+
+
+def test_total_success_refuses_three_of_the_four_bell_elements():
+    three = JointMeasurement(2, xx_deformed(0.0).elements[:3], "three of bell")
+    with pytest.raises(DimensionError, match=re.escape("got shape (3, 2, 2)")):
+        thm1_total_success(max_entangled(2), three)
+
+
+def test_total_success_refuses_four_elements_that_are_not_orthonormal():
+    bell = xx_deformed(0.0).elements
+    repeated = JointMeasurement(2, bell[:3] + bell[:1], "bell with element 0 twice")
+    with pytest.raises(DomainError, match="not orthonormal: max .* = 1.000e[+]00"):
+        thm1_total_success(max_entangled(2), repeated)
+
+
 def test_bloch_accessors_reject_bad_elements():
     jm = xx_deformed(0.3)
     scaled = JointMeasurement(d=2, elements=(1.1 * jm.elements[0],) + jm.elements[1:],
