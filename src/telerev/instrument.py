@@ -260,7 +260,7 @@ def build_instrument(channel: BipartiteState, jm: JointMeasurement) -> Instrumen
     if channel.d != jm.d:
         raise DimensionError(
             f"channel dimension {channel.d} != measurement dimension {jm.d}")
-    kraus, _ = kraus_stack(channel.coeff, np.asarray(jm.elements))
+    kraus, _ = kraus_stack(channel.coeff, jm.stack())
     return Instrument(d=channel.d, kraus=kraus,
                       provenance=f"{channel.label or 'channel'}+{jm.label}")
 

@@ -25,21 +25,27 @@ ZX_ZZ_LIMIT = math.sqrt(3) * math.pi / 4
 
 @dataclass(frozen=True)
 class JointMeasurement:
-    """d^2 rank-one measurement elements as coefficient matrices W_r, unchecked
-    until :func:`element_entanglement` first reads them as states."""
+    """d^2 rank-one measurement elements as coefficient matrices W_r, their shapes
+    checked whenever they are stacked (:meth:`stack`) and their values only when
+    :func:`element_entanglement` first reads them as states."""
 
     d: int
     elements: tuple[CMatrix, ...]
     label: str
 
-    @cached_property
-    def _concurrences(self) -> np.ndarray:
-        # each element checked as a BipartiteState would be, shapes before stacking
+    def stack(self) -> np.ndarray:
+        """The elements as one (n, d, d) array (shape (0,) without elements); raises
+        DimensionError, before stacking, on an element that is not d x d."""
         for w in self.elements:
             if np.shape(w) != (self.d, self.d):
                 raise DimensionError(f"coefficient matrix has shape {np.shape(w)}, "
                                      f"expected {(self.d, self.d)}")
-        return concurrences(_normalised(as_matrix(self.elements, batched=True)))
+        return np.asarray(self.elements)
+
+    @cached_property
+    def _concurrences(self) -> np.ndarray:
+        # each element checked as a BipartiteState would be
+        return concurrences(_normalised(as_matrix(self.stack(), batched=True)))
 
 
 def xx_deformed_stack(t) -> np.ndarray:

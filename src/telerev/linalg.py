@@ -62,8 +62,11 @@ class SvdResult:
 
 def svd(m: CMatrix) -> SvdResult:
     """SVD of a square matrix, or of a stack of them along leading axes: one
-    call for the stack, matrix for matrix the same bits as separate calls."""
+    call for the stack, matrix for matrix the same bits as separate calls; raises
+    DimensionError on an empty (0 x 0) matrix."""
     a = as_matrix(m, batched=True)
+    if a.shape[-1] == 0:
+        raise DimensionError(f"expected a square matrix with d >= 1, got shape {a.shape}")
     u, s, vh = np.linalg.svd(a)
     s = floor_sigmas(s)
     deficient = s[..., -1] == 0.0

@@ -36,7 +36,9 @@ _KEY_LIMIT = 1 << 64
 # holds succ alone, 8 B.  Every estimator refuses a count over
 # MC_BUDGET_BYTES / 24 (about 11.2 million), so one limit serves them all.
 # It also caps a scenario's rows in flight: as many rows at once, one per
-# thread, as fit in it at 24 B per sample (rows_in_budget).
+# thread, as fit in it at 24 B per sample (rows_in_budget).  CHUNK also sizes
+# a scenario's Monte Carlo batch: the consecutive rows one pool task draws
+# hold at most CHUNK samples (one row if a row holds more than CHUNK / 2).
 CHUNK = 8192
 MC_BUDGET_BYTES = 1 << 28
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import threading
 import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -29,7 +28,8 @@ from . import __version__
 from .errors import DomainError, check_integer
 from .instrument import COMPLETENESS_TOL, kraus_stack, spectrum
 from .jointmeas import ejm_stack, xx_deformed_stack, zx_zz_stack
-from .montecarlo import RngSpec, _success_estimate, _success_gram, check_budget, rows_in_budget
+from .montecarlo import (CHUNK, RngSpec, _success_estimate, _success_gram, check_budget,
+                         rows_in_budget)
 from .qstate import (_check_angles, _normalised, ejm_channel_stack, max_entangled_stack,
                      schmidt_stack)
 from .theorems import _thm1_mixed, _thm1_side, solve_tr
@@ -215,7 +215,7 @@ def _qubit_block(sc: Scenario, lo: int, sides, it: np.ndarray, ix: np.ndarray) -
         seed, base, n = sc.rng.seed, sc.rng.stream + lo, sc.mc_samples
         g, workers = _success_gram(kraus, spec), _mc_workers(n, len(kraus))
         est = _in_threads(lambda i: _success_estimate(g[i], n, RngSpec(seed, base + i)),
-                          len(kraus), workers)
+                          len(kraus), workers, n)
         cols["P_succ_mc"], cols["P_succ_mc_stderr"] = zip(*[(e.mean, e.std_error) for e in est])
         cols["mc_s"], cols["mc_threads"] = [time.perf_counter() - t0], [workers]
     return cols
@@ -230,43 +230,24 @@ def _mc_workers(n: int, rows: int) -> int:
     return min(cpus, rows, rows_in_budget(n))
 
 
-def _in_threads(draw: Callable, rows: int, workers: int) -> list:
-    """[draw(0), ..., draw(rows - 1)], the rows shared by the calling thread and
-    workers - 1 helper threads, each taking the next row index in turn and writing its
-    result into that row's slot, so the list does not depend on the thread count.  A row
-    draws from its own generator, whose normals release the GIL, and otherwise runs pure
-    functions on arrays it owns or only reads, so rows are safe to run at once.  The
-    first error stops the others from taking rows, and is raised once every helper is
-    joined."""
-    out, errors, todo = [None] * rows, [], iter(range(rows))
-    lock, stop = threading.Lock(), threading.Event()
-
-    def work():
-        try:
-            while not stop.is_set():
-                with lock:
-                    i = next(todo, None)
-                if i is None:
-                    return
-                out[i] = draw(i)
-        except Exception as exc:  # raised again by the calling thread
-            errors.append(exc)
-            stop.set()
-
-    helpers = []
-    try:
-        for _ in range(workers - 1):
-            helper = threading.Thread(target=work)
-            helper.start()
-            helpers.append(helper)
-        work()
-    finally:
-        stop.set()
-        for helper in helpers:
-            helper.join()
-    if errors:
-        raise errors[0]
-    return out
+def _in_threads(draw: Callable, rows: int, workers: int, n: int) -> list:
+    """[draw(0), ..., draw(rows - 1)], drawn by a pool of ``workers`` threads in batches
+    of consecutive rows of n samples, at most CHUNK samples a batch (a row of more than
+    CHUNK / 2 samples is a batch of its own), so that a short row does not pay for a
+    future of its own.  The results are flattened in row order, so the list does not
+    depend on the thread count.  A row draws from its own generator, whose normals
+    release the GIL, and otherwise runs pure functions on arrays it owns or only reads,
+    so rows are safe to run at once.  The first failed batch in row order raises, the
+    batches not yet started are cancelled, and the pool's threads are joined before the
+    error leaves."""
+    # imported here, not with the module: concurrent.futures imports logging, about 6%
+    # of a fresh `import telerev` (about 0.2 s on a 2-vCPU x86-64 host)
+    from concurrent.futures import ThreadPoolExecutor
+    step = max(CHUNK // n, 1)
+    with ThreadPoolExecutor(workers) as pool:
+        batches = pool.map(lambda lo: [draw(i) for i in range(lo, min(lo + step, rows))],
+                           range(0, rows, step))
+        return [e for batch in batches for e in batch]
 
 
 def _qubit_columns(sc: Scenario):

@@ -128,7 +128,7 @@ def thm1_total_success(channel: BipartiteState, jm: JointMeasurement) -> float:
     four 2 x 2 elements, and DomainError unless they are orthonormal (a complete measurement)."""
     if channel.d != 2 or jm.d != 2:
         raise DimensionError("the closed form is defined for qubits only")
-    elements = np.asarray(jm.elements)
+    elements = jm.stack()
     if elements.shape != (4, 2, 2):
         raise DimensionError(f"expected the 4 elements (4, 2, 2) of a qubit measurement, "
                              f"got shape {elements.shape}")

@@ -434,6 +434,12 @@ def test_a_measurement_without_elements_is_refused_by_name():
         build_instrument(max_entangled(2), JointMeasurement(2, (), "empty"))
 
 
+def test_build_instrument_refuses_elements_of_unequal_shapes():
+    jm = JointMeasurement(2, (np.eye(2), np.eye(3), np.eye(2), np.eye(2)), "unequal")
+    with pytest.raises(DimensionError, match=r"shape \(3, 3\), expected \(2, 2\)"):
+        build_instrument(max_entangled(2), jm)
+
+
 @pytest.mark.parametrize("shape", [(0, 2, 2), (4, 2), (4, 2, 3)],
                          ids=["no-elements", "flat", "not-square"])
 def test_kraus_stack_refuses_elements_that_are_not_n_d_by_d(shape):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from telerev import bell_basis, ejm, element_entanglement, xx_deformed, zx_zz
-from telerev.errors import DomainError, TelerevError
+from telerev.errors import DimensionError, DomainError, TelerevError
 from telerev.jointmeas import ZX_ZZ_LIMIT, JointMeasurement
 from telerev.theorems import random_basis
 
@@ -207,6 +207,12 @@ def test_element_entanglement_refuses_a_bad_element_at_any_index(d):
         error = DimensionError if message == "shape" else DomainError
         with pytest.raises(error, match=message):
             element_entanglement(broken, 0)
+
+
+def test_element_entanglement_refuses_elements_of_unequal_shapes():
+    jm = JointMeasurement(2, (np.eye(2), np.eye(3), np.eye(2), np.eye(2)), "unequal")
+    with pytest.raises(DimensionError, match=r"shape \(3, 3\), expected \(2, 2\)"):
+        element_entanglement(jm, 0)
 
 
 # An outcome outside [0, d^2) is refused by name; -1 would read element d^2 - 1.

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -71,6 +72,14 @@ def test_svd_rejects_non_square():
 def test_svd_rejects_non_finite():
     with pytest.raises(DomainError):
         svd(np.array([[1.0, np.nan], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0)])
+def test_svd_and_polar_refuse_an_empty_matrix_by_name(shape):
+    message = re.escape(f"expected a square matrix with d >= 1, got shape {shape}")
+    for call in (svd, polar_unitary):
+        with pytest.raises(DimensionError, match=message):
+            call(np.zeros(shape))
 
 
 def test_polar_of_unitary_is_its_adjoint():

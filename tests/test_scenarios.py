@@ -13,6 +13,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -378,6 +379,49 @@ def test_an_error_on_a_helper_row_comes_out_of_run_and_the_cli(tmp_path, monkeyp
     assert manifest["rows"] == len(_mc_cells(tmp_path / "ejm-scan.csv")) == 3
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ejm-scan.csv",
                                                            "ejm-scan_manifest.json"]
+
+
+# Batches hold at most CHUNK samples: 300 rows of 64 samples make 3 batches (128, 128
+# and 44 rows), rows of CHUNK // 2 + 1 samples a batch each.  Batches that finish out of
+# order would show as cells out of place.
+@pytest.mark.parametrize("rows, n", [(300, 64), (30, CHUNK // 2 + 1)],
+                         ids=["several-rows-a-batch", "one-row-a-batch"])
+def test_pool_batches_switching_often_write_the_serial_bytes(rows, n, tmp_path, monkeypatch):
+    sc = Scenario("ejm-scan", GridSpec(0.0, 1.0, rows), mc_samples=n, rng=RngSpec(6, 2))
+    _force_workers(monkeypatch, 1)
+    serial = scenarios.run(sc, tmp_path / "serial").data_path.read_bytes()
+    _force_workers(monkeypatch, 2 * os.cpu_count() + 2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = scenarios.run(sc, tmp_path / "threaded").data_path.read_bytes()
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+
+
+def test_a_failed_first_row_cancels_the_batches_not_yet_started(tmp_path, monkeypatch):
+    # one row a batch; every other row outlasts the failed one
+    sc = Scenario("ejm-scan", GridSpec(0.0, 1.0, 100), mc_samples=CHUNK // 2 + 1,
+                  rng=RngSpec(2, 7))
+    real, error, drawn = montecarlo._success_estimate, DomainError("first row failed"), []
+
+    def failing(g, n, rng):
+        drawn.append(rng.stream)
+        if rng.stream == sc.rng.stream:
+            raise error
+        time.sleep(0.01)
+        return real(g, n, rng)
+
+    monkeypatch.setattr(scenarios, "_success_estimate", failing)
+    _force_workers(monkeypatch, 2)
+    threads = threading.active_count()
+    with pytest.raises(DomainError) as raised:
+        scenarios.run(sc, tmp_path)
+    assert raised.value is error
+    assert sc.rng.stream in drawn and len(drawn) < sc.grid.steps
+    assert threading.active_count() == threads
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("name, grid, grid2, n", [

@@ -209,6 +209,13 @@ def test_total_success_refuses_three_of_the_four_bell_elements():
         thm1_total_success(max_entangled(2), three)
 
 
+def test_total_success_refuses_elements_of_unequal_shapes():
+    # checked element by element before stacking, as element_entanglement checks them
+    jm = JointMeasurement(2, (np.eye(2), np.eye(3), np.eye(2), np.eye(2)), "unequal")
+    with pytest.raises(DimensionError, match=r"shape \(3, 3\), expected \(2, 2\)"):
+        thm1_total_success(max_entangled(2), jm)
+
+
 def test_total_success_refuses_four_elements_that_are_not_orthonormal():
     bell = xx_deformed(0.0).elements
     repeated = JointMeasurement(2, bell[:3] + bell[:1], "bell with element 0 twice")
