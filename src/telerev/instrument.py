@@ -27,7 +27,7 @@ import numpy as np
 from .errors import DimensionError, DomainError
 from .jointmeas import JointMeasurement
 from .linalg import (SIGMA_FLOOR, as_matrix, complex_from, entries, floor_sigmas, fold,
-                     singular_values)
+                     product, singular_values)
 from .qstate import BipartiteState
 
 COMPLETENESS_TOL = 1e-10
@@ -101,7 +101,7 @@ class ReversalPlan:
     def residual(self, kraus: np.ndarray) -> np.ndarray:
         """Max-abs deviation of R_r M_r from sigma_min^r I over the recoverable
         outcomes, per row of a stack."""
-        dev = _product(self.reversers, kraus)
+        dev = product(self.reversers, kraus)
         diag = np.einsum("...ii->...i", dev.real)  # a writeable view
         diag -= self.sigmas[..., -1, None]
         if self.sigmas.shape[-1] == 2:  # the 2 x 2 entries, then the 4 outcomes, folded
@@ -113,28 +113,6 @@ class ReversalPlan:
     def plan(self, row: int) -> ReversalPlan:
         """Row ``row`` of a stack, as the plan of that row's instrument."""
         return ReversalPlan(self.sigmas[row], self.reversers[row], self.degenerate[row])
-
-
-def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x @ y of stacks broadcast along leading axes; at d = 2 each entry in real
-    arithmetic, its two products added in index order, written entries first
-    and returned as a (..., 2, 2) view (see the module docstring)."""
-    if x.shape[-1] != 2:
-        return x @ y
-    shape = np.broadcast_shapes(x.shape, y.shape)
-    # an operand that broadcasts (a channel against its outcomes) is copied out to the
-    # common shape: read in place, its entries would split every operation below into
-    # inner loops as short as the axis it broadcasts along
-    xs, ys = (entries(m if m.shape == shape else np.broadcast_to(m, shape).copy())
-              for m in (x, y))
-    out = np.empty((2, 2) + shape[:-2], dtype=np.complex128)
-    for i in (0, 1):
-        (pr, pi), (qr, qi) = xs[i]
-        for j in (0, 1):  # x_i0 y_0j + x_i1 y_1j
-            (ar, ai), (cr, ci) = ys[0][j], ys[1][j]
-            np.add(pr * ar - pi * ai, qr * cr - qi * ci, out=out.real[i, j, ...])
-            np.add(pr * ai + pi * ar, qr * ci + qi * cr, out=out.imag[i, j, ...])
-    return out.transpose(*range(2, out.ndim), 0, 1)
 
 
 def _completeness(kraus: np.ndarray) -> np.ndarray:
@@ -180,7 +158,7 @@ def kraus_stack(coeffs: np.ndarray, elements: np.ndarray) -> tuple[np.ndarray, n
     except ValueError:
         raise DimensionError(f"channel stack {coeffs.shape} and element stack {elements.shape} "
                              "do not broadcast along their leading axes") from None
-    kraus = _product(coeffs.swapaxes(-1, -2)[..., None, :, :], elements.conj().swapaxes(-1, -2))
+    kraus = product(coeffs.swapaxes(-1, -2)[..., None, :, :], elements.conj().swapaxes(-1, -2))
     residual = _completeness(kraus)
     worst = float(np.max(residual))
     if not worst <= COMPLETENESS_TOL:  # NaN fails too

@@ -3,18 +3,18 @@
 The design envelope is local dimension d <= 8; everything is a plain
 complex128 numpy array and all functions are pure.  :func:`svd` (with
 vectors, for the Monte Carlo leakage guess and :func:`polar_unitary`) and
-:func:`singular_values` (values only, for the d >= 3 spectrum) are the package's
-two SVD calls; both clamp sigma below :data:`SIGMA_FLOOR` in
-:func:`floor_sigmas`.  Both, like
-:func:`polar_unitary`, take a stack with the bits of separate calls.
-:func:`real_matmul` is a complex product whose bits do not depend on the
-CPU kernel, for the Monte Carlo success Gram matrix; the instrument's d = 2
-products are written entry by entry in ``instrument._product``, from the
-(real, imaginary) views of :func:`entries`, which the d = 2 concurrences and
-Bloch vectors read too.  :func:`fold`
-reduces a short axis left to right in whole-array operations: the bits of
-numpy's own sum or max over an axis shorter than 8, without its per-row
-inner loops, for the qubit metrics, residuals, Theorem 1 and the Haar norms.
+:func:`singular_values` (values only, for the d >= 3 spectrum) are the
+package's two SVD calls; both clamp sigma below :data:`SIGMA_FLOOR` in
+:func:`floor_sigmas`.  Both, like :func:`polar_unitary`, take a stack with
+the bits of separate calls.  :func:`product` is the package's one matrix
+product, of M_r = E^T W_r^dag, R_r M_r and the Monte Carlo success Gram: at
+d = 2 each entry in real arithmetic from the (real, imaginary) views of
+:func:`entries`, which the d = 2 concurrences and Bloch vectors read too, so
+its bits do not depend on the BLAS kernel or numpy's SIMD loops; at d >= 3
+it is ``@``.  :func:`fold` reduces a short axis left to right in whole-array
+operations: the bits of numpy's own sum or max over an axis shorter than 8,
+without its per-row inner loops, for the qubit metrics, residuals, Theorem 1
+and the Haar norms.
 """
 
 from __future__ import annotations
@@ -88,17 +88,26 @@ def floor_sigmas(s: np.ndarray) -> np.ndarray:
     return s
 
 
-def real_matmul(a: CMatrix, b: CMatrix) -> CMatrix:
-    """a @ b for complex stacks (broadcast along leading axes), in real float
-    arithmetic: each entry's inner sum is added term by term in index order.
-    Neither BLAS nor numpy's complex multiply (whose SIMD loops fuse into FMA
-    on some CPUs) is involved, so the bits are the same on every kernel."""
-    for k in range(a.shape[-1]):
-        xr, xi = a.real[..., :, k, None], a.imag[..., :, k, None]
-        yr, yi = b.real[..., None, k, :], b.imag[..., None, k, :]
-        tr, ti = xr * yr - xi * yi, xr * yi + xi * yr
-        cr, ci = (tr, ti) if k == 0 else (cr + tr, ci + ti)
-    return complex_from(cr, ci)
+def product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y of stacks broadcast along leading axes; at d = 2 each entry in real
+    arithmetic, its two products added in index order, written entries first
+    and returned as a (..., 2, 2) view (see the module docstring)."""
+    if x.shape[-1] != 2:
+        return x @ y
+    shape = np.broadcast_shapes(x.shape, y.shape)
+    # an operand that broadcasts (a channel against its outcomes) is copied out to the
+    # common shape: read in place, its entries would split every operation below into
+    # inner loops as short as the axis it broadcasts along
+    xs, ys = (entries(m if m.shape == shape else np.broadcast_to(m, shape).copy())
+              for m in (x, y))
+    out = np.empty((2, 2) + shape[:-2], dtype=np.complex128)
+    for i in (0, 1):
+        (pr, pi), (qr, qi) = xs[i]
+        for j in (0, 1):  # x_i0 y_0j + x_i1 y_1j
+            (ar, ai), (cr, ci) = ys[0][j], ys[1][j]
+            np.add(pr * ar - pi * ai, qr * cr - qi * ci, out=out.real[i, j, ...])
+            np.add(pr * ai + pi * ar, qr * ci + qi * cr, out=out.imag[i, j, ...])
+    return out.transpose(*range(2, out.ndim), 0, 1)
 
 
 def fold(op, a: np.ndarray, axis: int = -1) -> np.ndarray:

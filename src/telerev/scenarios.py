@@ -259,7 +259,7 @@ def _qubit_columns(sc: Scenario):
     cols, x, it, ix = _axes(entry, t, second)
     coeffs, elements = entry.channel(x), entry.measurement(t)
     # the channel's invariants repeated for each outcome, so that the closed form
-    # reads no broadcast axis (see instrument._product)
+    # reads no broadcast axis (see linalg.product)
     channel = np.repeat(_thm1_side(coeffs, coeffs)[..., None], elements.shape[1], axis=-1)
     sides = (coeffs, channel), (elements, _thm1_side(elements, elements.swapaxes(-1, -2)))
     blocks = [_qubit_block(sc, lo, sides, it[lo:lo + BLOCK_ROWS], ix[lo:lo + BLOCK_ROWS])

@@ -196,8 +196,7 @@ def haar_state(d: int, rng: np.random.Generator) -> np.ndarray:
 def real_matmul_reference(a: CMatrix, b: CMatrix) -> CMatrix:
     """a @ b in real arithmetic on the operands' own layout, each entry's
     inner sum added in index order, each step a broadcast over the leading
-    axes: the bits that ``linalg.real_matmul`` and, at d = 2,
-    ``instrument._product`` must give."""
+    axes: the bits that ``linalg.product`` must give at d = 2."""
     for k in range(a.shape[-1]):
         xr, xi = a.real[..., :, k, None], a.imag[..., :, k, None]
         yr, yi = b.real[..., None, k, :], b.imag[..., None, k, :]
@@ -214,7 +213,8 @@ def cells_reference(cols, n: int):
 
 
 def _product_reference(a: CMatrix, b: CMatrix) -> CMatrix:
-    """a @ b, in real arithmetic (:func:`real_matmul_reference`) at d = 2."""
+    """``linalg.product`` as the references compute it: a @ b, in real
+    arithmetic (:func:`real_matmul_reference`) at d = 2 and ``@`` at d >= 3."""
     return real_matmul_reference(a, b) if a.shape[-1] == 2 else a @ b
 
 

@@ -43,9 +43,41 @@ def test_missing_scenario_is_usage_error(tmp_path):
     assert main(["--out", str(tmp_path)]) == 2
 
 
+def test_unknown_scenario_from_a_config_file_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text("scenario = nope\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: unknown scenario 'nope'\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_config_line_without_a_value_is_refused_with_its_line(tmp_path, capsys):
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text("ejm-scan\n")
+    assert main(["--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}:1: expected key=value\n"
+
+
+def test_validate_scenario_refuses_an_unknown_name():
+    with pytest.raises(DomainError, match="^unknown scenario 'nope'$"):
+        validate_scenario(Scenario("nope", GridSpec(0.0, 1.0, 3)))
+
+
+def test_an_unknown_output_format_is_refused_before_the_directory_is_made(tmp_path):
+    with pytest.raises(DomainError, match="^unknown output format 'xml'$"):
+        run(Scenario("ejm-scan", GridSpec(0.0, 1.0, 3)), tmp_path / "out", fmt="xml")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("grid", ["abc", "0:1", "1:0:5", "0:1:1", "0:9:5"])
 def test_bad_grids_are_usage_errors(grid, tmp_path):
     assert main(["--scenario", "xx-scan", "--grid", grid, "--out", str(tmp_path)]) == 2
+
+
+def test_a_grid_bound_that_is_not_a_number_is_named(tmp_path, capsys):
+    assert main(["--scenario", "xx-scan", "--grid", "0:x:3", "--out", str(tmp_path)]) == 2
+    assert (capsys.readouterr().err
+            == "error: grid '0:x:3': could not convert string to float: 'x'\n")
 
 
 @pytest.mark.parametrize("grid", ["nan:1:3", "0:nan:3", "-inf:1:3", "0:inf:3"])

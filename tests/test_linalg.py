@@ -6,9 +6,8 @@ import pytest
 
 from telerev import DimensionError, polar_unitary, svd
 from telerev.errors import DomainError
-from telerev.instrument import _product
 from telerev.jointmeas import zx_zz_stack
-from telerev.linalg import real_matmul
+from telerev.linalg import product
 from telerev.qstate import schmidt_stack
 
 from helpers import random_coeff
@@ -136,13 +135,16 @@ def _spread(rng, *shape):
 
 
 def _assert_real_matmul_bits(a, b):
-    # at d = 2 instrument._product too, the Kraus-stack and residual product
-    want = real_matmul_reference(a, b)
-    for product in (real_matmul, _product) if a.shape[-1] == 2 else (real_matmul,):
-        got = product(a, b)
-        assert got.shape == want.shape
-        # _product returns a strided view, which has no uint64 view of its own
-        assert np.array_equal(np.ascontiguousarray(got).view(np.uint64), want.view(np.uint64))
+    # linalg.product: at d = 2 the real-arithmetic product; at d >= 3 `@`, each matrix
+    # of a stack with the bits of its own product, as the success Gram rows need
+    if a.shape[-1] == 2:
+        want = real_matmul_reference(a, b)
+    else:
+        want = np.stack([x @ y for x, y in zip(*np.broadcast_arrays(a, b))])
+    got = product(a, b)
+    assert got.shape == want.shape
+    # product returns a strided view at d = 2, which has no uint64 view of its own
+    assert np.array_equal(np.ascontiguousarray(got).view(np.uint64), want.view(np.uint64))
 
 
 def test_real_matmul_replays_the_broadcast_kraus_product_bit_for_bit():
@@ -170,7 +172,7 @@ def test_real_matmul_replays_the_success_gram_stacks_bit_for_bit(d):
     for k in (1, d, d * d):
         r, m = _spread(rng, k, d, d), _spread(rng, k, d, d)
         _assert_real_matmul_bits(r, m)
-        a = real_matmul(r, m)
+        a = product(r, m)
         _assert_real_matmul_bits(a.conj().swapaxes(-1, -2), a)
 
 

@@ -212,7 +212,8 @@ def test_estimates_carry_sample_count():
 # over the d columns), kept as the reference for the chunked kernel.  Success
 # is the Gram form v^dag G v / |v|^2 of the raw normals v, with
 # G = sum_r (R_r M_r)^dag (R_r M_r) written out here in Python complex scalars
-# and every sum taken in index order.
+# at d = 2 and through `@` at d >= 3 (as oracles._product_reference), and every
+# sum taken in index order.
 def _ref_states(z):
     v = z[..., 0] + 1j * z[..., 1]
     return v / np.linalg.norm(v, axis=1, keepdims=True)
@@ -247,12 +248,16 @@ def _ref_gram(inst, plan):
     for m, rev, deg in zip(inst.kraus, plan.reversers, plan.degenerate):
         if deg:
             continue
-        a = _ref_product([[complex(v) for v in row] for row in rev],
-                         [[complex(v) for v in row] for row in m])
-        adag = [[a[k][i].conjugate() for k in range(inst.d)] for i in range(inst.d)]
-        term = _ref_product(adag, a)
-        g = term if g is None else [[x + y for x, y in zip(gr, tr)] for gr, tr in zip(g, term)]
-    return np.zeros((inst.d, inst.d), complex) if g is None else np.array(g)
+        if inst.d == 2:
+            a = _ref_product([[complex(v) for v in row] for row in rev],
+                             [[complex(v) for v in row] for row in m])
+            adag = [[a[k][i].conjugate() for k in range(inst.d)] for i in range(inst.d)]
+            term = np.array(_ref_product(adag, a))
+        else:
+            a = rev @ m
+            term = a.conj().T @ a
+        g = term if g is None else g + term
+    return np.zeros((inst.d, inst.d), complex) if g is None else g
 
 
 def _ref_success(g, z):

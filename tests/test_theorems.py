@@ -85,6 +85,11 @@ def test_alignment_antiparallel_for_matched_elegant_pair():
     assert alignment_x(ejm_channel(0.4), ejm(0.9), 0) == pytest.approx(-1.0, abs=1e-10)
 
 
+def test_total_success_closed_form_requires_qubits():
+    with pytest.raises(DimensionError, match="^the closed form is defined for qubits only$"):
+        thm1_total_success(max_entangled(3), random_basis(3, np.random.default_rng(0)))
+
+
 def test_alignment_requires_qubits():
     with pytest.raises(DimensionError):
         alignment_x(max_entangled(3), random_basis(3, np.random.default_rng(0)), 0)
