@@ -9,12 +9,12 @@ metric derives from the singular values alone.  One type,
 them (:func:`spectrum`); every metric and the reversal residual are read off
 it, the metrics on first read and the residual only by its readers.
 
-At d = 2 the whole chain (Kraus products, completeness, singular values,
-reversers and residuals) is a closed form in elementwise real arithmetic, so
-its bits do not depend on the BLAS kernel or on numpy's SIMD dispatch.  For
-d >= 3 the products are ``@``, sigma is one values-only LAPACK SVD and the
-reversers R_r = sigma_min M_r^-1 are one batched LU inverse; no singular
-vector is formed.
+At d = 2 the whole chain (``linalg.product``, the completeness Gram
+``linalg.gram``, the closed-form spectrum and reversers, the residuals) is
+elementwise real arithmetic, so its bits do not depend on the BLAS kernel or
+on numpy's SIMD dispatch.  For d >= 3 the products are ``@``, sigma is one
+values-only LAPACK SVD and the reversers R_r = sigma_min M_r^-1 are one
+batched LU inverse; no singular vector is formed.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ import numpy as np
 
 from .errors import DimensionError, DomainError
 from .jointmeas import JointMeasurement
-from .linalg import (SIGMA_FLOOR, as_matrix, complex_from, entries, floor_sigmas, fold,
-                     product, singular_values)
+from .linalg import (SIGMA_FLOOR, as_matrix, entries, floor_sigmas, fold, gram, product,
+                     singular_values)
 from .qstate import BipartiteState
 
 COMPLETENESS_TOL = 1e-10
@@ -116,29 +116,12 @@ class ReversalPlan:
 
 
 def _completeness(kraus: np.ndarray) -> np.ndarray:
-    """Max-abs entry of sum_r M_r^dag M_r - I, the outcomes r on axis -3; in
-    closed form at d = 2 (:func:`_qubit_completeness`)."""
-    d = kraus.shape[-1]
-    if d == 2:
-        return _qubit_completeness(kraus)
-    acc = np.sum(kraus.conj().swapaxes(-1, -2) @ kraus, axis=-3)
-    return np.max(np.abs(acc - np.eye(d)), axis=(-2, -1))
-
-
-def _qubit_completeness(kraus: np.ndarray) -> np.ndarray:
-    """:func:`_completeness` of 2 x 2 operators M = [[a, b], [c, e]]: M^dag M
-    has the diagonal |a|^2 + |c|^2, |b|^2 + |e|^2 and the off-diagonal
-    conj(a) b + conj(c) e (below it, its conjugate), each summed over the
-    outcomes in order: the same bits as the real product and sum."""
-    ((ar, ai), (br, bi)), ((cr, ci), (er, ei)) = entries(kraus)
-
-    def outcome_sum(v):  # in outcome order, as np.sum adds along axis -3
-        return sum((v[..., r] for r in range(v.shape[-1])), np.zeros(v.shape[:-1]))
-    top = outcome_sum((ar * ar + ai * ai) + (cr * cr + ci * ci))
-    bottom = outcome_sum((br * br + bi * bi) + (er * er + ei * ei))
-    off = complex_from(outcome_sum((ar * br + ai * bi) + (cr * er + ci * ei)),
-                       outcome_sum((ar * bi - ai * br) + (cr * ei - ci * er)))
-    return np.maximum(np.maximum(np.abs(top - 1.0), np.abs(bottom - 1.0)), np.abs(off))
+    """Max-abs entry of sum_r M_r^dag M_r - I (:func:`linalg.gram`), the outcomes r
+    on axis -3."""
+    dev = gram(kraus)
+    diag = np.einsum("...ii->...i", dev.real)  # a writeable view
+    diag -= 1.0
+    return np.max(np.abs(dev), axis=(-2, -1))
 
 
 def kraus_stack(coeffs: np.ndarray, elements: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -229,8 +212,13 @@ def spectrum(kraus: np.ndarray) -> ReversalPlan:
 
 
 def completeness_residual(kraus, d: int) -> float:
-    """Max-abs deviation of sum_r M_r^dag M_r from the identity."""
-    return float(_completeness(np.reshape(kraus, (-1, d, d))))
+    """Max-abs deviation of sum_r M_r^dag M_r from the identity, for one list of
+    Kraus operators (n, d, d); raises DimensionError on any other shape."""
+    kraus = np.asarray(kraus, dtype=np.complex128)
+    if d < 1 or kraus.ndim != 3 or kraus.shape[1:] != (d, d):
+        raise DimensionError(
+            f"expected Kraus operators (n, d, d) with d >= 1, got shape {kraus.shape} and d = {d}")
+    return float(_completeness(kraus))
 
 
 def build_instrument(channel: BipartiteState, jm: JointMeasurement) -> Instrument:

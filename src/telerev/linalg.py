@@ -7,14 +7,15 @@ vectors, for the Monte Carlo leakage guess and :func:`polar_unitary`) and
 package's two SVD calls; both clamp sigma below :data:`SIGMA_FLOOR` in
 :func:`floor_sigmas`.  Both, like :func:`polar_unitary`, take a stack with
 the bits of separate calls.  :func:`product` is the package's one matrix
-product, of M_r = E^T W_r^dag, R_r M_r and the Monte Carlo success Gram: at
-d = 2 each entry in real arithmetic from the (real, imaginary) views of
+product, of M_r = E^T W_r^dag and R_r M_r, and :func:`gram` its one sum
+sum_r A_r^dag A_r, of the completeness gate and the Monte Carlo success Gram:
+at d = 2 each entry in real arithmetic from the (real, imaginary) views of
 :func:`entries`, which the d = 2 concurrences and Bloch vectors read too, so
-its bits do not depend on the BLAS kernel or numpy's SIMD loops; at d >= 3
-it is ``@``.  :func:`fold` reduces a short axis left to right in whole-array
-operations: the bits of numpy's own sum or max over an axis shorter than 8,
-without its per-row inner loops, for the qubit metrics, residuals, Theorem 1
-and the Haar norms.
+their bits do not depend on the BLAS kernel or numpy's SIMD loops; at d >= 3
+they are ``@``.  :func:`fold` reduces a short axis left to right in
+whole-array operations: the bits of numpy's own sum or max over an axis
+shorter than 8, without its per-row inner loops, for the qubit metrics,
+residuals, Gram sums, Theorem 1 and the Haar norms.
 """
 
 from __future__ import annotations
@@ -120,18 +121,36 @@ def fold(op, a: np.ndarray, axis: int = -1) -> np.ndarray:
     return reduce(op, (a[(..., k) + tail] for k in range(a.shape[axis])))
 
 
+def gram(a: np.ndarray) -> np.ndarray:
+    """sum_r a_r^dag a_r of a stack (..., n, d, d), the outcomes r on axis -3 added
+    in order.  At d = 2, with a = [[a, b], [c, e]], the entries |a|^2 + |c|^2,
+    conj(a) b + conj(c) e, conj(b) a + conj(e) c and |b|^2 + |e|^2 in real
+    arithmetic, folded over the outcomes, the diagonal's imaginary parts +0: the
+    bits of ``fold(np.add, product(a^dag, a), -3)``, returned as a (..., 2, 2)
+    view.  At d >= 3, or with no outcome, ``np.sum`` of ``@``."""
+    if a.shape[-1] != 2 or a.shape[-3] == 0:
+        return np.sum(a.conj().swapaxes(-1, -2) @ a, axis=-3)
+    ((ar, ai), (br, bi)), ((cr, ci), (er, ei)) = entries(a)
+    ab, ba, ce, ec = ar * bi, ai * br, cr * ei, ci * er
+    terms = np.empty((5,) + ar.shape)  # every outcome's term of each sum, folded at once
+    np.add(ar * ar + ai * ai, cr * cr + ci * ci, out=terms[0])
+    np.add(br * br + bi * bi, er * er + ei * ei, out=terms[1])
+    np.add(ar * br + ai * bi, cr * er + ci * ei, out=terms[2])
+    np.add(ab - ba, ce - ec, out=terms[3])
+    # its own sum: the negated entry above would turn a real operator's +0 into -0
+    np.add(ba - ab, ec - ce, out=terms[4])
+    top, bottom, off, above, below = fold(np.add, terms)
+    out = np.zeros((2, 2) + top.shape, dtype=np.complex128)
+    re, im = out.real, out.imag
+    re[0, 0], re[0, 1], re[1, 0], re[1, 1], im[0, 1], im[1, 0] = top, off, off, bottom, above, below
+    return out.transpose(*range(2, out.ndim), 0, 1)
+
+
 def entries(m: np.ndarray) -> list:
     """Entries [[a, b], [c, e]] of a 2 x 2 stack as (real, imaginary) pairs of views
     with the stack's leading shape."""
     re, im = m.real, m.imag
     return [[(re[..., i, j], im[..., i, j]) for j in (0, 1)] for i in (0, 1)]
-
-
-def complex_from(re: np.ndarray, im: np.ndarray) -> CMatrix:
-    """The complex array re + i im, assembled without arithmetic."""
-    out = np.empty(np.broadcast_shapes(re.shape, im.shape), dtype=np.complex128)
-    out.real, out.imag = re, im
-    return out
 
 
 def polar_unitary(m: CMatrix) -> CMatrix:

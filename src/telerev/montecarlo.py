@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError, check_integer
 from .instrument import Instrument, ReversalPlan, check_plan
-from .linalg import fold, polar_unitary, product, svd
+from .linalg import fold, gram, polar_unitary, product, svd
 
 _KEY_LIMIT = 1 << 64
 
@@ -72,13 +72,6 @@ class McEstimate:
     mean: float
     std_error: float
     n: int
-
-
-def _haar_batch(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n Haar states, as :func:`_states` of freshly drawn normals.  Each sample takes
-    its 2d normals in turn, so n draws of one state replay one draw of n on the same
-    generator."""
-    return _states(rng.standard_normal((n, d, 2)))
 
 
 def _states(z: np.ndarray) -> np.ndarray:
@@ -143,16 +136,15 @@ def _estimate(samples: np.ndarray) -> McEstimate:
 
 
 def _success_gram(kraus: np.ndarray, plan: ReversalPlan) -> np.ndarray:
-    """G = sum_r (R_r M_r)^dag (R_r M_r) of Kraus operators (..., n, d, d), the outcomes added
-    in order along axis -3, so a state's success probability sum_r |R_r M_r phi|^2 is
-    phi^dag G phi; a degenerate outcome adds a zeroed term, whatever its reverser holds.
-    Both products are linalg.product, matrix by matrix, so row i of a stack's G is, bit
-    for bit, that row's own; G is returned C-contiguous, whatever the product's layout."""
+    """G = sum_r (R_r M_r)^dag (R_r M_r) of Kraus operators (..., n, d, d), so a state's
+    success probability sum_r |R_r M_r phi|^2 is phi^dag G phi: linalg.gram of the
+    products A_r = R_r M_r (linalg.product), a degenerate outcome's A_r zeroed first,
+    whatever its reverser holds.  Both act matrix by matrix, so row i of a stack's G is,
+    bit for bit, that row's own; G is returned C-contiguous, whatever gram's layout."""
     check_plan(plan, kraus)
     a = product(plan.reversers, kraus)
-    terms = product(a.conj().swapaxes(-1, -2), a)
-    terms = np.where(np.asarray(plan.degenerate)[..., None, None], 0.0, terms)
-    return np.ascontiguousarray(fold(np.add, terms, -3))
+    a = np.where(np.asarray(plan.degenerate)[..., None, None], 0.0, a)
+    return np.ascontiguousarray(gram(a))
 
 
 def _success(g: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -6,16 +6,19 @@ direction where the radius is below ``qstate.DIR_FLOOR``), a basis
 orthonormality report, the Theorem 1 alignment of one outcome, one
 outcome's post-measurement state by explicit tensor contraction
 (:func:`apply_kraus_oracle`, the independent check of M_r = E^T W_r^dag),
-the d = 3 trigonometric root of Theorem 2 and a single Haar draw.  More keep an
-earlier form of a library function whose output must not change: the real
-arithmetic complex product on the operands' own layout
-(:func:`real_matmul_reference`), one ``format`` call per output cell
-(:func:`cells_reference`), the completeness and reversal residuals as
+the d = 3 trigonometric root of Theorem 2, a batch of Haar draws
+(:func:`_haar_batch`) and a single one.  More keep an earlier form of a
+library function whose output must not change: the real arithmetic complex
+product on the operands' own layout (:func:`real_matmul_reference`, its
+result assembled by :func:`complex_from`), one ``format`` call per output
+cell (:func:`cells_reference`), the completeness and reversal residuals as
 products of whole 2 x 2 matrices (:func:`completeness_reference`,
-:func:`residual_reference`), the closed-form reversers written through
-a copy of adj(M) (:func:`reversers_reference`) and the d >= 3 reversers
-assembled from the full SVD (:func:`svd_reversers_reference`).  The tests
-hold the stacked library code to these references.  Three compose library
+:func:`residual_reference`), the completeness residual in its earlier d = 2
+closed form (:func:`qubit_completeness_reference`), the closed-form
+reversers written through a copy of adj(M) (:func:`reversers_reference`)
+and the d >= 3 reversers assembled from the full SVD
+(:func:`svd_reversers_reference`).  The tests hold the stacked library code
+to these references.  Three compose library
 parts that the library calls one by one: Theorem 1 over whole per-row
 stacks, with its channel and element concurrences (:func:`thm1_success_stack`),
 the alignment of channels and elements (:func:`_alignment`), and a scan's
@@ -32,8 +35,8 @@ import numpy as np
 from telerev.errors import DimensionError, DomainError
 from telerev.instrument import ReversalPlan
 from telerev.jointmeas import JointMeasurement
-from telerev.linalg import CMatrix, as_matrix, complex_from, svd
-from telerev.montecarlo import _haar_batch
+from telerev.linalg import CMatrix, as_matrix, entries, svd
+from telerev.montecarlo import _states
 from telerev.qstate import DIR_FLOOR, NORM_TOL, BipartiteState, _normalised, _radius, bloch_vectors
 from telerev.scenarios import COLUMNS, ScenarioSpec, _axes
 from telerev.theorems import _aligned, _in_range, _thm1_mixed, _thm1_side
@@ -188,9 +191,23 @@ def tr_closed_form_d3(e_r: float) -> float:
     return 2.0 / 3.0 + 2.0 / 3.0 * math.cos(math.acos(c) / 3.0 + 2.0 * math.pi / 3.0)
 
 
+def _haar_batch(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n Haar states, as :func:`_states` of freshly drawn normals.  Each sample takes
+    its 2d normals in turn, so n draws of one state replay one draw of n on the same
+    generator."""
+    return _states(rng.standard_normal((n, d, 2)))
+
+
 def haar_state(d: int, rng: np.random.Generator) -> np.ndarray:
     """One Haar-random pure state: 2d standard normals, normalized."""
     return _haar_batch(d, 1, rng)[0]
+
+
+def complex_from(re: np.ndarray, im: np.ndarray) -> CMatrix:
+    """The complex array re + i im, assembled without arithmetic."""
+    out = np.empty(np.broadcast_shapes(re.shape, im.shape), dtype=np.complex128)
+    out.real, out.imag = re, im
+    return out
 
 
 def real_matmul_reference(a: CMatrix, b: CMatrix) -> CMatrix:
@@ -224,6 +241,23 @@ def completeness_reference(kraus: np.ndarray) -> np.ndarray:
     d = kraus.shape[-1]
     acc = np.sum(_product_reference(kraus.conj().swapaxes(-1, -2), kraus), axis=-3)
     return np.max(np.abs(acc - np.eye(d)), axis=(-2, -1))
+
+
+def qubit_completeness_reference(kraus: np.ndarray) -> np.ndarray:
+    """``instrument._completeness`` of 2 x 2 operators M = [[a, b], [c, e]] in its
+    earlier closed form, before ``linalg.gram`` served it: M^dag M
+    has the diagonal |a|^2 + |c|^2, |b|^2 + |e|^2 and the off-diagonal
+    conj(a) b + conj(c) e (below it, its conjugate), each summed over the
+    outcomes in order: the same bits as the real product and sum."""
+    ((ar, ai), (br, bi)), ((cr, ci), (er, ei)) = entries(kraus)
+
+    def outcome_sum(v):  # in outcome order, as np.sum adds along axis -3
+        return sum((v[..., r] for r in range(v.shape[-1])), np.zeros(v.shape[:-1]))
+    top = outcome_sum((ar * ar + ai * ai) + (cr * cr + ci * ci))
+    bottom = outcome_sum((br * br + bi * bi) + (er * er + ei * ei))
+    off = complex_from(outcome_sum((ar * br + ai * bi) + (cr * er + ci * ei)),
+                       outcome_sum((ar * bi - ai * br) + (cr * ei - ci * er)))
+    return np.maximum(np.maximum(np.abs(top - 1.0), np.abs(bottom - 1.0)), np.abs(off))
 
 
 def residual_reference(plan: ReversalPlan, kraus: np.ndarray) -> np.ndarray:

@@ -460,3 +460,22 @@ def test_kraus_stack_refuses_stacks_whose_leading_shapes_do_not_broadcast():
                         "do not broadcast along their leading axes")
     with pytest.raises(DimensionError, match=message):
         kraus_stack(coeffs, elements)
+
+
+# completeness_residual reads one list of Kraus operators (n, d, d): a matrix of
+# another d, d = 0 or a stack of lists is refused by name, not reshaped into a bare
+# ValueError or silently read as one list of rows x n outcomes.
+@pytest.mark.parametrize("shape, d", [((2, 2), 3), ((1, 0, 0), 0), ((4, 2, 2), 0),
+                                      ((3, 4, 2, 2), 2), ((4, 2, 2), 3), ((4, 4), 2)],
+                         ids=["matrix", "d-0-empty", "d-0", "stack", "other-d", "flat"])
+def test_completeness_residual_refuses_a_shape_that_is_not_one_kraus_list(shape, d):
+    message = re.escape(f"expected Kraus operators (n, d, d) with d >= 1, got shape {shape} "
+                        f"and d = {d}")
+    with pytest.raises(DimensionError, match=message):
+        completeness_residual(np.zeros(shape), d)
+
+
+def test_completeness_residual_reads_any_list_of_kraus_operators():
+    assert completeness_residual([np.eye(3, dtype=int)], 3) == 0.0
+    inst = build_instrument(max_entangled(2), bell_basis())
+    assert completeness_residual(inst.kraus.tolist(), 2) == completeness_residual(inst.kraus, 2)

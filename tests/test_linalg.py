@@ -7,7 +7,7 @@ import pytest
 from telerev import DimensionError, polar_unitary, svd
 from telerev.errors import DomainError
 from telerev.jointmeas import zx_zz_stack
-from telerev.linalg import product
+from telerev.linalg import fold, gram, product
 from telerev.qstate import schmidt_stack
 
 from helpers import random_coeff
@@ -181,3 +181,35 @@ def test_real_matmul_replays_a_batch_of_one_bit_for_bit():
     for a_shape, b_shape in [((2, 2), (2, 2)), ((1, 2, 2), (1, 2, 2)),
                              ((1, 1, 2, 2), (1, 4, 2, 2)), ((3, 3), (5, 3, 3))]:
         _assert_real_matmul_bits(_spread(rng, *a_shape), _spread(rng, *b_shape))
+
+
+def _folded_product_gram(a):
+    """sum_r a_r^dag a_r as the product of every outcome, folded over the outcomes."""
+    return fold(np.add, product(a.conj().swapaxes(-1, -2), a), -3)
+
+
+# At d = 2 gram writes the four entries of sum_r a_r^dag a_r from real arithmetic,
+# the entry below the diagonal from its own sum: these are the bits of the matrix
+# product folded over the outcomes, the signed zeros of real operators included.
+@pytest.mark.parametrize("shape", [(300, 4), (4,), (3, 40, 4), (200, 1), (200, 3)],
+                         ids=["n-4", "one-instrument", "nested", "1-outcome", "3-outcomes"])
+def test_gram_has_the_bits_of_the_folded_product_at_d2(shape):
+    rng = np.random.default_rng(sum(shape))
+    a = _spread(rng, *shape, 2, 2)
+    a[..., :1, :, :] *= rng.integers(0, 2, shape[:-1] + (1, 1, 1))  # zero outcomes
+    real = np.where(rng.random(shape + (2, 2)) < 0.3, 0.0, _spread(rng, *shape, 2, 2).real) + 0j
+    for stack in (a, real, -real, np.zeros(shape + (2, 2), complex)):
+        got, want = gram(stack), _folded_product_gram(stack)
+        assert got.shape == want.shape == shape[:-1] + (2, 2)
+        assert np.array_equal(_bits(got), _bits(want))
+        assert not np.signbit(np.einsum("...ii->...i", got.imag)).any()
+    # on real operators the entry above, negated, has other bits than the one below:
+    # its +0 imaginary parts would turn into -0
+    got = gram(real)
+    assert not np.array_equal(_bits(-got.imag[..., 0, 1]), _bits(got.imag[..., 1, 0]))
+
+
+def test_gram_of_no_outcome_is_zero_and_of_d3_is_the_summed_product():
+    assert np.array_equal(gram(np.zeros((5, 0, 2, 2), complex)), np.zeros((5, 2, 2)))
+    a = _spread(np.random.default_rng(45), 6, 9, 3, 3)
+    assert np.array_equal(_bits(gram(a)), _bits(_folded_product_gram(a)))

@@ -14,12 +14,11 @@ from telerev.errors import DimensionError, DomainError
 from telerev.instrument import Instrument, ReversalPlan, kraus_stack, spectrum
 from telerev.jointmeas import JointMeasurement, zx_zz_stack
 from telerev.linalg import polar_unitary, svd
-from telerev.montecarlo import (CHUNK, MC_BUDGET_BYTES, _haar_batch, _success,
-                                 _success_gram)
+from telerev.montecarlo import CHUNK, MC_BUDGET_BYTES, _success, _success_gram
 from telerev.qstate import schmidt_stack
 from telerev.theorems import random_basis
 
-from oracles import haar_state
+from oracles import _haar_batch, haar_state
 
 # Statistical gates use five standard errors plus a tiny absolute floor for
 # estimators whose per-sample values are constant up to rounding.
@@ -46,7 +45,6 @@ def test_haar_moments(d):
     n = 100_000
     samples = np.array([haar_state(d, gen) for _ in range(1000)])
     # vectorized batch for the big sample; sequential draws above check the API
-    from telerev.montecarlo import _haar_batch
     batch = _haar_batch(d, n, RngSpec(seed=8, stream=d).generator())
     probs = np.abs(batch) ** 2
     for i in range(d):
@@ -58,7 +56,6 @@ def test_haar_moments(d):
 def test_haar_rotation_invariance():
     rng = np.random.default_rng(123)
     q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
-    from telerev.montecarlo import _haar_batch
     batch = _haar_batch(2, 100_000, RngSpec(seed=9).generator())
     rotated = np.abs(batch @ q.T.conj()[:, 0]) ** 2
     se = np.std(rotated, ddof=1) / math.sqrt(rotated.size)
@@ -66,7 +63,6 @@ def test_haar_rotation_invariance():
 
 
 def test_batch_matches_sequential_draws():
-    from telerev.montecarlo import _haar_batch
     gen = RngSpec(seed=55).generator()
     batch = _haar_batch(3, 4, gen)
     gen2 = RngSpec(seed=55).generator()
@@ -102,7 +98,6 @@ def test_estimate_performance_partial_channel():
 
 
 def test_per_outcome_success_is_input_independent():
-    from telerev.montecarlo import _haar_batch
     inst = build_instrument(schmidt_channel(0.25, "z"), xx_deformed(0.3))
     plan = optimal_reversal(inst)
     phi = _haar_batch(2, 2000, RngSpec(seed=104).generator())

@@ -1,15 +1,17 @@
-"""The d = 2 closed forms of the two residual gates against their
-matrix-product references in ``oracles``.
+"""The d = 2 forms of the two residual gates against their references in
+``oracles``.
 
-``instrument._completeness`` (max |sum_r M_r^dag M_r - I|) and
-``ReversalPlan.residual`` (max |R_r M_r - sigma_min I|) are gates that the
-manifest reports, not output cells: a run fails when either exceeds
-``COMPLETENESS_TOL`` or ``REVERSAL_GATE``.  At d = 2 both are elementwise
-closed forms, which must agree with the references within 1e-15 (relative
-above 1) on the zz-scan surface, on random stacks over many decades of
-scale and on degenerate outcomes, and must still fail every faulty input:
-perturbed reversers, an incomplete stack and NaN entries.  The closed-form
-reversers themselves must equal their earlier adj(M)-copy form bit for bit.
+``instrument._completeness`` (max |sum_r M_r^dag M_r - I|, the sum from
+``linalg.gram``) and ``ReversalPlan.residual`` (max |R_r M_r - sigma_min I|,
+the product from ``linalg.product``) are gates that the manifest reports, not
+output cells: a run fails when either exceeds ``COMPLETENESS_TOL`` or
+``REVERSAL_GATE``.  At d = 2 both are elementwise real arithmetic, which must
+agree with the matrix-product references within 1e-15 (relative above 1) on
+the zz-scan surface, on random stacks over many decades of scale and on
+degenerate outcomes, and must still fail every faulty input: perturbed
+reversers, an incomplete stack and NaN entries.  The completeness gate must
+keep the bits of its earlier closed form, and the closed-form reversers those
+of their earlier adj(M)-copy form.
 """
 
 import math
@@ -27,7 +29,8 @@ from telerev.jointmeas import xx_deformed_stack, zx_zz_stack
 from telerev.qstate import schmidt_stack
 from telerev.scenarios import REVERSAL_GATE, SCENARIOS
 
-from oracles import completeness_reference, residual_reference, reversers_reference
+from oracles import (completeness_reference, qubit_completeness_reference, residual_reference,
+                     reversers_reference)
 
 TOL = 1e-15
 SURFACE = ["--scenario", "zz-scan", "--grid", "0:1.3:51", "--grid2", "0:0.7853981633974483:51"]
@@ -124,6 +127,28 @@ def _mixed_rank():
     pick = rng.integers(0, 3, (400, 4))  # 0: full rank, 1: rank one, 2: zero
     kraus = np.where((pick == 1)[..., None, None], rank_one, kraus)
     return np.where((pick == 2)[..., None, None], 0.0, kraus), pick
+
+
+def _same_bits(got, want):
+    got, want = np.ascontiguousarray(got), np.ascontiguousarray(want)
+    return got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+# The completeness gate reads linalg.gram, the one sum of M_r^dag M_r; at d = 2 it
+# keeps the bits of its earlier closed form, summed over the outcomes in order.
+def test_completeness_keeps_the_bits_of_its_earlier_closed_form():
+    _, _, surface, completeness = _surface()
+    nan = surface.copy()
+    nan[11, 1, 0, 1] = np.nan
+    rng = np.random.default_rng(61)
+    complete = np.linalg.qr(_random_kraus((300, 4), rng, 0))[0] / 2
+    stacks = [surface, nan, _mixed_rank()[0], np.zeros((5, 4, 2, 2), complex), complete,
+              complete * 10.0 ** rng.uniform(-12, 12, (300, 4, 1, 1))]
+    stacks += [_random_kraus((300, 4), rng, decades) for decades in (0, 6, 12)]
+    stacks.append(_random_kraus((300, 16), rng))  # numpy would add 16 outcomes pairwise
+    assert _same_bits(completeness, qubit_completeness_reference(surface))
+    for kraus in stacks:
+        assert _same_bits(_completeness(kraus), qubit_completeness_reference(kraus))
 
 
 def test_degenerate_outcomes_are_left_out_alike():

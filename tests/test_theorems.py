@@ -520,7 +520,7 @@ def test_random_basis_is_orthonormal_and_complete():
 TEST_ONLY = ("PAULI_X", "PAULI_Y", "PAULI_Z", "BlochPoint", "_bloch_point", "channel_operator",
              "reduced_bloch", "channel_bloch", "BasisReport", "validate", "element_bloch",
              "alignment_x", "tr_closed_form_d3", "haar_state", "apply_kraus_oracle", "_rows",
-             "_alignment", "thm1_success_stack", "SCENARIO_NAMES")
+             "_alignment", "thm1_success_stack", "SCENARIO_NAMES", "_haar_batch", "complex_from")
 
 
 def test_public_names_resolve_and_test_oracles_stay_out_of_the_library():
