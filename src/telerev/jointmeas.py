@@ -25,8 +25,9 @@ ZX_ZZ_LIMIT = math.sqrt(3) * math.pi / 4
 
 @dataclass(frozen=True)
 class JointMeasurement:
-    """d^2 rank-one measurement elements as coefficient matrices W_r, their shapes
-    checked whenever they are stacked (:meth:`stack`) and their values only when
+    """d^2 rank-one measurement elements as coefficient matrices W_r.  The family
+    factories check their element stacks normalised, once per stack; any measurement
+    has its shapes checked whenever it is stacked (:meth:`stack`) and its values when
     :func:`element_entanglement` first reads them as states."""
 
     d: int
@@ -52,8 +53,8 @@ def xx_deformed_stack(t) -> np.ndarray:
     """Element stack (rows, 4, 2, 2) of :func:`xx_deformed` over an array of t."""
     th = math.pi / 4 - _check_angles(t, 0.0, math.pi / 4, "t")
     s, c = np.sin(th), np.cos(th)
-    return _pack(th.size, s, 0.0, 0.0, 1j * c, 0.0, s, 1j * c, 0.0,
-                 c, 0.0, 0.0, -1j * s, 0.0, c, -1j * s, 0.0)
+    return _normalised(_pack(th.size, s, 0.0, 0.0, 1j * c, 0.0, s, 1j * c, 0.0,
+                             c, 0.0, 0.0, -1j * s, 0.0, c, -1j * s, 0.0))
 
 
 def xx_deformed(t: float) -> JointMeasurement:
@@ -78,7 +79,7 @@ def bell_basis() -> JointMeasurement:
 
 def ejm_stack(t) -> np.ndarray:
     """Element stack (rows, 4, 2, 2) of :func:`ejm` over an array of t."""
-    return _ejm_elements(_check_angles(t, 0.0, math.pi / 2, "t"))
+    return _normalised(_ejm_elements(_check_angles(t, 0.0, math.pi / 2, "t")))
 
 
 def ejm(t: float) -> JointMeasurement:
@@ -102,8 +103,8 @@ def zx_zz_stack(t) -> np.ndarray:
     al = a + cr + 1j * c
     be = 1j * (a - cr) - c
     alc, bec = al.conjugate(), be.conjugate()
-    return 0.5 * _pack(t.size, al, be, -be, al, -bec, alc, alc, bec,
-                       al, be, be, -al, -bec, alc, -alc, -bec)
+    return _normalised(0.5 * _pack(t.size, al, be, -be, al, -bec, alc, alc, bec,
+                                   al, be, be, -al, -bec, alc, -alc, -bec))
 
 
 def zx_zz(t: float) -> JointMeasurement:

@@ -135,16 +135,17 @@ def _estimate(samples: np.ndarray) -> McEstimate:
     return McEstimate(mean=float(mean), std_error=se, n=n)
 
 
-def _success_gram(kraus: np.ndarray, plan: ReversalPlan) -> np.ndarray:
-    """G = sum_r (R_r M_r)^dag (R_r M_r) of Kraus operators (..., n, d, d), so a state's
-    success probability sum_r |R_r M_r phi|^2 is phi^dag G phi: linalg.gram of the
-    products A_r = R_r M_r (linalg.product), a degenerate outcome's A_r zeroed first,
-    whatever its reverser holds.  Both act matrix by matrix, so row i of a stack's G is,
-    bit for bit, that row's own; G is returned C-contiguous, whatever gram's layout."""
+def _reversed(kraus: np.ndarray, plan: ReversalPlan) -> np.ndarray:
+    """A_r = R_r M_r (linalg.product) of Kraus operators (..., n, d, d), zero where degenerate;
+    C-contiguous: numpy's matmul picks BLAS or its own loop by layout, which round differently."""
     check_plan(plan, kraus)
-    a = product(plan.reversers, kraus)
-    a = np.where(np.asarray(plan.degenerate)[..., None, None], 0.0, a)
-    return np.ascontiguousarray(gram(a))
+    zero = np.asarray(plan.degenerate)[..., None, None]
+    return np.ascontiguousarray(np.where(zero, 0.0, product(plan.reversers, kraus)))
+
+
+def _success_gram(kraus: np.ndarray, plan: ReversalPlan) -> np.ndarray:
+    """G = gram of :func:`_reversed` (phi^dag G phi = sum_r |A_r phi|^2), C-contiguous."""
+    return np.ascontiguousarray(gram(_reversed(kraus, plan)))
 
 
 def _success(g: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -190,9 +191,8 @@ def estimate_performance(inst: Instrument, plan: ReversalPlan, n: int,
     is the success-weighted output fidelity; it is 1 up to rounding whenever
     the resources are pure.
     """
-    kraus = np.asarray(inst.kraus)
-    g, zero = _success_gram(kraus, plan), np.asarray(plan.degenerate)[:, None, None]
-    ops = np.where(zero, 0.0, plan.reversers @ kraus).swapaxes(-1, -2)
+    a = _reversed(np.asarray(inst.kraus), plan)
+    g, ops = gram(a), a.swapaxes(-1, -2)
     # the success reads the raw normals before _states normalises them in place
     succ, overlap = _sample(inst.d, n, rng, lambda z: (_success(g, z), _overlaps(_states(z), ops)), 2)
     f_cond = np.where(succ > 0.0, overlap / np.where(succ > 0.0, succ, 1.0), 1.0)

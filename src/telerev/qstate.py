@@ -78,8 +78,9 @@ def _one_angle(value, name: str):
 
 
 def _normalised(coeffs: np.ndarray) -> np.ndarray:
-    """Check Tr(E^dag E) = 1 for a stack of coefficient matrices at once."""
-    norms = np.real(np.einsum("nij,nij->n", coeffs.conj(), coeffs))
+    """Check Tr(E^dag E) = 1 for a stack of coefficient matrices (..., d, d) at once;
+    the refusal names the first bad norm in C order."""
+    norms = np.real(np.einsum("...ij,...ij->...", coeffs.conj(), coeffs))
     bad = ~(np.abs(norms - 1.0) <= NORM_TOL)  # NaN fails
     if bad.any():
         raise DomainError(

@@ -30,8 +30,7 @@ from .instrument import COMPLETENESS_TOL, kraus_stack, spectrum
 from .jointmeas import ejm_stack, xx_deformed_stack, zx_zz_stack
 from .montecarlo import (CHUNK, RngSpec, _success_estimate, _success_gram, check_budget,
                          rows_in_budget)
-from .qstate import (_check_angles, _normalised, ejm_channel_stack, max_entangled_stack,
-                     schmidt_stack)
+from .qstate import _check_angles, ejm_channel_stack, max_entangled_stack, schmidt_stack
 from .theorems import _thm1_mixed, _thm1_side, solve_tr
 
 COLUMNS = [
@@ -192,18 +191,13 @@ def _qubit_block(sc: Scenario, lo: int, sides, it: np.ndarray, ix: np.ndarray) -
     """Columns of the grid rows lo, lo+1, ..., row k pairing measurement it[k] with
     channel ix[k] of ``sides``, each factory's stack on its axis with that side's
     Theorem 1 invariants: one stacked spectrum and one stacked Theorem 1, plus each
-    row's residuals.  The rows are gathered by index and gated in the order of a stack
-    made per row: the instrument's completeness, its spectrum, then the elements'
-    normalisation.  The invariants are gathered last, for the closed form alone, once
-    the gathered elements are freed, so that the block's peak memory does not grow.
-    With Monte Carlo, one stacked success Gram matrix G serves the block, and row k
-    only draws, from its own stream sc.rng.stream + k, with its row of G."""
+    row's residuals.  The factories checked their stacks, so the gathered rows are
+    not checked again.  With Monte Carlo, one stacked success Gram matrix G serves the
+    block, and row k only draws, from its own stream sc.rng.stream + k, with its row
+    of G."""
     (coeffs, channel), (elements, element) = sides
-    elements = elements.take(it, axis=0)
-    kraus, completeness = kraus_stack(coeffs.take(ix, axis=0), elements)
+    kraus, completeness = kraus_stack(coeffs.take(ix, axis=0), elements.take(it, axis=0))
     spec = spectrum(kraus)
-    _normalised(elements.reshape(-1, 2, 2))
-    del elements
     closed = _thm1_mixed(channel.take(ix, axis=1), element.take(it, axis=1))
     cols = {"E_c": channel[0, :, 0].take(ix), "E_M": element[0, :, 0].take(it),
             "F_standard": spec.f_standard, "P_succ_closed": closed,

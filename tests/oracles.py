@@ -7,22 +7,24 @@ orthonormality report, the Theorem 1 alignment of one outcome, one
 outcome's post-measurement state by explicit tensor contraction
 (:func:`apply_kraus_oracle`, the independent check of M_r = E^T W_r^dag),
 the d = 3 trigonometric root of Theorem 2, a batch of Haar draws
-(:func:`_haar_batch`) and a single one.  More keep an earlier form of a
-library function whose output must not change: the real arithmetic complex
-product on the operands' own layout (:func:`real_matmul_reference`, its
-result assembled by :func:`complex_from`), one ``format`` call per output
-cell (:func:`cells_reference`), the completeness and reversal residuals as
+(:func:`_haar_batch`) and a single one, and the generalized Bell basis
+(:func:`clock_and_shift_basis`), which attains the channel-side bound.  More
+keep an earlier form of a library function whose output must not change:
+the real arithmetic complex product on the operands' own layout
+(:func:`real_matmul_reference`, its result assembled by
+:func:`complex_from`), one ``format`` call per output cell
+(:func:`cells_reference`), the completeness and reversal residuals as
 products of whole 2 x 2 matrices (:func:`completeness_reference`,
 :func:`residual_reference`), the completeness residual in its earlier d = 2
 closed form (:func:`qubit_completeness_reference`), the closed-form
 reversers written through a copy of adj(M) (:func:`reversers_reference`)
 and the d >= 3 reversers assembled from the full SVD
 (:func:`svd_reversers_reference`).  The tests hold the stacked library code
-to these references.  Three compose library
-parts that the library calls one by one: Theorem 1 over whole per-row
-stacks, with its channel and element concurrences (:func:`thm1_success_stack`),
-the alignment of channels and elements (:func:`_alignment`), and a scan's
-primary parameter and channel angle expanded to every row (:func:`_rows`).
+to these references.  Three compose library parts that the library calls one
+by one: Theorem 1 over whole per-row stacks, with its channel and element
+concurrences (:func:`thm1_success_stack`), the alignment of channels and
+elements (:func:`_alignment`), and a scan's primary parameter and channel
+angle expanded to every row (:func:`_rows`).
 """
 
 from __future__ import annotations
@@ -131,7 +133,7 @@ def thm1_success_stack(coeffs: np.ndarray, elements: np.ndarray):
     (..., n) and total success probabilities (...), all from elementwise
     2x2 invariants: :func:`_thm1_side` of each side, then :func:`_thm1_mixed`.
     Raises DomainError if an element is not normalised."""
-    _normalised(elements.reshape(-1, 2, 2))
+    _normalised(elements)
     channels = coeffs[..., None, :, :]  # broadcasts against the n elements of its row
     channel = _thm1_side(channels, channels)
     element = _thm1_side(elements, elements.swapaxes(-1, -2))
@@ -201,6 +203,19 @@ def _haar_batch(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
 def haar_state(d: int, rng: np.random.Generator) -> np.ndarray:
     """One Haar-random pure state: 2d standard normals, normalized."""
     return _haar_batch(d, 1, rng)[0]
+
+
+def clock_and_shift_basis(d: int) -> JointMeasurement:
+    """The generalized Bell basis: the d^2 coefficient matrices X^a Z^b / sqrt(d), r = a d + b,
+    of the shift X|j> = |j + 1 mod d> and the clock Z|j> = w^j |j>, w = exp(2 pi i / d).
+    Every element is maximally entangled, so with a channel of smallest Schmidt
+    coefficient lambda_min every outcome succeeds with lambda_min^2 / d and the total
+    is d lambda_min^2, the channel-side bound."""
+    shift = np.roll(np.eye(d), 1, axis=0)
+    clock = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
+    powers = [np.linalg.matrix_power(m, k) for m in (shift, clock) for k in range(d)]
+    return JointMeasurement(d, tuple(powers[a] @ powers[d + b] / math.sqrt(d)
+                                     for a in range(d) for b in range(d)), f"clock_shift(d={d})")
 
 
 def complex_from(re: np.ndarray, im: np.ndarray) -> CMatrix:

@@ -208,7 +208,7 @@ def test_estimates_carry_sample_count():
 # is the Gram form v^dag G v / |v|^2 of the raw normals v, with
 # G = sum_r (R_r M_r)^dag (R_r M_r) written out here in Python complex scalars
 # at d = 2 and through `@` at d >= 3 (as oracles._product_reference), and every
-# sum taken in index order.
+# sum taken in index order.  The overlaps read the same R_r M_r.
 def _ref_states(z):
     v = z[..., 0] + 1j * z[..., 1]
     return v / np.linalg.norm(v, axis=1, keepdims=True)
@@ -238,18 +238,23 @@ def _ref_product(a, b):
     return out
 
 
+def _ref_reversed(rev, m):
+    """R_r M_r: :func:`_ref_product` at d = 2, ``@`` at d >= 3."""
+    if len(m) != 2:
+        return rev @ m
+    return np.array(_ref_product([[complex(v) for v in row] for row in rev],
+                                 [[complex(v) for v in row] for row in m]))
+
+
 def _ref_gram(inst, plan):
     g = None
     for m, rev, deg in zip(inst.kraus, plan.reversers, plan.degenerate):
         if deg:
             continue
+        a = _ref_reversed(rev, m)
         if inst.d == 2:
-            a = _ref_product([[complex(v) for v in row] for row in rev],
-                             [[complex(v) for v in row] for row in m])
-            adag = [[a[k][i].conjugate() for k in range(inst.d)] for i in range(inst.d)]
-            term = np.array(_ref_product(adag, a))
+            term = np.array(_ref_product(a.conj().T.tolist(), a.tolist()))
         else:
-            a = rev @ m
             term = a.conj().T @ a
         g = term if g is None else g + term
     return np.zeros((inst.d, inst.d), complex) if g is None else g
@@ -280,7 +285,7 @@ def _ref_performance(inst, plan, n, rng):
     for m, rev, deg in zip(inst.kraus, plan.reversers, plan.degenerate):
         if deg:
             continue
-        out = phi @ (rev @ m).T
+        out = phi @ _ref_reversed(rev, m).T
         overlap += np.abs(np.sum(phi.conj() * out, axis=1)) ** 2
     f_cond = np.where(succ > 0.0, overlap / np.where(succ > 0.0, succ, 1.0), 1.0)
     return [_ref_estimate(succ), _ref_estimate(f_cond)]

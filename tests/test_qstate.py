@@ -12,7 +12,8 @@ from telerev.errors import DomainError
 from telerev.jointmeas import (ejm, ejm_stack, element_entanglement, xx_deformed,
                                xx_deformed_stack, zx_zz_stack)
 from telerev.linalg import svd
-from telerev.qstate import NORM_TOL, ejm_channel_stack, max_entangled_stack, schmidt_stack
+from telerev.qstate import (NORM_TOL, _normalised, ejm_channel_stack, max_entangled_stack,
+                            schmidt_stack)
 from telerev.theorems import random_basis
 
 from helpers import random_coeff
@@ -283,6 +284,17 @@ def test_state_check_refuses_with_the_messages_of_the_full_checks(d):
         BipartiteState(d=d, coeff=1.1 * good)
     with pytest.raises(DimensionError, match="local dimension must be >= 2, got 1"):
         BipartiteState(d=1, coeff=np.ones((1, 1)))
+
+
+def test_a_stack_check_names_the_norm_of_its_first_bad_element():
+    # one check over any leading shape, such as a measurement family's (rows, 4, 2, 2)
+    stack = zx_zz_stack(np.linspace(0.0, 1.3, 6))
+    assert _normalised(stack) is stack
+    bad = stack.copy()
+    bad[3, 2] *= 1.1
+    bad[4, 0] *= 1.2
+    with pytest.raises(DomainError, match=r"not normalized: Tr\(E\^dag E\) = 1\.21"):
+        _normalised(bad)
 
 
 def test_from_vector_round_trip():

@@ -158,6 +158,24 @@ def test_factories_reject_a_grid_end_outside_their_domain(name):
         validate_scenario(Scenario(name, GridSpec(-0.5, 0.5, 3)))
 
 
+@pytest.mark.parametrize("block", [12, 35])
+def test_each_factory_stack_is_checked_once_whatever_the_block_size(block, tmp_path, monkeypatch):
+    # the factories check what they make; a block checks none of its gathered rows,
+    # so the 35-row zz-scan in 3 blocks of 12 checks what 1 block of 35 does
+    from telerev import jointmeas, qstate
+    checked, shapes = qstate._normalised, []
+    def count(coeffs):
+        shapes.append(coeffs.shape)
+        return checked(coeffs)
+    for module in (qstate, jointmeas, scenarios):
+        monkeypatch.setattr(module, "_normalised", count, raising=module is not scenarios)
+    monkeypatch.setattr(scenarios, "BLOCK_ROWS", block)
+    sc = Scenario("zz-scan", GridSpec(0.0, 1.3, 7), GridSpec(0.0, PI4, 5))
+    assert scenarios.run(sc, tmp_path).rows == 35
+    # validation runs each factory on its axis ends, then the run on its whole axis
+    assert shapes == [(2, 2, 2), (2, 4, 2, 2), (5, 2, 2), (7, 4, 2, 2)]
+
+
 def _golden_scenario(name: str) -> Scenario:
     """The golden run of ``name``, rebuilt from its CLI arguments."""
     runs = json.loads((GOLDEN_DIR / "invocations.json").read_text())
