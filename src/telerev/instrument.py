@@ -85,7 +85,7 @@ class ReversalPlan:
     def _values(self) -> tuple[np.ndarray, ...]:
         s, d = self.sigmas, self.sigmas.shape[-1]
         # d = 2 folds its 2 sigmas and 4 outcomes, to numpy's bits (see linalg.fold)
-        total = partial(fold, np.add) if d == 2 else partial(np.sum, axis=-1)
+        total = partial(fold, np.add) if d == 2 else partial(np.add.reduce, axis=-1)
         top, nuclear = s[..., 0], total(s)
         p_succ = total(self.outcome_success)
         leakage = (d + total(top * top)) / (d * (d + 1))
@@ -107,8 +107,8 @@ class ReversalPlan:
         if self.sigmas.shape[-1] == 2:  # the 2 x 2 entries, then the 4 outcomes, folded
             dev = fold(np.maximum, fold(np.maximum, np.abs(dev)))
             return fold(np.maximum, np.where(self.degenerate, 0.0, dev))
-        dev = np.max(np.abs(dev), axis=(-2, -1))
-        return np.max(np.where(self.degenerate, 0.0, dev), axis=-1)
+        dev = np.maximum.reduce(np.abs(dev), axis=(-2, -1))
+        return np.maximum.reduce(np.where(self.degenerate, 0.0, dev), axis=-1)
 
     def plan(self, row: int) -> ReversalPlan:
         """Row ``row`` of a stack, as the plan of that row's instrument."""
@@ -121,7 +121,7 @@ def _completeness(kraus: np.ndarray) -> np.ndarray:
     dev = gram(kraus)
     diag = np.einsum("...ii->...i", dev.real)  # a writeable view
     diag -= 1.0
-    return np.max(np.abs(dev), axis=(-2, -1))
+    return np.maximum.reduce(np.abs(dev), axis=(-2, -1))
 
 
 def kraus_stack(coeffs: np.ndarray, elements: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -282,6 +282,7 @@ def performance_report(inst: Instrument, plan: ReversalPlan | None = None) -> Pe
     """All scalar metrics of one instrument, read off its plan (made if not given,
     refused if made for another instrument's shape)."""
     plan = optimal_reversal(inst) if plan is None else check_plan(plan, np.asarray(inst.kraus))
-    return PerformanceReport(p_succ_max=float(plan.p_succ), f_tele_standard=float(plan.f_standard),
-                             f_tele_mr=1.0, leakage_max=float(plan.leakage),
-                             tradeoff_lhs=float(plan.tradeoff))
+    p_succ, leakage, f_standard, tradeoff = plan._values
+    return PerformanceReport(p_succ_max=float(p_succ), f_tele_standard=float(f_standard),
+                             f_tele_mr=1.0, leakage_max=float(leakage),
+                             tradeoff_lhs=float(tradeoff))

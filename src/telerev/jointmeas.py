@@ -27,26 +27,34 @@ ZX_ZZ_LIMIT = math.sqrt(3) * math.pi / 4
 class JointMeasurement:
     """d^2 rank-one measurement elements as coefficient matrices W_r.  The family
     factories check their element stacks normalised, once per stack; any measurement
-    has its shapes checked whenever it is stacked (:meth:`stack`) and its values when
-    :func:`element_entanglement` first reads them as states."""
+    has its shapes checked when it is first stacked (:meth:`stack`) and its values when
+    :func:`element_entanglement` first reads them as states.  Both results are kept:
+    the stack is read-only, and elements mutated after their first use go unseen."""
 
     d: int
     elements: tuple[CMatrix, ...]
     label: str
 
     def stack(self) -> np.ndarray:
-        """The elements as one (n, d, d) array (shape (0,) without elements); raises
-        DimensionError, before stacking, on an element that is not d x d."""
+        """The elements as one read-only (n, d, d) array (shape (0,) without elements),
+        the same array on every call; raises DimensionError, before stacking, on an
+        element that is not d x d."""
+        return self._stack
+
+    @cached_property
+    def _stack(self) -> np.ndarray:
         for w in self.elements:
             if np.shape(w) != (self.d, self.d):
                 raise DimensionError(f"coefficient matrix has shape {np.shape(w)}, "
                                      f"expected {(self.d, self.d)}")
-        return np.asarray(self.elements)
+        stack = np.array(self.elements)  # a copy: the elements themselves stay writeable
+        stack.flags.writeable = False
+        return stack
 
     @cached_property
-    def _concurrences(self) -> np.ndarray:
+    def _concurrences(self) -> tuple[float, ...]:
         # each element checked as a BipartiteState would be
-        return concurrences(_normalised(as_matrix(self.stack(), batched=True)))
+        return tuple(concurrences(_normalised(as_matrix(self.stack(), batched=True))).tolist())
 
 
 def xx_deformed_stack(t) -> np.ndarray:
@@ -122,6 +130,6 @@ def element_entanglement(jm: JointMeasurement, r: int) -> float:
     """G-concurrence of element r in [0, d^2) (the concurrence for d=2), checked like a state."""
     values = jm._concurrences
     check_integer(r, "outcome")
-    if not 0 <= r < values.size:
-        raise OutcomeError(f"outcome {r} outside [0, {values.size})")
-    return float(values[r])
+    if not 0 <= r < len(values):
+        raise OutcomeError(f"outcome {r} outside [0, {len(values)})")
+    return values[r]

@@ -127,9 +127,10 @@ def gram(a: np.ndarray) -> np.ndarray:
     conj(a) b + conj(c) e, conj(b) a + conj(e) c and |b|^2 + |e|^2 in real
     arithmetic, folded over the outcomes, the diagonal's imaginary parts +0: the
     bits of ``fold(np.add, product(a^dag, a), -3)``, returned as a (..., 2, 2)
-    view.  At d >= 3, or with no outcome, ``np.sum`` of ``@``."""
+    view.  At d >= 3, or with no outcome, ``np.add.reduce`` (the bits of ``np.sum``)
+    of ``@``."""
     if a.shape[-1] != 2 or a.shape[-3] == 0:
-        return np.sum(a.conj().swapaxes(-1, -2) @ a, axis=-3)
+        return np.add.reduce(a.conj().swapaxes(-1, -2) @ a, axis=-3)
     ((ar, ai), (br, bi)), ((cr, ci), (er, ei)) = entries(a)
     ab, ba, ce, ec = ar * bi, ai * br, cr * ei, ci * er
     terms = np.empty((5,) + ar.shape)  # every outcome's term of each sum, folded at once

@@ -108,8 +108,12 @@ def max_entangled_stack(d: int, rows: int) -> np.ndarray:
 
 
 def max_entangled(d: int) -> BipartiteState:
-    """Maximally entangled state with coefficient matrix I/sqrt(d)."""
-    return BipartiteState(d=d, coeff=max_entangled_stack(d, 1)[0],
+    """Maximally entangled state with coefficient matrix I/sqrt(d); d is checked as
+    :func:`max_entangled_stack` checks it, and the norm once, by the state."""
+    check_integer(d, "local dimension")
+    if d < 2:
+        raise DimensionError(f"local dimension must be >= 2, got {d}")
+    return BipartiteState(d=d, coeff=(np.eye(d) / math.sqrt(d)).astype(np.complex128),
                           label=f"max_entangled(d={d})")
 
 

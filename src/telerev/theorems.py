@@ -158,8 +158,14 @@ def solve_tr(d, e_r):
     s in w, relative in t, leaves an error near s^2/3: steps below 1e-7 end it."""
     if not np.all(np.asarray(d) >= 2):  # NaN fails too
         raise DomainError(f"dimension must be >= 2, got {np.min(d)}")
-    e_r = _in_range(e_r, "e_r")
-    e = np.atleast_1d(e_r)
+    t = _root(d, np.atleast_1d(_in_range(e_r, "e_r")))
+    return float(t[0]) if np.ndim(e_r) == 0 and np.ndim(d) == 0 else t
+
+
+def _root(d, e: np.ndarray) -> np.ndarray:
+    """:func:`solve_tr` of checked d >= 2 and checked e (at least 1-d).  The Newton
+    loop writes its temporaries into buffers made once, in the operations and order
+    of the plain expressions in its comments, so each root has their bits."""
     inner = (0.0 < e) & (e < 1.0)  # e = 0 and e = 1 are set at the end
     k, r2 = d - 1.0, -d * np.log(np.where(inner, e, 0.5))
     s = np.sqrt(r2)
@@ -169,19 +175,32 @@ def solve_tr(d, e_r):
     y = s * np.sqrt(2.0 * k / d)
     w = np.where(lo > math.log(0.2), -y * (1.0 + (k + 2.0) / (6.0 * k) * y),
                  lo - k * np.log1p(-np.exp(lo) / d))
+    half_d = 0.5 * d
+    um, rho, psi, step, tmp = (np.empty_like(w) for _ in range(5))
+    mask, other = np.empty(w.shape, dtype=bool), np.empty(w.shape, dtype=bool)
     for _ in range(64):
-        um = -np.expm1(w)  # 1 - d t
-        rho = np.sqrt(np.maximum(-w - k * np.log1p(um / k), 0.0))
-        psi = s - rho
-        lo, hi = np.where(psi <= 0.0, w, lo), np.where(psi <= 0.0, hi, w)
-        step = psi * rho * (k + um) / (0.5 * d * um)
-        if np.all(np.abs(step) <= 1e-7):  # NaN fails; no step at all ends an empty e_r
+        np.negative(np.expm1(w, out=um), out=um)  # um = -expm1(w) = 1 - d t
+        # rho = sqrt(maximum(-w - k * log1p(um / k), 0))
+        np.multiply(k, np.log1p(np.divide(um, k, out=tmp), out=tmp), out=tmp)
+        np.subtract(np.negative(w, out=rho), tmp, out=rho)
+        np.sqrt(np.maximum(rho, 0.0, out=rho), out=rho)
+        np.subtract(s, rho, out=psi)
+        # lo, hi = where(psi <= 0, w, lo), where(psi <= 0, hi, w)
+        np.copyto(lo, w, where=np.less_equal(psi, 0.0, out=mask))
+        np.copyto(hi, w, where=np.logical_not(mask, out=mask))
+        # step = psi * rho * (k + um) / (0.5 * d * um)
+        np.multiply(np.multiply(psi, rho, out=step), np.add(k, um, out=tmp), out=step)
+        np.divide(step, np.multiply(half_d, um, out=tmp), out=step)
+        # NaN fails; no step at all ends an empty e
+        if np.less_equal(np.abs(step, out=tmp), 1e-7, out=mask).all():
             w = np.minimum(np.maximum(w - step, lo), hi)
             break
-        w = w - step
-        w = np.where((lo <= w) & (w < hi), w, 0.5 * (lo + hi))
-    t = np.where(inner, np.exp(w) / d, np.where(e == 1.0, 1.0 / d, 0.0))
-    return float(t[0]) if np.ndim(e_r) == 0 and np.ndim(d) == 0 else t
+        np.subtract(w, step, out=w)
+        # w = where((lo <= w) & (w < hi), w, 0.5 * (lo + hi))
+        np.logical_and(np.less_equal(lo, w, out=mask), np.less(w, hi, out=other), out=mask)
+        np.copyto(w, np.multiply(0.5, np.add(lo, hi, out=tmp), out=tmp),
+                  where=np.logical_not(mask, out=mask))
+    return np.where(inner, np.exp(w) / d, np.where(e == 1.0, 1.0 / d, 0.0))
 
 
 def thm2_bounds(d: int, e_list) -> Thm2Bounds:
@@ -197,7 +216,7 @@ def thm2_bounds(d: int, e_list) -> Thm2Bounds:
         raise DomainError(f"expected {d * d} entanglement values, got {np.size(es)}")
     if es.ndim != 1:
         raise DimensionError(f"e_list must be flat, got shape {es.shape}")
-    ts = tuple(solve_tr(d, es).tolist())
+    ts = tuple(_root(d, es).tolist())
     return Thm2Bounds(lower=sum(ts) / d, upper=sum(es.tolist()) / d ** 2, t_values=ts)
 
 
@@ -226,5 +245,5 @@ def random_basis(d: int, rng: np.random.Generator) -> JointMeasurement:
     q, r = np.linalg.qr(z)
     phases = np.diagonal(r) / np.abs(np.diagonal(r))
     q = q * phases
-    elements = tuple(q[:, k].reshape(d, d) for k in range(n))
-    return JointMeasurement(d=d, elements=elements, label=f"random(d={d})")
+    columns = q.T.copy().reshape(n, d, d)  # one copy in C order; the elements are its views
+    return JointMeasurement(d=d, elements=tuple(columns), label=f"random(d={d})")

@@ -13,7 +13,8 @@ keep an earlier form of a library function whose output must not change:
 the real arithmetic complex product on the operands' own layout
 (:func:`real_matmul_reference`, its result assembled by
 :func:`complex_from`), one ``format`` call per output cell
-(:func:`cells_reference`), the completeness and reversal residuals as
+(:func:`cells_reference`), the Theorem 2 root with newly allocated
+temporaries (:func:`solve_tr_reference`), the completeness and reversal residuals as
 products of whole 2 x 2 matrices (:func:`completeness_reference`,
 :func:`residual_reference`), the completeness residual in its earlier d = 2
 closed form (:func:`qubit_completeness_reference`), the closed-form
@@ -191,6 +192,42 @@ def tr_closed_form_d3(e_r: float) -> float:
     e_r = _in_range(e_r, "e_r")
     c = min(max(2.0 * e_r ** 3 - 1.0, -1.0), 1.0)
     return 2.0 / 3.0 + 2.0 / 3.0 * math.cos(math.acos(c) / 3.0 + 2.0 * math.pi / 3.0)
+
+
+def solve_tr_reference(d, e_r):
+    """``theorems.solve_tr`` in its earlier form, each round's temporaries newly allocated:
+    the unique t in [0, 1/d] with g(t) = (e_r/d)^d, to a relative 2e-14, over arrays
+    d and e_r at once (a float when both are 0-d).  With w = log(d t) and F(w) =
+    w + (d-1) log1p((1 - e^w)/(d-1)) = d log e_r, Newton on sqrt(-d log e_r) -
+    sqrt(-F) keeps a simple root as e_r -> 1, and bisection on [log(d t0), 0]
+    guards it (t0 = (e_r/d)^d (d-1)^(d-1) <= t, as g(t) <= t/(d-1)^(d-1)).  A step
+    s in w, relative in t, leaves an error near s^2/3: steps below 1e-7 end it."""
+    if not np.all(np.asarray(d) >= 2):  # NaN fails too
+        raise DomainError(f"dimension must be >= 2, got {np.min(d)}")
+    e_r = _in_range(e_r, "e_r")
+    e = np.atleast_1d(e_r)
+    inner = (0.0 < e) & (e < 1.0)  # e = 0 and e = 1 are set at the end
+    k, r2 = d - 1.0, -d * np.log(np.where(inner, e, 0.5))
+    s = np.sqrt(r2)
+    lo, hi = -r2 - k * np.log1p(1.0 / k), np.zeros_like(r2)
+    # start from the series of F at the top where d t0 > 0.2, else from one
+    # fixed-point step w <- d log e_r - (F(w) - w) up from log(d t0)
+    y = s * np.sqrt(2.0 * k / d)
+    w = np.where(lo > math.log(0.2), -y * (1.0 + (k + 2.0) / (6.0 * k) * y),
+                 lo - k * np.log1p(-np.exp(lo) / d))
+    for _ in range(64):
+        um = -np.expm1(w)  # 1 - d t
+        rho = np.sqrt(np.maximum(-w - k * np.log1p(um / k), 0.0))
+        psi = s - rho
+        lo, hi = np.where(psi <= 0.0, w, lo), np.where(psi <= 0.0, hi, w)
+        step = psi * rho * (k + um) / (0.5 * d * um)
+        if np.all(np.abs(step) <= 1e-7):  # NaN fails; no step at all ends an empty e_r
+            w = np.minimum(np.maximum(w - step, lo), hi)
+            break
+        w = w - step
+        w = np.where((lo <= w) & (w < hi), w, 0.5 * (lo + hi))
+    t = np.where(inner, np.exp(w) / d, np.where(e == 1.0, 1.0 / d, 0.0))
+    return float(t[0]) if np.ndim(e_r) == 0 and np.ndim(d) == 0 else t
 
 
 def _haar_batch(d: int, n: int, rng: np.random.Generator) -> np.ndarray:

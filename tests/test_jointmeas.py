@@ -245,3 +245,22 @@ def test_scalar_factories_refuse_more_than_one_angle(factory, value):
 def test_element_entanglement_refuses_a_fractional_outcome():
     with pytest.raises(DomainError, match=r"^outcome 1\.5 is not an integer$"):
         element_entanglement(bell_basis(), 1.5)
+
+
+@pytest.mark.parametrize("d", [2, 3, 8])
+def test_a_measurement_is_stacked_once_and_read_only(d):
+    jm = bell_basis() if d == 2 else random_basis(d, np.random.default_rng(40 + d))
+    stack = jm.stack()
+    assert jm.stack() is stack
+    assert stack.shape == (d * d, d, d) and not stack.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        stack[0, 0, 0] = 0.0
+    assert np.array_equal(stack, np.array(jm.elements))
+    assert all(w.flags.writeable for w in jm.elements)  # the stack is a copy
+
+
+def test_a_refused_stack_is_refused_on_every_call():
+    jm = JointMeasurement(2, (np.eye(2), np.eye(3), np.eye(2), np.eye(2)), "unequal")
+    for _ in range(2):
+        with pytest.raises(DimensionError, match=r"shape \(3, 3\), expected \(2, 2\)"):
+            jm.stack()

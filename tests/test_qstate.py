@@ -334,3 +334,29 @@ def test_max_entangled_stack_refuses_a_negative_row_count():
 def test_factories_of_no_angles_return_empty_stacks(factory, shape):
     stack = factory([])
     assert stack.shape == shape and stack.dtype == np.complex128
+
+
+# max_entangled checks d before any arithmetic: I/sqrt(d) formed first would raise a
+# bare ValueError from math.sqrt at d = -1.
+@pytest.mark.parametrize("d", [0, -1])
+def test_max_entangled_refuses_a_dimension_below_two_by_name(d):
+    with pytest.raises(DimensionError, match=rf"^local dimension must be >= 2, got {d}$"):
+        max_entangled(d)
+
+
+# a bool is refused as a fractional dimension is (test_max_entangled_refuses_a_fractional_dimension)
+def test_max_entangled_refuses_a_bool_dimension():
+    with pytest.raises(DomainError, match=r"^local dimension True is not an integer$"):
+        max_entangled(True)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_max_entangled_checks_its_norm_once_as_a_state(d, monkeypatch):
+    import telerev.qstate as qstate
+    calls = []
+    checked = qstate._normalised
+    monkeypatch.setattr(qstate, "_normalised", lambda e: calls.append(1) or checked(e))
+    state = max_entangled(d)
+    assert calls == []  # the state's own vdot check is the only norm check
+    assert state.coeff.dtype == np.complex128
+    assert np.array_equal(state.coeff.view(np.int64), max_entangled_stack(d, 1)[0].view(np.int64))

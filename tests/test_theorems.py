@@ -22,7 +22,7 @@ from telerev.theorems import _closed_form, random_basis
 
 from helpers import random_coeff
 from oracles import (_alignment, _rows, alignment_x, channel_bloch, element_bloch, reduced_bloch,
-                     thm1_success_stack, tr_closed_form_d3)
+                     solve_tr_reference, thm1_success_stack, tr_closed_form_d3)
 
 
 def _closed_form_vs_svd(e_coeff, w_coeff):
@@ -520,7 +520,8 @@ def test_random_basis_is_orthonormal_and_complete():
 TEST_ONLY = ("PAULI_X", "PAULI_Y", "PAULI_Z", "BlochPoint", "_bloch_point", "channel_operator",
              "reduced_bloch", "channel_bloch", "BasisReport", "validate", "element_bloch",
              "alignment_x", "tr_closed_form_d3", "haar_state", "apply_kraus_oracle", "_rows",
-             "_alignment", "thm1_success_stack", "SCENARIO_NAMES", "_haar_batch", "complex_from")
+             "_alignment", "thm1_success_stack", "SCENARIO_NAMES", "_haar_batch", "complex_from",
+             "solve_tr_reference")
 
 
 def test_public_names_resolve_and_test_oracles_stay_out_of_the_library():
@@ -570,3 +571,46 @@ def test_g_of_t_refuses_dimensions_below_two():
 def test_thm2_bounds_refuses_a_nested_list_of_the_right_size():
     with pytest.raises(DimensionError, match=re.escape("e_list must be flat, got shape (2, 2)")):
         thm2_bounds(2, [[0.5, 0.5], [0.5, 0.5]])
+
+
+# The Newton core writes its temporaries in place; each root keeps the bits of the
+# earlier loop, which allocated every temporary anew (tests/oracles.py).
+E_EDGES = (0.0, 1.0, 5e-324, 1.0 - 2.0 ** -53)
+E_VALUES = st.one_of(st.sampled_from(E_EDGES), st.floats(0.0, 1.0))
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(1, 64), kind=st.sampled_from(["int", "int array",
+                                                                    "float array"]))
+def test_the_newton_core_keeps_the_bits_of_the_allocating_loop(data, n, kind):
+    e = np.array(data.draw(st.lists(E_VALUES, min_size=n, max_size=n)))
+    if kind == "int":
+        d = data.draw(st.integers(2, 8))
+        assert _bits(solve_tr(d, e[0])) == _bits(solve_tr_reference(d, e[0]))
+    else:
+        d = np.array(data.draw(st.lists(st.integers(2, 8), min_size=n, max_size=n)),
+                     dtype=np.int64 if kind == "int array" else np.float64)
+    assert np.array_equal(_bits(solve_tr(d, e)), _bits(solve_tr_reference(d, e)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=st.integers(2, 8), data=st.data())
+def test_thm2_bounds_keeps_the_bits_of_the_allocating_loop(d, data):
+    es = data.draw(st.lists(E_VALUES, min_size=d * d, max_size=d * d))
+    got = thm2_bounds(d, es)
+    ts = tuple(solve_tr_reference(d, np.array(es)).tolist())
+    assert [t.hex() for t in got.t_values] == [t.hex() for t in ts]
+    assert got.lower.hex() == (sum(ts) / d).hex()
+    assert got.upper.hex() == (sum(es) / d ** 2).hex()
+
+
+def test_thm2_bounds_checks_its_values_once(monkeypatch):
+    calls = []
+    checked = theorems._in_range
+    monkeypatch.setattr(theorems, "_in_range", lambda *a: calls.append(a[1:]) or checked(*a))
+    thm2_bounds(3, [0.5] * 9)
+    assert calls == [("e_list",)]
