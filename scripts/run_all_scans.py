@@ -1,12 +1,11 @@
 #!/usr/bin/env python3
 """Run every scenario at desk scale and drop the figure data under ./out.
 
-All seven runs take about 1.7 s of wall time (1.45-2.08 s for the whole
-script over three runs on a shared 2-vCPU x86-64 host, numpy 2.4.6, whose
-speed varies by about a third from day to day; 2.52-2.68 s with the Monte
-Carlo rows drawn serially), almost all of it in the two 10^5-sample Monte
-Carlo scans, whose rows share the CPUs; pass an output directory to override
-./out.
+All seven runs take about 1.3 s of wall time (their exit lines summed to
+1.20-1.52 s over ten runs on a shared 2-vCPU x86-64 host, numpy 2.4.6, whose
+speed varies by about a third from day to day), almost all of it in the two
+10^5-sample Monte Carlo scans, whose rows share the CPUs; pass an output
+directory to override ./out.
 The CSVs feed any external plotter; see the column schema in the README.
 Each scenario's exit line also gives its end-to-end wall time (CLI call,
 rows, formatting and writing), and the line below it the phase times from its

@@ -14,7 +14,7 @@ import sys
 
 from .errors import DomainError
 from .montecarlo import RngSpec
-from .scenarios import DEFAULT_SEED, SCENARIOS, GridSpec, Scenario, run
+from .scenarios import DEFAULT_GRIDS, DEFAULT_SEED, SCENARIOS, GridSpec, Scenario, run
 
 _CONFIG_KEYS = ("scenario", "grid", "grid2", "samples", "seed", "out", "format")
 
@@ -60,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="Monte Carlo samples per grid point (omit to skip MC columns)")
     p.add_argument("--seed", type=int, help="base RNG seed")
     p.add_argument("--out", help="output directory (default: out)")
-    p.add_argument("--format", choices=("csv", "json"), dest="fmt")
+    p.add_argument("--format", choices=("csv", "json"))
     p.add_argument("--config", help="key=value file pre-setting any flag")
     return p
 
@@ -68,33 +68,22 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _read_config(args.config) if args.config else {}
-
-        def pick(cli_value, key, fallback=None):
-            return cli_value if cli_value is not None else cfg.get(key, fallback)
-
-        name = pick(args.scenario, "scenario")
+        # every option from one dict: the defaults, then the config file, then the flags
+        opts = {"seed": os.environ.get("TELEREV_SEED", DEFAULT_SEED), "out": "out",
+                "format": "csv", **(_read_config(args.config) if args.config else {})}
+        opts.update((k, v) for k, v in vars(args).items() if v is not None)
+        name = opts.get("scenario")
         if name is None:
             raise DomainError("no scenario given (use --scenario or a config file)")
         if name not in SCENARIOS:
             raise DomainError(f"unknown scenario {name!r}")
-
-        seed = int(pick(args.seed, "seed", os.environ.get("TELEREV_SEED", DEFAULT_SEED)))
-
-        samples = pick(args.samples, "samples")
-        samples = int(samples) if samples is not None else None
-
-        grid_text = pick(args.grid, "grid")
-        grid = _parse_grid(grid_text) if grid_text is not None else SCENARIOS[name].grid
-        grid2_text = pick(args.grid2, "grid2")
-        grid2 = _parse_grid(grid2_text) if grid2_text is not None else SCENARIOS[name].grid2
-
-        out_dir = pick(args.out, "out", "out")
-        fmt = pick(args.fmt, "format", "csv")
-
+        seed = int(opts["seed"])
+        samples = None if opts.get("samples") is None else int(opts["samples"])
+        grid, grid2 = (_parse_grid(opts[key]) if key in opts else default
+                       for key, default in zip(("grid", "grid2"), DEFAULT_GRIDS[name]))
         scenario = Scenario(name=name, grid=grid, grid2=grid2,
                             mc_samples=samples, rng=RngSpec(seed))
-        result = run(scenario, out_dir, fmt=fmt)
+        result = run(scenario, opts["out"], fmt=opts["format"])
     except (DomainError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -10,12 +10,15 @@ v = x + iy of each sample unnormalised.  The success kernel, which every
 scenario row runs, reads v^dag G v / |v|^2 straight from them in real multiply,
 add, subtract and divide, so its bits do not depend on numpy's SIMD loops; the
 overlap, leakage and fidelity kernels first normalise the states in place
-(:func:`_states`).
+(:func:`_states`).  A scenario draws its rows on one thread pool per run
+(:func:`_success_rows`); under the optimal reversal G = P_succ I, so each of
+those samples returns P_succ up to rounding (pinned in tests/test_laws.py).
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -37,8 +40,9 @@ _KEY_LIMIT = 1 << 64
 # MC_BUDGET_BYTES / 24 (about 11.2 million), so one limit serves them all.
 # It also caps a scenario's rows in flight: as many rows at once, one per
 # thread, as fit in it at 24 B per sample (rows_in_budget).  CHUNK also sizes
-# a scenario's Monte Carlo batch: the consecutive rows one pool task draws
-# hold at most CHUNK samples (one row if a row holds more than CHUNK / 2).
+# a scenario's Monte Carlo batch (_success_rows): the consecutive rows one pool
+# task draws hold at most CHUNK samples (one row if a row holds more than
+# CHUNK / 2), so that a short row does not pay for a future of its own.
 CHUNK = 8192
 MC_BUDGET_BYTES = 1 << 28
 
@@ -209,6 +213,33 @@ def estimate_success(inst: Instrument, plan: ReversalPlan, n: int, rng: RngSpec)
 def _success_estimate(g: np.ndarray, n: int, rng: RngSpec) -> McEstimate:
     """The success estimate of n Haar states from one instrument's Gram matrix G (d, d)."""
     return _estimate(_sample(g.shape[-1], n, rng, lambda z: (_success(g, z),))[0])
+
+
+def _mc_workers(n: int, rows: int) -> int:
+    """Threads that draw a run's Monte Carlo rows of n samples: one per CPU this
+    process may run on, at most one per row, and only as many rows at once as fit in
+    the sample budget (rows_in_budget)."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return min(cpus, rows, rows_in_budget(n))
+
+
+def _success_rows(g: np.ndarray, n: int, rng: RngSpec) -> tuple[list[McEstimate], int]:
+    """The success estimates of n Haar states for each row k of a Gram stack g (rows, d, d),
+    drawn from stream rng.stream + k, in row order whatever the thread count, and the size
+    of the one pool that drew them (_mc_workers), in batches of consecutive rows (CHUNK).
+    A row draws from its own generator, whose normals release the GIL, and only reads g.
+    The first failed batch in row order raises, the batches not yet started are
+    cancelled, and the pool's threads are joined before the error leaves."""
+    # imported here, not with the module: concurrent.futures imports logging, about 6%
+    # of a fresh `import telerev` (about 0.2 s on a 2-vCPU x86-64 host)
+    from concurrent.futures import ThreadPoolExecutor
+    rows, step, workers = len(g), max(CHUNK // n, 1), _mc_workers(n, len(g))
+    def batch(lo):
+        return [_success_estimate(g[k], n, RngSpec(rng.seed, rng.stream + k))
+                for k in range(lo, min(lo + step, rows))]
+    with ThreadPoolExecutor(workers) as pool:
+        return [e for b in pool.map(batch, range(0, rows, step)) for e in b], workers
 
 
 def estimate_leakage(inst: Instrument, n: int, rng: RngSpec) -> McEstimate:

@@ -8,8 +8,9 @@ of a 1-D scan, or the grid itself on the s = t diagonal), and each side's
 Theorem 1 invariants are made once per axis value.  Grid points are then
 evaluated in grid order, in blocks of rows that gather their channel and
 measurement by index and share one stacked spectrum (a closed form at
-d = 2), with a dedicated Monte Carlo stream per row, so output files are
-deterministic for a fixed seed.
+d = 2).  With Monte Carlo, one stage after the blocks draws every row on one
+thread pool (montecarlo._success_rows), row k from its own stream, so output
+files are deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -28,8 +29,7 @@ from . import __version__
 from .errors import DomainError, check_integer
 from .instrument import COMPLETENESS_TOL, kraus_stack, spectrum
 from .jointmeas import ejm_stack, xx_deformed_stack, zx_zz_stack
-from .montecarlo import (CHUNK, RngSpec, _success_estimate, _success_gram, check_budget,
-                         rows_in_budget)
+from .montecarlo import RngSpec, _success_gram, _success_rows, check_budget
 from .qstate import _check_angles, ejm_channel_stack, max_entangled_stack, schmidt_stack
 from .theorems import _thm1_mixed, _thm1_side, solve_tr
 
@@ -187,14 +187,12 @@ def validate_scenario(sc: Scenario) -> None:
         raise DomainError(f"{sc.name}: {exc}") from exc
 
 
-def _qubit_block(sc: Scenario, lo: int, sides, it: np.ndarray, ix: np.ndarray) -> dict:
-    """Columns of the grid rows lo, lo+1, ..., row k pairing measurement it[k] with
-    channel ix[k] of ``sides``, each factory's stack on its axis with that side's
-    Theorem 1 invariants: one stacked spectrum and one stacked Theorem 1, plus each
-    row's residuals.  The factories checked their stacks, so the gathered rows are
-    not checked again.  With Monte Carlo, one stacked success Gram matrix G serves the
-    block, and row k only draws, from its own stream sc.rng.stream + k, with its row
-    of G."""
+def _qubit_block(sides, it: np.ndarray, ix: np.ndarray, mc: bool) -> dict:
+    """Columns of a block of grid rows, row k pairing measurement it[k] with channel
+    ix[k] of ``sides``, each factory's stack on its axis with that side's Theorem 1
+    invariants: one stacked spectrum and one stacked Theorem 1, plus each row's
+    residuals and, with ``mc``, its success Gram matrix ("gram"), which the Monte Carlo
+    stage reads.  The factories checked their stacks, so the rows are not checked again."""
     (coeffs, channel), (elements, element) = sides
     kraus, completeness = kraus_stack(coeffs.take(ix, axis=0), elements.take(it, axis=0))
     spec = spectrum(kraus)
@@ -204,50 +202,16 @@ def _qubit_block(sc: Scenario, lo: int, sides, it: np.ndarray, ix: np.ndarray) -
             "P_succ_svd": spec.p_succ, "L_max": spec.leakage,
             "tradeoff_lhs": spec.tradeoff, "completeness": completeness,
             "reversal": spec.residual(kraus)}
-    if sc.mc_samples:
-        t0 = time.perf_counter()
-        seed, base, n = sc.rng.seed, sc.rng.stream + lo, sc.mc_samples
-        g, workers = _success_gram(kraus, spec), _mc_workers(n, len(kraus))
-        est = _in_threads(lambda i: _success_estimate(g[i], n, RngSpec(seed, base + i)),
-                          len(kraus), workers, n)
-        cols["P_succ_mc"], cols["P_succ_mc_stderr"] = zip(*[(e.mean, e.std_error) for e in est])
-        cols["mc_s"], cols["mc_threads"] = [time.perf_counter() - t0], [workers]
+    if mc:
+        cols["gram"] = _success_gram(kraus, spec)
     return cols
-
-
-def _mc_workers(n: int, rows: int) -> int:
-    """Threads that draw a block's Monte Carlo rows of n samples: one per CPU this
-    process may run on, at most one per row, and only as many rows at once as fit in
-    the sample budget (montecarlo.rows_in_budget)."""
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    return min(cpus, rows, rows_in_budget(n))
-
-
-def _in_threads(draw: Callable, rows: int, workers: int, n: int) -> list:
-    """[draw(0), ..., draw(rows - 1)], drawn by a pool of ``workers`` threads in batches
-    of consecutive rows of n samples, at most CHUNK samples a batch (a row of more than
-    CHUNK / 2 samples is a batch of its own), so that a short row does not pay for a
-    future of its own.  The results are flattened in row order, so the list does not
-    depend on the thread count.  A row draws from its own generator, whose normals
-    release the GIL, and otherwise runs pure functions on arrays it owns or only reads,
-    so rows are safe to run at once.  The first failed batch in row order raises, the
-    batches not yet started are cancelled, and the pool's threads are joined before the
-    error leaves."""
-    # imported here, not with the module: concurrent.futures imports logging, about 6%
-    # of a fresh `import telerev` (about 0.2 s on a 2-vCPU x86-64 host)
-    from concurrent.futures import ThreadPoolExecutor
-    step = max(CHUNK // n, 1)
-    with ThreadPoolExecutor(workers) as pool:
-        batches = pool.map(lambda lo: [draw(i) for i in range(lo, min(lo + step, rows))],
-                           range(0, rows, step))
-        return [e for batch in batches for e in batch]
 
 
 def _qubit_columns(sc: Scenario):
     """Columns of a qubit scenario, BLOCK_ROWS grid rows (param1 outer) at a time.  The
     measurement factory runs once on the primary grid and the channel factory once on
-    the channel axis, and each side's Theorem 1 invariants once per axis value."""
+    the channel axis, and each side's Theorem 1 invariants once per axis value.  With
+    Monte Carlo, one timed montecarlo._success_rows call then draws every row."""
     entry = SCENARIOS[sc.name]
     t, second = sc.grid.values(), None if sc.grid2 is None else sc.grid2.values()
     cols, x, it, ix = _axes(entry, t, second)
@@ -256,9 +220,16 @@ def _qubit_columns(sc: Scenario):
     # reads no broadcast axis (see linalg.product)
     channel = np.repeat(_thm1_side(coeffs, coeffs)[..., None], elements.shape[1], axis=-1)
     sides = (coeffs, channel), (elements, _thm1_side(elements, elements.swapaxes(-1, -2)))
-    blocks = [_qubit_block(sc, lo, sides, it[lo:lo + BLOCK_ROWS], ix[lo:lo + BLOCK_ROWS])
+    n = sc.mc_samples
+    blocks = [_qubit_block(sides, it[lo:lo + BLOCK_ROWS], ix[lo:lo + BLOCK_ROWS], bool(n))
               for lo in range(0, it.size, BLOCK_ROWS)]
     cols.update((k, np.concatenate([b[k] for b in blocks])) for k in blocks[0])
+    if n:
+        t0 = time.perf_counter()
+        est, cols["mc_threads"] = _success_rows(cols.pop("gram"), n, sc.rng)
+        cols["mc_s"] = time.perf_counter() - t0
+        cols["P_succ_mc"], cols["P_succ_mc_stderr"] = np.array(
+            [(e.mean, e.std_error) for e in est]).T
     cols["F_mr"] = np.ones(it.size)
     return cols, float(np.max(cols.pop("completeness"))), float(np.max(cols.pop("reversal")))
 
@@ -312,16 +283,13 @@ def run(sc: Scenario, out_dir, fmt: str = "csv") -> RunResult:
     t0 = time.perf_counter()
     columns = _qubit_columns if entry.measurement is not None else _thm2_columns
     cols, comp_max, rev_max = columns(sc)
-    n_rows, mc_s = len(cols["param1"]), float(np.sum(cols.pop("mc_s", 0.0)))
-    mc_threads = int(np.max(cols.pop("mc_threads"))) if "mc_threads" in cols else None
+    n_rows = len(cols["param1"])
+    mc_s, mc_threads = cols.pop("mc_s", 0.0), cols.pop("mc_threads", None)
     t1 = time.perf_counter()
     cells = _cells(cols, n_rows)
-    if fmt == "csv":
-        data_path = out / f"{sc.name}.csv"
-        text = "\n".join([",".join(COLUMNS)] + [",".join(r) for r in cells]) + "\n"
-    else:
-        data_path = out / f"{sc.name}.json"
-        text = json.dumps({"columns": COLUMNS, "rows": cells}, indent=2) + "\n"
+    data_path = out / f"{sc.name}.{fmt}"
+    text = ("\n".join([",".join(COLUMNS)] + [",".join(r) for r in cells]) if fmt == "csv"
+            else json.dumps({"columns": COLUMNS, "rows": cells}, indent=2)) + "\n"
     t2 = time.perf_counter()
     # A crash from here on must not leave new data beside the previous run's
     # manifest: drop that manifest first and write the new one last.

@@ -365,6 +365,41 @@ def test_env_seed_used_as_default(tmp_path, monkeypatch):
     assert manifest["seed"] == 1
 
 
+# A config-file value and a flag value of each of the seven config keys, none of them
+# the default, nor TELEREV_SEED's 33; "out" is relative to the test's directory.
+PRECEDENCE = {"scenario": ("zz-scan", "xx-scan"), "grid": ("0:0.5:3", "0:0.25:4"),
+              "grid2": ("0:0.5:2", "0:0.25:3"), "samples": ("5", "7"), "seed": ("11", "22"),
+              "out": ("from-config", "from-flag"), "format": ("json", "csv")}
+
+
+def _options_seen(out: Path) -> dict:
+    """The seven options of the one run written under ``out``, as its files record them."""
+    (path,) = out.glob("*_manifest.json")
+    m = json.loads(path.read_text())
+    assert (out / m["data_file"]).exists()
+
+    def grid(g):
+        return f"{g['start']:g}:{g['stop']:g}:{g['steps']}"
+    return {"scenario": m["scenario"], "grid": grid(m["grid"]), "grid2": grid(m["grid2"]),
+            "samples": str(m["samples"]), "seed": str(m["seed"]), "out": out.name,
+            "format": m["data_file"].rsplit(".", 1)[1]}
+
+
+@pytest.mark.parametrize("flag", [None, *PRECEDENCE])
+def test_a_flag_beats_the_config_file_which_beats_the_defaults(flag, tmp_path, monkeypatch):
+    # with no flag, every value comes from the file, the seed over TELEREV_SEED too
+    monkeypatch.setenv("TELEREV_SEED", "33")
+    monkeypatch.chdir(tmp_path)
+    Path("scan.cfg").write_text("".join(f"{k} = {v}\n" for k, (v, _) in PRECEDENCE.items()))
+    want, argv = {k: v for k, (v, _) in PRECEDENCE.items()}, ["--config", "scan.cfg"]
+    if flag is not None:
+        want[flag] = PRECEDENCE[flag][1]
+        argv += [f"--{flag}", want[flag]]
+    assert main(argv) == 0
+    assert _options_seen(tmp_path / want["out"]) == want
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([want["out"], "scan.cfg"])
+
+
 def test_golden_invocations_cover_all_scenarios():
     manifest = json.loads((GOLDEN_DIR / "invocations.json").read_text())
     from telerev.scenarios import SCENARIOS as SCENARIO_NAMES

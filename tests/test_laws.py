@@ -7,6 +7,11 @@
   2 lambda_min^2 = E_c^2 / (1 + sqrt(1 - E_c^2)), read from the E_c column.
 - The symmetry of ``ejm-aligned-scan``: its channel family is outcome 0 of the
   elegant measurement, so P(s, t) = P(t, s).
+- Faithfulness: the optimal reversal makes each A_r = R_r M_r equal
+  sigma_min,r I, so the success Gram G = sum_r A_r^dag A_r, which the scenario
+  Monte Carlo reads, is P_succ I, and the conditional fidelity
+  F_cond = sum_r (|tr A_r|^2 + |A_r|_F^2) / (d (d + 1) P_succ) is 1: every input
+  succeeds with the same probability and is restored exactly.
 """
 
 import csv
@@ -19,6 +24,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from telerev import BipartiteState, build_instrument, optimal_reversal, success_probability
+from telerev.instrument import ReversalPlan, kraus_stack, spectrum
+from telerev.montecarlo import _reversed, _success_gram
 from telerev.scenarios import SCENARIOS, GridSpec, Scenario, _axes, _qubit_columns
 from telerev.theorems import random_basis
 
@@ -42,6 +49,23 @@ LAW_TOL = 6e-15
 # column reads 1.0e-15 apart, so it gets 4x that.
 SYMMETRY_TOL = 1e-15
 GOLDEN_SYMMETRY_TOL = 4e-15
+# max |G - P_succ I| read at most 4.4e-16 on the desk-scale stacks below and 2.2e-16 on
+# 21,000 random channels and bases (d in [2, 8]); about 4x the larger:
+GRAM_TOL = 2e-15
+# |F_cond - 1| grows with the conditioning kappa = max_r sigma_max,r / sigma_min,r of a
+# row's recoverable outcomes, whose rounding R_r = sigma_min,r M_r^-1 amplifies: it read
+# 6.9e-15 on the desk-scale zz-scan (kappa up to 7.1e3) and 1.8e-14 on one of the random
+# channels (d = 2, kappa 1.1e3), but never above 2.2 eps kappa (4.7e-16 kappa).  About 4x
+# that, per unit of kappa:
+F_COND_TOL = 2e-15
+
+# The desk-scale grids of scripts/run_all_scans.py.
+DESK_SCALE = [
+    ("xx-scan", GridSpec(0.0, PI4, 51), GridSpec(0.0, PI4, 51)),
+    ("ejm-scan", GridSpec(0.0, PI2, 101), None),
+    ("ejm-aligned-scan", GridSpec(0.0, PI2, 51), GridSpec(0.0, PI2, 51)),
+    ("zz-scan", GridSpec(0.0, 1.35, 51), GridSpec(0.0, PI4, 51)),
+]
 
 
 def _channel_bound(coeffs: np.ndarray) -> np.ndarray:
@@ -80,15 +104,9 @@ def test_every_qubit_golden_row_is_within_the_channel_side_bound(name):
         assert np.all(np.array([float(r[column]) for r in rows]) <= bound + LAW_TOL), column
 
 
-# The desk-scale grids of scripts/run_all_scans.py.  Near E_c = 1 the law read from E_c
-# is ill-conditioned (an E_c one ulp below 1 moves it by 2e-8), so the bound here comes
-# from the singular values of each row's channel instead.
-@pytest.mark.parametrize("name, grid, grid2", [
-    ("xx-scan", GridSpec(0.0, PI4, 51), GridSpec(0.0, PI4, 51)),
-    ("ejm-scan", GridSpec(0.0, PI2, 101), None),
-    ("ejm-aligned-scan", GridSpec(0.0, PI2, 51), GridSpec(0.0, PI2, 51)),
-    ("zz-scan", GridSpec(0.0, 1.35, 51), GridSpec(0.0, PI4, 51)),
-])
+# Near E_c = 1 the law read from E_c is ill-conditioned (an E_c one ulp below 1 moves it
+# by 2e-8), so the bound here comes from the singular values of each row's channel instead.
+@pytest.mark.parametrize("name, grid, grid2", DESK_SCALE)
 def test_every_desk_scale_row_is_within_the_channel_side_bound(name, grid, grid2):
     entry = SCENARIOS[name]
     _, x, _, ix = _axes(entry, grid.values(), None if grid2 is None else grid2.values())
@@ -113,3 +131,42 @@ def test_ejm_aligned_scan_is_symmetric_in_channel_and_measurement():
     for column in ("P_succ_closed", "P_succ_svd"):
         p = cols[column].reshape(entry.grid.steps, entry.grid.steps)
         assert np.max(np.abs(p - p.T)) <= SYMMETRY_TOL, column
+
+
+def _assert_faithful(kraus: np.ndarray, plan: ReversalPlan) -> None:
+    """G = P_succ I and F_cond = 1, within GRAM_TOL and F_COND_TOL kappa, on every row of
+    Kraus operators (..., n, d, d) and their plan with P_succ > 0."""
+    d, p = kraus.shape[-1], np.asarray(plan.p_succ)
+    g, a = _success_gram(kraus, plan), _reversed(kraus, plan)
+    trace = np.trace(a, axis1=-2, axis2=-1)
+    overlap = np.sum(np.abs(trace) ** 2 + np.sum(np.abs(a) ** 2, axis=(-2, -1)), axis=-1)
+    s, degenerate = plan.sigmas, plan.degenerate
+    kappa = np.max(np.where(degenerate, 1.0, s[..., 0] / np.where(degenerate, 1.0, s[..., -1])),
+                   axis=-1)
+    ok = p > 0.0
+    assert np.any(ok)
+    gram_dev = np.max(np.abs(g - p[..., None, None] * np.eye(d)), axis=(-2, -1))
+    assert np.max(gram_dev[ok]) <= GRAM_TOL
+    f_cond = overlap[ok] / (d * (d + 1) * p[ok])
+    assert np.all(np.abs(f_cond - 1.0) <= F_COND_TOL * kappa[ok])
+
+
+@pytest.mark.parametrize("name, grid, grid2", DESK_SCALE)
+def test_desk_scale_rows_are_faithful(name, grid, grid2):
+    entry = SCENARIOS[name]
+    t = grid.values()
+    _, x, it, ix = _axes(entry, t, None if grid2 is None else grid2.values())
+    kraus, _ = kraus_stack(entry.channel(x).take(ix, axis=0),
+                           entry.measurement(t).take(it, axis=0))
+    _assert_faithful(kraus, spectrum(kraus))
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=st.integers(2, 8), seed=st.integers(0, 2**32 - 1))
+@example(d=2, seed=0)
+@example(d=8, seed=0)
+def test_random_instruments_are_faithful(d, seed):
+    rng = np.random.default_rng(seed)
+    channel = BipartiteState(d=d, coeff=random_coeff(d, rng))
+    inst = build_instrument(channel, random_basis(d, rng))
+    _assert_faithful(np.asarray(inst.kraus), optimal_reversal(inst))

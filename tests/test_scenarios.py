@@ -5,6 +5,7 @@ for each channel and measurement family.  They serve as reference oracles for
 the one stacked law that fills the ``P_succ_closed`` column.
 """
 
+import concurrent.futures
 import csv
 import json
 import math
@@ -336,7 +337,7 @@ def _per_row_cells(name: str, grid: GridSpec, n: int, rng: RngSpec):
 
 
 def _force_workers(monkeypatch, workers: int):
-    monkeypatch.setattr(scenarios, "_mc_workers", lambda n, rows: min(workers, rows))
+    monkeypatch.setattr(montecarlo, "_mc_workers", lambda n, rows: min(workers, rows))
 
 
 @pytest.mark.parametrize("name", ["ejm-scan", "xx-scan"])
@@ -375,7 +376,7 @@ def test_an_error_on_a_helper_row_comes_out_of_run_and_the_cli(tmp_path, monkeyp
     def failing(g, n, rng):  # every row runs on a pool thread
         raise DomainError("helper row failed")
 
-    monkeypatch.setattr(scenarios, "_success_estimate", failing)
+    monkeypatch.setattr(montecarlo, "_success_estimate", failing)
     _force_workers(monkeypatch, 2)
     threads = threading.active_count()
     sc = Scenario("ejm-scan", GridSpec(0.0, 1.0, 5), mc_samples=64)
@@ -424,7 +425,7 @@ def test_a_failed_first_row_cancels_the_batches_not_yet_started(tmp_path, monkey
         time.sleep(0.01)
         return real(g, n, rng)
 
-    monkeypatch.setattr(scenarios, "_success_estimate", failing)
+    monkeypatch.setattr(montecarlo, "_success_estimate", failing)
     _force_workers(monkeypatch, 2)
     threads = threading.active_count()
     with pytest.raises(DomainError) as raised:
@@ -435,15 +436,35 @@ def test_a_failed_first_row_cancels_the_batches_not_yet_started(tmp_path, monkey
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("name, grid, grid2, n", [
-    ("xx-scan", GridSpec(0.0, PI4, BLOCK_ROWS + 1), None, 16),
-    ("zz-scan", GridSpec(0.0, 1.3, 6), GridSpec(0.0, PI4, 5), 64)], ids=["xx-scan", "zz-scan"])
-def test_block_monte_carlo_cells_are_per_row_estimate_success_bit_for_bit(name, grid, grid2, n):
-    # one Gram stack per block; each row still draws from stream base + k
+# The third case runs in three blocks of 4 rows: one Monte Carlo stage still draws them.
+@pytest.mark.parametrize("name, grid, grid2, n, block", [
+    ("xx-scan", GridSpec(0.0, PI4, BLOCK_ROWS + 1), None, 16, BLOCK_ROWS),
+    ("zz-scan", GridSpec(0.0, 1.3, 6), GridSpec(0.0, PI4, 5), 64, BLOCK_ROWS),
+    ("ejm-scan", GridSpec(0.0, 1.0, 11), None, 16, 4)],
+    ids=["xx-scan", "zz-scan", "ejm-scan-three-blocks"])
+def test_block_monte_carlo_cells_are_per_row_estimate_success_bit_for_bit(name, grid, grid2, n,
+                                                                          block, monkeypatch):
+    # one Gram stack per block, one worker count and one pool per run; each row still
+    # draws from stream base + k
+    counts, pools = [], []
+    real_workers, real_pool = montecarlo._mc_workers, concurrent.futures.ThreadPoolExecutor
+
+    def workers(n, rows):
+        counts.append(rows)
+        return real_workers(n, rows)
+
+    class Pool(real_pool):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+    monkeypatch.setattr(scenarios, "BLOCK_ROWS", block)
+    monkeypatch.setattr(montecarlo, "_mc_workers", workers)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
     sc = Scenario(name, grid, grid2, mc_samples=n, rng=RngSpec(31, 4))
     cols = _qubit_columns(sc)[0]
     entry = SCENARIOS[name]
     _, t, x = _rows(entry, grid.values(), None if grid2 is None else grid2.values())
+    assert counts == [t.size] and len(pools) == 1
     kraus, _ = kraus_stack(entry.channel(x), entry.measurement(t))
     spec = spectrum(kraus)
     est = [estimate_success(Instrument(2, kraus[k], "row"), spec.plan(k), n, RngSpec(31, 4 + k))
@@ -468,7 +489,7 @@ def test_block_monte_carlo_cells_are_per_row_estimate_success_bit_for_bit(name, 
 ])
 def test_monte_carlo_worker_count_rule(n, rows, cpus, workers, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    assert scenarios._mc_workers(n, rows) == workers
+    assert montecarlo._mc_workers(n, rows) == workers
 
 
 @pytest.mark.parametrize("count, workers", [(4, 4), (None, 1)])
@@ -476,7 +497,7 @@ def test_worker_count_without_an_affinity_call_uses_the_cpu_count(count, workers
                                                                  monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: count)
-    assert scenarios._mc_workers(10 ** 5, 100) == workers
+    assert montecarlo._mc_workers(10 ** 5, 100) == workers
 
 
 # Cells that one text form must not hide: both signed zeros, NaNs of either
