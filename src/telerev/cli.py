@@ -19,15 +19,19 @@ from .scenarios import DEFAULT_GRIDS, DEFAULT_SEED, SCENARIOS, GridSpec, Scenari
 _CONFIG_KEYS = ("scenario", "grid", "grid2", "samples", "seed", "out", "format")
 
 
+def _parsed(name: str, text, parse):
+    """``parse(text)``, its ValueError refused as a DomainError naming ``name`` and ``text``."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise DomainError(f"{name} {text!r}: {exc}") from exc
+
+
 def _parse_grid(text: str) -> GridSpec:
     parts = text.split(":")
     if len(parts) != 3:
         raise DomainError(f"grid {text!r} is not START:STOP:STEPS")
-    try:
-        start, stop, steps = float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError as exc:
-        raise DomainError(f"grid {text!r}: {exc}") from exc
-    return GridSpec(start=start, stop=stop, steps=steps)
+    return GridSpec(*_parsed("grid", text, lambda _: (*map(float, parts[:2]), int(parts[2]))))
 
 
 def _read_config(path: str) -> dict[str, str]:
@@ -69,16 +73,17 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         # every option from one dict: the defaults, then the config file, then the flags
+        given = _read_config(args.config) if args.config else {}
+        given.update((k, v) for k, v in vars(args).items() if v is not None)
         opts = {"seed": os.environ.get("TELEREV_SEED", DEFAULT_SEED), "out": "out",
-                "format": "csv", **(_read_config(args.config) if args.config else {})}
-        opts.update((k, v) for k, v in vars(args).items() if v is not None)
+                "format": "csv", **given}
         name = opts.get("scenario")
         if name is None:
             raise DomainError("no scenario given (use --scenario or a config file)")
         if name not in SCENARIOS:
             raise DomainError(f"unknown scenario {name!r}")
-        seed = int(opts["seed"])
-        samples = None if opts.get("samples") is None else int(opts["samples"])
+        seed = _parsed("seed" if "seed" in given else "TELEREV_SEED", opts["seed"], int)
+        samples = None if opts.get("samples") is None else _parsed("samples", opts["samples"], int)
         grid, grid2 = (_parse_grid(opts[key]) if key in opts else default
                        for key, default in zip(("grid", "grid2"), DEFAULT_GRIDS[name]))
         scenario = Scenario(name=name, grid=grid, grid2=grid2,

@@ -6,8 +6,8 @@ M_r = E^T W_r^dag.  The reversing filter R_r = sigma_min M_r^-1 restores any
 input exactly with probability sigma_min^2, independent of the input.  Every
 metric derives from the singular values alone.  One type,
 :class:`ReversalPlan`, holds the spectrum of one instrument or of a stack of
-them (:func:`spectrum`); every metric and the reversal residual are read off
-it, the metrics on first read and the residual only by its readers.
+them (:func:`spectrum`); every metric, the reversal residual and the A_r = R_r M_r that
+the Monte Carlo reads (:meth:`ReversalPlan.reversed`) are read off it, here alone.
 
 At d = 2 the whole chain (``linalg.product``, the completeness Gram
 ``linalg.gram``, the closed-form spectrum and reversers, the residuals) is
@@ -26,8 +26,8 @@ import numpy as np
 
 from .errors import DimensionError, DomainError
 from .jointmeas import JointMeasurement
-from .linalg import (SIGMA_FLOOR, as_matrix, entries, floor_sigmas, fold, gram, product,
-                     singular_values)
+from .linalg import (SIGMA_FLOOR, as_matrix, entries, floor_sigmas, fold, gram,
+                     identity_deviation, product, singular_values)
 from .qstate import BipartiteState
 
 COMPLETENESS_TOL = 1e-10
@@ -99,16 +99,21 @@ class ReversalPlan:
     tradeoff = cached_property(lambda self: self._values[3])
 
     def residual(self, kraus: np.ndarray) -> np.ndarray:
-        """Max-abs deviation of R_r M_r from sigma_min^r I over the recoverable
-        outcomes, per row of a stack."""
-        dev = product(self.reversers, kraus)
-        diag = np.einsum("...ii->...i", dev.real)  # a writeable view
-        diag -= self.sigmas[..., -1, None]
-        if self.sigmas.shape[-1] == 2:  # the 2 x 2 entries, then the 4 outcomes, folded
-            dev = fold(np.maximum, fold(np.maximum, np.abs(dev)))
-            return fold(np.maximum, np.where(self.degenerate, 0.0, dev))
-        dev = np.maximum.reduce(np.abs(dev), axis=(-2, -1))
-        return np.maximum.reduce(np.where(self.degenerate, 0.0, dev), axis=-1)
+        """Max-abs deviation of R_r M_r from sigma_min^r I over the recoverable outcomes, per
+        row of a stack (:func:`check_plan`): its own product, masked after the reduction, is
+        cheaper than :meth:`reversed`, zeroed first and copied to C order.  Folded at d = 2."""
+        check_plan(self, kraus)
+        dev = identity_deviation(product(self.reversers, kraus), self.sigmas[..., -1])
+        dev = np.where(self.degenerate, 0.0, dev)
+        return fold(np.maximum, dev) if self.sigmas.shape[-1] == 2 else np.maximum.reduce(dev, -1)
+
+    def reversed(self, kraus: np.ndarray) -> np.ndarray:
+        """A_r = R_r M_r of the plan's Kraus operators (..., n, d, d) (:func:`check_plan`),
+        zero where degenerate, C-contiguous: numpy's matmul picks BLAS or its own loop by
+        layout, which round differently."""
+        check_plan(self, kraus)
+        zero = np.asarray(self.degenerate)[..., None, None]
+        return np.ascontiguousarray(np.where(zero, 0.0, product(self.reversers, kraus)))
 
     def plan(self, row: int) -> ReversalPlan:
         """Row ``row`` of a stack, as the plan of that row's instrument."""
@@ -118,10 +123,7 @@ class ReversalPlan:
 def _completeness(kraus: np.ndarray) -> np.ndarray:
     """Max-abs entry of sum_r M_r^dag M_r - I (:func:`linalg.gram`), the outcomes r
     on axis -3."""
-    dev = gram(kraus)
-    diag = np.einsum("...ii->...i", dev.real)  # a writeable view
-    diag -= 1.0
-    return np.maximum.reduce(np.abs(dev), axis=(-2, -1))
+    return identity_deviation(gram(kraus), 1.0)
 
 
 def kraus_stack(coeffs: np.ndarray, elements: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -237,8 +239,11 @@ def optimal_reversal(inst: Instrument) -> ReversalPlan:
 
 
 def success_probability(plan: ReversalPlan) -> float:
-    """Total success probability sum_r sigma_min^2, input-independent."""
-    return float(np.sum(plan.outcome_success))
+    """Total success probability sum_r sigma_min^2, input-independent, of the plan of
+    one instrument; raises DimensionError on a stacked plan."""
+    if plan.sigmas.ndim != 2:
+        raise DimensionError(f"expected the plan of one instrument, got sigmas {plan.sigmas.shape}")
+    return float(plan.p_succ)
 
 
 def leakage_max(inst: Instrument) -> float:
@@ -274,8 +279,7 @@ def check_plan(plan: ReversalPlan, kraus: np.ndarray) -> ReversalPlan:
 
 def reversal_residual(inst: Instrument, plan: ReversalPlan) -> float:
     """Max-abs deviation of R_r M_r from sigma_min^r I over recoverable outcomes."""
-    kraus = np.asarray(inst.kraus)
-    return float(check_plan(plan, kraus).residual(kraus))
+    return float(plan.residual(np.asarray(inst.kraus)))
 
 
 def performance_report(inst: Instrument, plan: ReversalPlan | None = None) -> PerformanceReport:

@@ -11,8 +11,8 @@ scenario row runs, reads v^dag G v / |v|^2 straight from them in real multiply,
 add, subtract and divide, so its bits do not depend on numpy's SIMD loops; the
 overlap, leakage and fidelity kernels first normalise the states in place
 (:func:`_states`).  A scenario draws its rows on one thread pool per run
-(:func:`_success_rows`); under the optimal reversal G = P_succ I, so each of
-those samples returns P_succ up to rounding (pinned in tests/test_laws.py).
+(:func:`_success_rows`); G = gram(ReversalPlan.reversed) = P_succ I under the
+optimal reversal, so each sample returns P_succ up to rounding (tests/test_laws.py).
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DomainError, check_integer
-from .instrument import Instrument, ReversalPlan, check_plan
-from .linalg import fold, gram, polar_unitary, product, svd
+from .instrument import Instrument, ReversalPlan
+from .linalg import fold, gram, polar_unitary, svd
 
 _KEY_LIMIT = 1 << 64
 
@@ -139,19 +139,6 @@ def _estimate(samples: np.ndarray) -> McEstimate:
     return McEstimate(mean=float(mean), std_error=se, n=n)
 
 
-def _reversed(kraus: np.ndarray, plan: ReversalPlan) -> np.ndarray:
-    """A_r = R_r M_r (linalg.product) of Kraus operators (..., n, d, d), zero where degenerate;
-    C-contiguous: numpy's matmul picks BLAS or its own loop by layout, which round differently."""
-    check_plan(plan, kraus)
-    zero = np.asarray(plan.degenerate)[..., None, None]
-    return np.ascontiguousarray(np.where(zero, 0.0, product(plan.reversers, kraus)))
-
-
-def _success_gram(kraus: np.ndarray, plan: ReversalPlan) -> np.ndarray:
-    """G = gram of :func:`_reversed` (phi^dag G phi = sum_r |A_r phi|^2), C-contiguous."""
-    return np.ascontiguousarray(gram(_reversed(kraus, plan)))
-
-
 def _success(g: np.ndarray, z: np.ndarray) -> np.ndarray:
     """The success v^dag G v / |v|^2 of the Haar state of every sample's normals
     v = x + iy in z (m, d, 2), for Hermitian G, with no state formed.  With
@@ -195,7 +182,7 @@ def estimate_performance(inst: Instrument, plan: ReversalPlan, n: int,
     is the success-weighted output fidelity; it is 1 up to rounding whenever
     the resources are pure.
     """
-    a = _reversed(np.asarray(inst.kraus), plan)
+    a = plan.reversed(np.asarray(inst.kraus))
     g, ops = gram(a), a.swapaxes(-1, -2)
     # the success reads the raw normals before _states normalises them in place
     succ, overlap = _sample(inst.d, n, rng, lambda z: (_success(g, z), _overlaps(_states(z), ops)), 2)
@@ -207,7 +194,7 @@ def estimate_success(inst: Instrument, plan: ReversalPlan, n: int, rng: RngSpec)
     """Empirical success probability alone: equal, bit for bit, to
     ``estimate_performance(inst, plan, n, rng)["p_succ"]``, without the
     overlap and conditional-fidelity work."""
-    return _success_estimate(_success_gram(np.asarray(inst.kraus), plan), n, rng)
+    return _success_estimate(gram(plan.reversed(np.asarray(inst.kraus))), n, rng)
 
 
 def _success_estimate(g: np.ndarray, n: int, rng: RngSpec) -> McEstimate:

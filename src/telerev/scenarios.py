@@ -29,7 +29,8 @@ from . import __version__
 from .errors import DomainError, check_integer
 from .instrument import COMPLETENESS_TOL, kraus_stack, spectrum
 from .jointmeas import ejm_stack, xx_deformed_stack, zx_zz_stack
-from .montecarlo import RngSpec, _success_gram, _success_rows, check_budget
+from .linalg import gram
+from .montecarlo import RngSpec, _success_rows, check_budget
 from .qstate import _check_angles, ejm_channel_stack, max_entangled_stack, schmidt_stack
 from .theorems import _thm1_mixed, _thm1_side, solve_tr
 
@@ -44,17 +45,8 @@ DEFAULT_SEED = 20240101
 REVERSAL_GATE = 1e-9
 
 # Grid rows per block, evaluated as one stack.  A block pays a fixed cost in
-# numpy calls, and its transient arrays grow with its rows.  Medians of 5
-# runs of the surface-zz benchmark (51 x 51 zz-scan, 2601 rows) on a 2-vCPU
-# x86-64 host, before the d = 2 products were written entry by entry:
-#   rows    wall_s    peak_rss_mb
-#    256    0.0259    38.96    (both gates as matrix products)
-#    512    0.0220    38.89
-#   1024    0.0195    39.70
-#   2048    0.0180    42.44
-#   4096    0.0182    43.41
-# 1024 rows take most of the gain for 2% more memory; 2048 would add 8% speed
-# for 9% more, near the benchmark's 10% bound on peak RSS.
+# numpy calls, and its transient arrays grow with its rows: 1024 rows take most
+# of the speed for 2% more peak RSS (the surface-zz table in README.md, *Block engine*).
 BLOCK_ROWS = 1024
 
 # Grid rows per run.  A run holds its columns and their text whole.  The
@@ -203,7 +195,7 @@ def _qubit_block(sides, it: np.ndarray, ix: np.ndarray, mc: bool) -> dict:
             "tradeoff_lhs": spec.tradeoff, "completeness": completeness,
             "reversal": spec.residual(kraus)}
     if mc:
-        cols["gram"] = _success_gram(kraus, spec)
+        cols["gram"] = gram(spec.reversed(kraus))
     return cols
 
 

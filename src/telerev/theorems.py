@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError, check_integer
 from .jointmeas import JointMeasurement
-from .linalg import fold
+from .linalg import fold, identity_deviation
 from .qstate import (DIR_FLOOR, NORM_TOL, BipartiteState, _radius, bloch_vectors,
                      concurrences)
 
@@ -133,7 +133,7 @@ def thm1_total_success(channel: BipartiteState, jm: JointMeasurement) -> float:
         raise DimensionError(f"expected the 4 elements (4, 2, 2) of a qubit measurement, "
                              f"got shape {elements.shape}")
     w = elements.reshape(4, 4)
-    gap = float(np.max(np.abs(w.conj() @ w.T - np.eye(4))))
+    gap = float(identity_deviation(w.conj() @ w.T, 1.0))
     if not gap <= NORM_TOL:  # NaN fails too
         raise DomainError(f"measurement elements are not orthonormal: "
                           f"max |Tr(W_r^dag W_s) - delta_rs| = {gap:.3e}")

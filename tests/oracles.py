@@ -351,3 +351,32 @@ def svd_reversers_reference(kraus: np.ndarray) -> np.ndarray:
     inv = np.divide(1.0, s, out=np.zeros_like(s), where=~degenerate[..., None])
     return smin[..., None, None] * (
         res.right @ (inv[..., None] * np.eye(kraus.shape[-1])) @ res.left.conj().swapaxes(-1, -2))
+
+
+def reversed_reference(plan: ReversalPlan, kraus: np.ndarray) -> np.ndarray:
+    """``ReversalPlan.reversed`` as ``montecarlo._reversed`` formed it before it moved
+    into the plan: R_r M_r through the matrix product (:func:`_product_reference`),
+    zero where degenerate, C-contiguous."""
+    zero = np.asarray(plan.degenerate)[..., None, None]
+    return np.ascontiguousarray(np.where(zero, 0.0, _product_reference(plan.reversers, kraus)))
+
+
+def design_states(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """States and weights with the Haar second moment, sum_i w_i (psi_i psi_i^dag)^(x2)
+    = (I + SWAP)/(d(d+1)): the d basis states e_i, weight (3 - d)/(d(d+1)), and the
+    4 C(d, 2) states (e_i + i^k e_j)/sqrt(2), i < j, k = 0..3, weight 1/(d(d+1)).  For
+    d >= 4 the basis weights are negative: an exact cubature rule, not a design.  A
+    kernel value that is a polynomial of degree at most (2, 2) in psi and conj(psi)
+    averages over them to its Haar average exactly.  Returned as the raw normals
+    z (m, d, 2) of v = x + iy, unnormalised (entries 1 and i^k, so exact), and the
+    weights (m,)."""
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    z = np.zeros((d + 4 * len(pairs), d, 2))
+    z[np.arange(d), np.arange(d), 0] = 1.0
+    for n, ((i, j), k) in enumerate(((p, k) for p in pairs for k in range(4)), d):
+        z[n, i, 0] = 1.0
+        z[n, j] = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))[k]  # i^k
+    w = np.full(len(z), 1.0 / (d * (d + 1)))
+    w[:d] = (3 - d) / (d * (d + 1))
+    return z, w
+

@@ -93,6 +93,37 @@ def test_out_of_range_seeds_are_usage_errors(seed, tmp_path, capsys):
     assert f"seed {seed} outside [0, 2^64)" in capsys.readouterr().err
 
 
+def test_a_samples_value_that_is_not_an_integer_is_named(tmp_path, capsys):
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text("scenario = ejm-scan\nsamples = 1e5\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert (capsys.readouterr().err
+            == "error: samples '1e5': invalid literal for int() with base 10: '1e5'\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_seed_from_the_environment_that_is_not_an_integer_is_named(tmp_path, capsys,
+                                                                      monkeypatch):
+    monkeypatch.setenv("TELEREV_SEED", "abc")
+    assert main(["--scenario", "ejm-scan", "--out", str(tmp_path / "out")]) == 2
+    assert (capsys.readouterr().err
+            == "error: TELEREV_SEED 'abc': invalid literal for int() with base 10: 'abc'\n")
+    assert not (tmp_path / "out").exists()
+    # a seed given in the config file is named as its key, before samples is read
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text("scenario = ejm-scan\nseed = 1.5\nsamples = x\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert (capsys.readouterr().err
+            == "error: seed '1.5': invalid literal for int() with base 10: '1.5'\n")
+
+
+def test_a_valid_seed_flag_overrides_a_bad_environment_seed(tmp_path, monkeypatch):
+    monkeypatch.setenv("TELEREV_SEED", "abc")
+    assert main(["--scenario", "ejm-scan", "--grid", "0:1:3", "--seed", "5",
+                 "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "ejm-scan_manifest.json").read_text())["seed"] == 5
+
+
 def test_largest_seed_is_accepted(tmp_path):
     assert main(["--scenario", "ejm-scan", "--grid", "0:1:3", "--samples", "10",
                  "--seed", str(2 ** 64 - 1), "--out", str(tmp_path)]) == 0

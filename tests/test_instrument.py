@@ -13,8 +13,8 @@ from telerev import (BipartiteState, DimensionError, DomainError, bell_basis,
                      tradeoff_lhs, xx_deformed, zx_zz)
 from telerev.instrument import (Instrument, completeness_residual, kraus_stack,
                                 reversal_residual, spectrum)
-from telerev.jointmeas import JointMeasurement, zx_zz_stack
-from telerev.qstate import schmidt_stack
+from telerev.jointmeas import JointMeasurement, ejm_stack, zx_zz_stack
+from telerev.qstate import max_entangled_stack, schmidt_stack
 from telerev.theorems import random_basis
 
 from helpers import dev_up_to_phase, random_coeff, random_ket
@@ -175,6 +175,27 @@ def test_success_probability_examples():
     inst = build_instrument(schmidt_channel(math.pi / 8, "z"), xx_deformed(math.pi / 8))
     assert success_probability(optimal_reversal(inst)) == pytest.approx(
         1.0 - math.sqrt(2) / 2, abs=1e-12)
+
+
+def test_success_probability_refuses_a_stacked_plan():
+    # the stack's rows read 0.134, 0.240 and 0.532: summing every row gave 0.906
+    kraus, _ = kraus_stack(max_entangled_stack(2, 3), ejm_stack(np.array([0.0, 0.5, 1.0])))
+    plan = spectrum(kraus)
+    with pytest.raises(DimensionError, match=re.escape(
+            "expected the plan of one instrument, got sigmas (3, 4, 2)")):
+        success_probability(plan)
+    for i in range(3):
+        assert success_probability(plan.plan(i)) == float(plan.p_succ[i])
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8])
+def test_success_probability_keeps_the_bits_of_the_sum_over_outcomes(d):
+    rng = np.random.default_rng(90 + d)
+    for _ in range(20):
+        inst = build_instrument(BipartiteState(d=d, coeff=random_coeff(d, rng)),
+                                random_basis(d, rng))
+        plan = optimal_reversal(inst)
+        assert success_probability(plan) == float(np.sum(plan.outcome_success))
 
 
 def test_leakage_examples():

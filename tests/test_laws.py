@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from telerev import BipartiteState, build_instrument, optimal_reversal, success_probability
 from telerev.instrument import ReversalPlan, kraus_stack, spectrum
-from telerev.montecarlo import _reversed, _success_gram
+from telerev.linalg import gram
 from telerev.scenarios import SCENARIOS, GridSpec, Scenario, _axes, _qubit_columns
 from telerev.theorems import random_basis
 
@@ -137,7 +137,8 @@ def _assert_faithful(kraus: np.ndarray, plan: ReversalPlan) -> None:
     """G = P_succ I and F_cond = 1, within GRAM_TOL and F_COND_TOL kappa, on every row of
     Kraus operators (..., n, d, d) and their plan with P_succ > 0."""
     d, p = kraus.shape[-1], np.asarray(plan.p_succ)
-    g, a = _success_gram(kraus, plan), _reversed(kraus, plan)
+    a = plan.reversed(kraus)
+    g = gram(a)
     trace = np.trace(a, axis1=-2, axis2=-1)
     overlap = np.sum(np.abs(trace) ** 2 + np.sum(np.abs(a) ** 2, axis=(-2, -1)), axis=-1)
     s, degenerate = plan.sigmas, plan.degenerate

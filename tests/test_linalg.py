@@ -167,7 +167,7 @@ def test_real_matmul_replays_conjugate_transposed_views_bit_for_bit():
 
 @pytest.mark.parametrize("d", range(2, 9))
 def test_real_matmul_replays_the_success_gram_stacks_bit_for_bit(d):
-    # montecarlo._success_gram: A_r = R_r M_r, then A_r^dag A_r, (k, d, d)
+    # the success Gram, gram(ReversalPlan.reversed): A_r = R_r M_r, then A_r^dag A_r, (k, d, d)
     rng = np.random.default_rng(43 + d)
     for k in (1, d, d * d):
         r, m = _spread(rng, k, d, d), _spread(rng, k, d, d)

@@ -3,8 +3,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from telerev import (McEstimate, RngSpec, build_instrument, ejm,
+from telerev import montecarlo
+from telerev import (BipartiteState, McEstimate, RngSpec, build_instrument, ejm,
                      estimate_leakage, estimate_performance,
                      estimate_standard_fidelity, estimate_success,
                      leakage_max, max_entangled, optimal_reversal,
@@ -13,12 +16,13 @@ from telerev import (McEstimate, RngSpec, build_instrument, ejm,
 from telerev.errors import DimensionError, DomainError
 from telerev.instrument import Instrument, ReversalPlan, kraus_stack, spectrum
 from telerev.jointmeas import JointMeasurement, zx_zz_stack
-from telerev.linalg import polar_unitary, svd
-from telerev.montecarlo import CHUNK, MC_BUDGET_BYTES, _success, _success_gram
+from telerev.linalg import gram, polar_unitary, svd
+from telerev.montecarlo import CHUNK, MC_BUDGET_BYTES, _success
 from telerev.qstate import schmidt_stack
 from telerev.theorems import random_basis
 
-from oracles import _haar_batch, haar_state
+from helpers import random_coeff
+from oracles import _haar_batch, design_states, haar_state, reversed_reference
 
 # Statistical gates use five standard errors plus a tiny absolute floor for
 # estimators whose per-sample values are constant up to rounding.
@@ -482,8 +486,9 @@ def _direct_success(inst, plan, phi):
 def test_gram_success_matches_the_direct_sum_per_sample():
     for k, (inst, plan) in enumerate(_success_cases()):
         phi = _haar_batch(inst.d, 2000, RngSpec(seed=90 + k).generator())
-        gram = _success(_success_gram(np.asarray(inst.kraus), plan), phi[..., None].view(np.float64))
-        assert np.max(np.abs(gram - _direct_success(inst, plan, phi))) <= 1e-15, inst.provenance
+        g = gram(plan.reversed(np.asarray(inst.kraus)))
+        succ = _success(g, phi[..., None].view(np.float64))
+        assert np.max(np.abs(succ - _direct_success(inst, plan, phi))) <= 1e-15, inst.provenance
 
 
 # The success reads the raw normals v and divides v^dag G v by |v|^2, so the scale of v
@@ -491,7 +496,7 @@ def test_gram_success_matches_the_direct_sum_per_sample():
 @pytest.mark.parametrize("c", [1e-3, 1e3])
 def test_success_does_not_depend_on_the_scale_of_the_normals(c):
     for k, (inst, plan) in enumerate(_success_cases()):
-        g = _success_gram(np.asarray(inst.kraus), plan)
+        g = gram(plan.reversed(np.asarray(inst.kraus)))
         z = RngSpec(seed=95 + k).generator().standard_normal((2000, inst.d, 2))
         assert np.max(np.abs(_success(g, c * z) - _success(g, z))) <= 1e-15, inst.provenance
 
@@ -558,19 +563,20 @@ def test_stacked_success_gram_is_the_per_instrument_gram_row_for_row(d):
     kraus = _random_stack(d, 6, 40 + d)
     plan = spectrum(kraus)
     assert plan.degenerate.any() and not plan.degenerate.all()
-    stacked = _success_gram(kraus, plan)
-    assert _same_bits(stacked, np.stack([_success_gram(kraus[i], plan.plan(i)) for i in range(6)]))
+    stacked = np.ascontiguousarray(gram(plan.reversed(kraus)))
+    assert _same_bits(stacked, np.stack([gram(plan.plan(i).reversed(kraus[i])) for i in range(6)]))
     # the outcomes are axis -3 under any leading shape
     grid = kraus.reshape(2, 3, d * d, d, d)
-    assert _same_bits(_success_gram(grid, spectrum(grid)), stacked.reshape(2, 3, d, d))
+    assert _same_bits(np.ascontiguousarray(gram(spectrum(grid).reversed(grid))),
+                      stacked.reshape(2, 3, d, d))
 
 
 def test_stacked_success_gram_keeps_the_half_degenerate_instrument_bits():
     insts = [_half_degenerate()[0], _zz_row(0.0, 0.52)[0], _elegant(0.3)[0]]
     kraus = np.stack([np.asarray(inst.kraus) for inst in insts])
-    stacked = _success_gram(kraus, spectrum(kraus))
+    stacked = np.ascontiguousarray(gram(spectrum(kraus).reversed(kraus)))
     for i, inst in enumerate(insts):
-        own = _success_gram(np.asarray(inst.kraus), optimal_reversal(inst))
+        own = np.ascontiguousarray(gram(optimal_reversal(inst).reversed(np.asarray(inst.kraus))))
         assert _same_bits(stacked[i], own), inst.provenance
 
 
@@ -590,3 +596,103 @@ def test_a_boolean_seed_or_stream_is_refused(value):
         RngSpec(value)
     with pytest.raises(DomainError, match=rf"^stream {re.escape(repr(value))} is not an integer$"):
         RngSpec(1, value)
+
+
+# ReversalPlan.reversed forms A_r = R_r M_r for the success Gram and the overlap kernel.
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_reversed_zeroes_degenerate_outcomes_whatever_their_reversers_hold(d):
+    kraus = _random_stack(d, 6, 60 + d)
+    plan = spectrum(kraus)
+    junk = plan.reversers.copy()
+    junk[plan.degenerate] = np.nan
+    a = ReversalPlan(plan.sigmas, junk, plan.degenerate).reversed(kraus)
+    assert plan.degenerate.any() and np.isnan(junk).any()
+    assert np.all(a[plan.degenerate] == 0.0) and not np.isnan(a).any()
+    assert _same_bits(a, plan.reversed(kraus))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8])
+def test_reversed_is_c_contiguous_with_the_bits_of_the_matrix_product(d):
+    # the bits of montecarlo._reversed before it moved into the plan
+    kraus = _random_stack(d, 5, 70 + d)
+    for k, p in ((kraus, spectrum(kraus)), (kraus[2], spectrum(kraus).plan(2))):
+        a = p.reversed(k)
+        assert a.flags.c_contiguous
+        assert _same_bits(a, reversed_reference(p, k))
+
+
+def test_reversed_and_residual_refuse_a_plan_of_another_shape_by_name():
+    # before the residual checked its plan, numpy refused the first with a bare
+    # ValueError and broadcast the second silently
+    kraus = np.asarray(_elegant(0.0)[0].kraus)
+    for plan, shape in ((optimal_reversal(_qudit(3, 31)), "(9, 3, 3)"),
+                        (spectrum(kraus[None]), "(1, 4, 2, 2)")):
+        message = re.escape(f"plan shape {shape} != Kraus shape (4, 2, 2)")
+        for call in (plan.reversed, plan.residual):
+            with pytest.raises(DimensionError, match=message):
+                call(kraus)
+
+
+def _partly_product_basis(d, rng):
+    """A random orthonormal basis that mixes a random subset of the product basis
+    e_a e_b^T and keeps the others: those outcomes are rank one, so degenerate."""
+    n = d * d
+    keep = rng.permutation(n)[:rng.integers(2, n + 1)]
+    z = rng.standard_normal((keep.size,) * 2) + 1j * rng.standard_normal((keep.size,) * 2)
+    q, r = np.linalg.qr(z)
+    u = np.eye(n, dtype=complex)
+    u[np.ix_(keep, keep)] = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    return JointMeasurement(d, tuple(u.T.copy().reshape(n, d, d)), "partly product")
+
+
+# Every kernel value is a polynomial of degree at most (2, 2) in the state and its
+# conjugate, so its weighted sum over oracles.design_states is its Haar average exactly.
+# Measured over 3,000 random instruments at d in [2, 8] (full-rank, rank-deficient
+# channels and partly product bases): |sum_i w_i success_i - P_succ| <= 1.4e-16, and
+# |f_cond - 1| <= 5.6e-16 kappa, kappa the largest sigma_max / sigma_min of a
+# recoverable outcome (1.3e-15 unscaled; rounding in the weights' sum alone gives 2.2e-16).
+DESIGN_SUCCESS_TOL = 6e-16
+DESIGN_F_COND_TOL = 2.2e-15
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(2, 8), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["random", "rank-deficient channel", "partly product basis"]))
+@example(d=2, seed=0, kind="partly product basis")
+@example(d=8, seed=0, kind="rank-deficient channel")
+def test_the_design_average_of_the_success_kernel_is_p_succ(d, seed, kind):
+    rng = np.random.default_rng(seed)
+    coeff = random_coeff(d, rng)
+    if kind == "rank-deficient channel":
+        coeff[:, 0] = 0.0
+        coeff /= np.linalg.norm(coeff)
+    jm = _partly_product_basis(d, rng) if kind == "partly product basis" else random_basis(d, rng)
+    inst = build_instrument(BipartiteState(d=d, coeff=coeff), jm)
+    plan, kraus = optimal_reversal(inst), np.asarray(inst.kraus)
+    z, w = design_states(d)
+    p = w @ _success(gram(plan.reversed(kraus)), z.copy())
+    assert abs(p - plan.p_succ) <= DESIGN_SUCCESS_TOL
+    # estimate_performance's own kernels and f_cond ratio, the design in place of a draw
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(montecarlo, "_sample", lambda d, n, rng, kernel, k: np.array(kernel(z.copy())))
+        mp.setattr(montecarlo, "_estimate", lambda samples: w @ samples)
+        est = estimate_performance(inst, plan, len(w), RngSpec(0))
+    s, degenerate = plan.sigmas, plan.degenerate
+    kappa = np.max(np.where(degenerate, 1.0, s[:, 0] / np.where(degenerate, 1.0, s[:, -1])))
+    assert est["p_succ"] == p
+    assert abs(est["f_cond"] - 1.0) <= DESIGN_F_COND_TOL * kappa
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_the_design_weights_have_the_haar_second_moment(d):
+    # sum_i w_i psi_i psi_i^dag (x) psi_i psi_i^dag = (I + SWAP)/(d(d+1)), read in the
+    # operator's (a c),(b e) layout; the first moment I/d and sum w = 1 follow
+    z, w = design_states(d)
+    psi = z[..., 0] + 1j * z[..., 1]
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    moment = np.einsum("m,ma,mc,mb,me->acbe", w, psi, psi, psi.conj(), psi.conj())
+    eye = np.eye(d * d).reshape(d, d, d, d)
+    want = (eye + eye.transpose(1, 0, 2, 3)) / (d * (d + 1))
+    assert len(w) == d + 2 * d * (d - 1)
+    assert np.max(np.abs(moment - want)) <= 1e-16
+
