@@ -35,11 +35,24 @@ COMPLETENESS_TOL = 1e-10
 
 @dataclass(frozen=True)
 class Instrument:
-    """The d^2 effective Kraus operators (d^2, d, d) with sum_r M_r^dag M_r = I."""
+    """The d^2 effective Kraus operators (d^2, d, d) with sum_r M_r^dag M_r = I, made one
+    complex array on construction and refused by name (DimensionError) unless that is
+    (n, d, d) with n >= 1; :func:`spectrum` checks its entries finite."""
 
     d: int
     kraus: np.ndarray
     provenance: str
+
+    def __post_init__(self):
+        try:
+            kraus = np.asarray(self.kraus, dtype=np.complex128)
+        except ValueError:
+            raise DimensionError(f"expected Kraus operators (n, d, d) with n >= 1 and "
+                                 f"d = {self.d}, got a ragged or non-numeric sequence") from None
+        if kraus.ndim != 3 or kraus.shape[0] == 0 or kraus.shape[1:] != (self.d, self.d):
+            raise DimensionError(f"expected Kraus operators (n, d, d) with n >= 1 and "
+                                 f"d = {self.d}, got shape {kraus.shape}")
+        object.__setattr__(self, "kraus", kraus)  # a frozen dataclass
 
 
 @dataclass(frozen=True)
@@ -235,7 +248,7 @@ def build_instrument(channel: BipartiteState, jm: JointMeasurement) -> Instrumen
 
 def optimal_reversal(inst: Instrument) -> ReversalPlan:
     """Optimal reversing filter and success probability for every outcome."""
-    return spectrum(np.asarray(inst.kraus))
+    return spectrum(inst.kraus)
 
 
 def success_probability(plan: ReversalPlan) -> float:
@@ -279,13 +292,13 @@ def check_plan(plan: ReversalPlan, kraus: np.ndarray) -> ReversalPlan:
 
 def reversal_residual(inst: Instrument, plan: ReversalPlan) -> float:
     """Max-abs deviation of R_r M_r from sigma_min^r I over recoverable outcomes."""
-    return float(plan.residual(np.asarray(inst.kraus)))
+    return float(plan.residual(inst.kraus))
 
 
 def performance_report(inst: Instrument, plan: ReversalPlan | None = None) -> PerformanceReport:
     """All scalar metrics of one instrument, read off its plan (made if not given,
     refused if made for another instrument's shape)."""
-    plan = optimal_reversal(inst) if plan is None else check_plan(plan, np.asarray(inst.kraus))
+    plan = optimal_reversal(inst) if plan is None else check_plan(plan, inst.kraus)
     p_succ, leakage, f_standard, tradeoff = plan._values
     return PerformanceReport(p_succ_max=float(p_succ), f_tele_standard=float(f_standard),
                              f_tele_mr=1.0, leakage_max=float(leakage),

@@ -27,29 +27,22 @@ ZX_ZZ_LIMIT = math.sqrt(3) * math.pi / 4
 class JointMeasurement:
     """d^2 rank-one measurement elements as coefficient matrices W_r.  The family
     factories check their element stacks normalised, once per stack; any measurement
-    has its shapes checked when it is first stacked (:meth:`stack`) and its values when
-    :func:`element_entanglement` first reads them as states.  Both results are kept:
-    the stack is read-only, and elements mutated after their first use go unseen."""
+    has its shapes checked whenever it is stacked (:meth:`stack`) and its values when
+    :func:`element_entanglement` first reads them as states.  Their G-concurrences are
+    kept from that first read, so elements mutated after it go unseen there."""
 
     d: int
     elements: tuple[CMatrix, ...]
     label: str
 
     def stack(self) -> np.ndarray:
-        """The elements as one read-only (n, d, d) array (shape (0,) without elements),
-        the same array on every call; raises DimensionError, before stacking, on an
-        element that is not d x d."""
-        return self._stack
-
-    @cached_property
-    def _stack(self) -> np.ndarray:
+        """The elements as one new (n, d, d) array (shape (0,) without elements); raises
+        DimensionError, before stacking, on an element that is not d x d."""
         for w in self.elements:
             if np.shape(w) != (self.d, self.d):
                 raise DimensionError(f"coefficient matrix has shape {np.shape(w)}, "
                                      f"expected {(self.d, self.d)}")
-        stack = np.array(self.elements)  # a copy: the elements themselves stay writeable
-        stack.flags.writeable = False
-        return stack
+        return np.asarray(self.elements)
 
     @cached_property
     def _concurrences(self) -> tuple[float, ...]:

@@ -12,11 +12,11 @@ sum_r A_r^dag A_r, of the completeness gate and the Monte Carlo success Gram:
 at d = 2 each entry in real arithmetic from the (real, imaginary) views of
 :func:`entries`, which the d = 2 concurrences and Bloch vectors read too, so
 their bits do not depend on the BLAS kernel or numpy's SIMD loops; at d >= 3
-they are ``@``.  :func:`identity_deviation` (max |X - c I|) serves both gates and
-Theorem 1.  :func:`fold` reduces a short axis left to right in whole-array
-operations: the bits of numpy's own sum or max over an axis shorter than 8,
-without its per-row inner loops, for the qubit metrics, residuals, Gram sums,
-Theorem 1 and the Haar norms.
+they are ``@``.  :func:`identity_deviation` (max |X - c I|, one numpy reduction
+at every d) serves both gates and Theorem 1.  :func:`fold` reduces a short axis
+left to right in whole-array operations: the bits of numpy's own sum or max over
+an axis shorter than 8, without its per-row inner loops, for the qubit metrics,
+the reversal residual's outcomes, Gram sums, Theorem 1 and the Haar norms.
 """
 
 from __future__ import annotations
@@ -150,11 +150,9 @@ def gram(a: np.ndarray) -> np.ndarray:
 
 def identity_deviation(dev: np.ndarray, scale) -> np.ndarray:
     """Max-abs entry of dev - scale I per matrix of a stack (..., d, d), ``scale`` a number
-    or one per matrix; consumes ``dev`` (its diagonal shifted in place); folded at d = 2."""
+    or one per matrix; consumes ``dev`` (its diagonal shifted in place)."""
     diag = np.einsum("...ii->...i", dev.real)  # a writeable view
     diag -= np.asarray(scale)[..., None]
-    if dev.shape[-1] == 2:
-        return fold(np.maximum, fold(np.maximum, np.abs(dev)))
     return np.maximum.reduce(np.abs(dev), axis=(-2, -1))
 
 

@@ -182,7 +182,7 @@ def estimate_performance(inst: Instrument, plan: ReversalPlan, n: int,
     is the success-weighted output fidelity; it is 1 up to rounding whenever
     the resources are pure.
     """
-    a = plan.reversed(np.asarray(inst.kraus))
+    a = plan.reversed(inst.kraus)
     g, ops = gram(a), a.swapaxes(-1, -2)
     # the success reads the raw normals before _states normalises them in place
     succ, overlap = _sample(inst.d, n, rng, lambda z: (_success(g, z), _overlaps(_states(z), ops)), 2)
@@ -194,7 +194,7 @@ def estimate_success(inst: Instrument, plan: ReversalPlan, n: int, rng: RngSpec)
     """Empirical success probability alone: equal, bit for bit, to
     ``estimate_performance(inst, plan, n, rng)["p_succ"]``, without the
     overlap and conditional-fidelity work."""
-    return _success_estimate(gram(plan.reversed(np.asarray(inst.kraus))), n, rng)
+    return _success_estimate(gram(plan.reversed(inst.kraus)), n, rng)
 
 
 def _success_estimate(g: np.ndarray, n: int, rng: RngSpec) -> McEstimate:
@@ -231,7 +231,7 @@ def _success_rows(g: np.ndarray, n: int, rng: RngSpec) -> tuple[list[McEstimate]
 
 def estimate_leakage(inst: Instrument, n: int, rng: RngSpec) -> McEstimate:
     """Empirical estimation fidelity with the top-eigenvector guess states."""
-    kraus = np.asarray(inst.kraus)
+    kraus = inst.kraus
     kt, guesses = kraus.swapaxes(-1, -2), svd(kraus).right[..., :, 0].conj()
     def kernel(z):
         phi, out = _states(z), np.zeros(z.shape[0])
@@ -243,6 +243,6 @@ def estimate_leakage(inst: Instrument, n: int, rng: RngSpec) -> McEstimate:
 
 def estimate_standard_fidelity(inst: Instrument, n: int, rng: RngSpec) -> McEstimate:
     """Empirical average fidelity of the polar-unitary correction protocol."""
-    kraus = np.asarray(inst.kraus)
+    kraus = inst.kraus
     ops = (polar_unitary(kraus) @ kraus).swapaxes(-1, -2)
     return _estimate(_sample(inst.d, n, rng, lambda z: (_overlaps(_states(z), ops),))[0])

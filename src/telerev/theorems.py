@@ -163,9 +163,8 @@ def solve_tr(d, e_r):
 
 
 def _root(d, e: np.ndarray) -> np.ndarray:
-    """:func:`solve_tr` of checked d >= 2 and checked e (at least 1-d).  The Newton
-    loop writes its temporaries into buffers made once, in the operations and order
-    of the plain expressions in its comments, so each root has their bits."""
+    """:func:`solve_tr` of checked d >= 2 and checked e (at least 1-d), for callers
+    that have checked their values already."""
     inner = (0.0 < e) & (e < 1.0)  # e = 0 and e = 1 are set at the end
     k, r2 = d - 1.0, -d * np.log(np.where(inner, e, 0.5))
     s = np.sqrt(r2)
@@ -175,31 +174,17 @@ def _root(d, e: np.ndarray) -> np.ndarray:
     y = s * np.sqrt(2.0 * k / d)
     w = np.where(lo > math.log(0.2), -y * (1.0 + (k + 2.0) / (6.0 * k) * y),
                  lo - k * np.log1p(-np.exp(lo) / d))
-    half_d = 0.5 * d
-    um, rho, psi, step, tmp = (np.empty_like(w) for _ in range(5))
-    mask, other = np.empty(w.shape, dtype=bool), np.empty(w.shape, dtype=bool)
     for _ in range(64):
-        np.negative(np.expm1(w, out=um), out=um)  # um = -expm1(w) = 1 - d t
-        # rho = sqrt(maximum(-w - k * log1p(um / k), 0))
-        np.multiply(k, np.log1p(np.divide(um, k, out=tmp), out=tmp), out=tmp)
-        np.subtract(np.negative(w, out=rho), tmp, out=rho)
-        np.sqrt(np.maximum(rho, 0.0, out=rho), out=rho)
-        np.subtract(s, rho, out=psi)
-        # lo, hi = where(psi <= 0, w, lo), where(psi <= 0, hi, w)
-        np.copyto(lo, w, where=np.less_equal(psi, 0.0, out=mask))
-        np.copyto(hi, w, where=np.logical_not(mask, out=mask))
-        # step = psi * rho * (k + um) / (0.5 * d * um)
-        np.multiply(np.multiply(psi, rho, out=step), np.add(k, um, out=tmp), out=step)
-        np.divide(step, np.multiply(half_d, um, out=tmp), out=step)
-        # NaN fails; no step at all ends an empty e
-        if np.less_equal(np.abs(step, out=tmp), 1e-7, out=mask).all():
+        um = -np.expm1(w)  # 1 - d t
+        rho = np.sqrt(np.maximum(-w - k * np.log1p(um / k), 0.0))
+        psi = s - rho
+        lo, hi = np.where(psi <= 0.0, w, lo), np.where(psi <= 0.0, hi, w)
+        step = psi * rho * (k + um) / (0.5 * d * um)
+        if np.all(np.abs(step) <= 1e-7):  # NaN fails; no step at all ends an empty e
             w = np.minimum(np.maximum(w - step, lo), hi)
             break
-        np.subtract(w, step, out=w)
-        # w = where((lo <= w) & (w < hi), w, 0.5 * (lo + hi))
-        np.logical_and(np.less_equal(lo, w, out=mask), np.less(w, hi, out=other), out=mask)
-        np.copyto(w, np.multiply(0.5, np.add(lo, hi, out=tmp), out=tmp),
-                  where=np.logical_not(mask, out=mask))
+        w = w - step
+        w = np.where((lo <= w) & (w < hi), w, 0.5 * (lo + hi))
     return np.where(inner, np.exp(w) / d, np.where(e == 1.0, 1.0 / d, 0.0))
 
 

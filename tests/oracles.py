@@ -195,8 +195,8 @@ def tr_closed_form_d3(e_r: float) -> float:
 
 
 def solve_tr_reference(d, e_r):
-    """``theorems.solve_tr`` in its earlier form, each round's temporaries newly allocated:
-    the unique t in [0, 1/d] with g(t) = (e_r/d)^d, to a relative 2e-14, over arrays
+    """A frozen copy of ``theorems.solve_tr``, whose roots must keep its bits until a
+    change means to move them: the unique t in [0, 1/d] with g(t) = (e_r/d)^d, to a relative 2e-14, over arrays
     d and e_r at once (a float when both are 0-d).  With w = log(d t) and F(w) =
     w + (d-1) log1p((1 - e^w)/(d-1)) = d log e_r, Newton on sqrt(-d log e_r) -
     sqrt(-F) keeps a simple root as e_r -> 1, and bisection on [log(d t0), 0]

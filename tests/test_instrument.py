@@ -14,6 +14,8 @@ from telerev import (BipartiteState, DimensionError, DomainError, bell_basis,
 from telerev.instrument import (Instrument, completeness_residual, kraus_stack,
                                 reversal_residual, spectrum)
 from telerev.jointmeas import JointMeasurement, ejm_stack, zx_zz_stack
+from telerev.montecarlo import (RngSpec, estimate_leakage, estimate_performance,
+                                estimate_standard_fidelity)
 from telerev.qstate import max_entangled_stack, schmidt_stack
 from telerev.theorems import random_basis
 
@@ -500,3 +502,42 @@ def test_completeness_residual_reads_any_list_of_kraus_operators():
     assert completeness_residual([np.eye(3, dtype=int)], 3) == 0.0
     inst = build_instrument(max_entangled(2), bell_basis())
     assert completeness_residual(inst.kraus.tolist(), 2) == completeness_residual(inst.kraus, 2)
+
+
+# An Instrument coerces its Kraus operators once and refuses any shape other than
+# (n, d, d) with n >= 1 by name, where the estimators used to fail on a bare index,
+# matmul or broadcast error deep inside.
+def test_an_instrument_keeps_a_complex_kraus_array_as_given():
+    kraus = _ideal().kraus
+    assert Instrument(2, kraus, "same").kraus is kraus  # no copy: matmul rounds by layout
+    listed = Instrument(2, kraus.tolist(), "listed").kraus
+    assert listed.dtype == np.complex128 and np.array_equal(listed, kraus)
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda inst: estimate_performance(inst, optimal_reversal(_ideal()), 10, RngSpec(1)),
+    lambda inst: estimate_leakage(inst, 10, RngSpec(1)),
+    lambda inst: estimate_standard_fidelity(inst, 10, RngSpec(1))],
+    ids=["performance", "leakage", "standard-fidelity"])
+def test_an_instrument_whose_d_disagrees_with_its_kraus_is_refused_by_name(estimate):
+    message = re.escape("expected Kraus operators (n, d, d) with n >= 1 and d = 3, "
+                        "got shape (4, 2, 2)")
+    with pytest.raises(DimensionError, match=message):
+        estimate(Instrument(3, _ideal().kraus, "other d"))
+
+
+@pytest.mark.parametrize("kraus, shape", [
+    (np.eye(2), (2, 2)), (np.zeros((0, 2, 2)), (0, 2, 2)), (np.zeros((1, 4, 2, 2)), (1, 4, 2, 2))],
+    ids=["matrix", "no-operator", "stack"])
+def test_an_instrument_of_another_shape_is_refused_by_name(kraus, shape):
+    message = re.escape(f"expected Kraus operators (n, d, d) with n >= 1 and d = 2, "
+                        f"got shape {shape}")
+    with pytest.raises(DimensionError, match=message):
+        Instrument(2, kraus, "bad shape")
+
+
+def test_an_instrument_of_ragged_kraus_operators_is_refused_by_name():
+    message = re.escape("expected Kraus operators (n, d, d) with n >= 1 and d = 2, "
+                        "got a ragged or non-numeric sequence")
+    with pytest.raises(DimensionError, match=message):
+        Instrument(2, [np.eye(2), np.eye(3)], "ragged")

@@ -4,8 +4,9 @@
 ``instrument._completeness`` (max |sum_r M_r^dag M_r - I|, the sum from
 ``linalg.gram``) and ``ReversalPlan.residual`` (max |R_r M_r - sigma_min I|,
 the product from ``linalg.product``) are gates that the manifest reports, not
-output cells: a run fails when either exceeds ``COMPLETENESS_TOL`` or
-``REVERSAL_GATE``.  At d = 2 both are elementwise real arithmetic, which must
+output cells: ``kraus_stack`` refuses an instrument whose completeness residual
+exceeds ``COMPLETENESS_TOL`` (the CLI exits 2), and a run whose reversal residual
+exceeds ``REVERSAL_GATE`` writes ``residual_ok`` false (exit 1).  At d = 2 both are elementwise real arithmetic, which must
 agree with the matrix-product references within 1e-15 (relative above 1) on
 the zz-scan surface, on random stacks over many decades of scale and on
 degenerate outcomes, and must still fail every faulty input: perturbed

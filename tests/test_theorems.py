@@ -573,8 +573,8 @@ def test_thm2_bounds_refuses_a_nested_list_of_the_right_size():
         thm2_bounds(2, [[0.5, 0.5], [0.5, 0.5]])
 
 
-# The Newton core writes its temporaries in place; each root keeps the bits of the
-# earlier loop, which allocated every temporary anew (tests/oracles.py).
+# Each root of the Newton core keeps the bits of the frozen copy in tests/oracles.py, so a
+# rewrite of the loop that moves any root's last bit fails here.
 E_EDGES = (0.0, 1.0, 5e-324, 1.0 - 2.0 ** -53)
 E_VALUES = st.one_of(st.sampled_from(E_EDGES), st.floats(0.0, 1.0))
 
