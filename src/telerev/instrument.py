@@ -24,7 +24,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, DomainError, check_integer
 from .jointmeas import JointMeasurement
 from .linalg import (SIGMA_FLOOR, as_matrix, entries, floor_sigmas, fold, gram,
                      identity_deviation, product, singular_values)
@@ -44,6 +44,7 @@ class Instrument:
     provenance: str
 
     def __post_init__(self):
+        check_integer(self.d, "local dimension")
         try:
             kraus = np.asarray(self.kraus, dtype=np.complex128)
         except ValueError:

@@ -36,6 +36,7 @@ class BipartiteState:
     label: str = ""
 
     def __post_init__(self):
+        check_integer(self.d, "local dimension")
         e = as_matrix(self.coeff)
         if self.d < 2:
             raise DimensionError(f"local dimension must be >= 2, got {self.d}")

@@ -12,15 +12,15 @@ from pathlib import Path
 import numpy as np
 
 from telerev import (BipartiteState, RngSpec, Thm1Inputs, bell_basis,
-                     build_instrument, ejm, estimate_leakage,
-                     estimate_performance, estimate_standard_fidelity,
-                     leakage_max, max_entangled, optimal_reversal,
+                     build_instrument, ejm, leakage_max, max_entangled, optimal_reversal,
                      saturating_spectrum, schmidt_channel, solve_tr,
-                     standard_fidelity, success_probability, svd,
+                     standard_fidelity, success_probability,
                      thm1_outcome_success, thm1_total_success, thm2_bounds,
                      xx_deformed, zx_zz)
 from telerev.cli import main as cli_main
 from telerev.jointmeas import ZX_ZZ_LIMIT, element_entanglement
+from telerev.linalg import svd
+from telerev.montecarlo import estimate_leakage, estimate_performance, estimate_standard_fidelity
 from telerev.theorems import random_basis
 
 from helpers import compare_csv_text, dev_up_to_phase, random_coeff, random_ket

@@ -536,6 +536,25 @@ def test_an_instrument_of_another_shape_is_refused_by_name(kraus, shape):
         Instrument(2, kraus, "bad shape")
 
 
+# An Instrument refuses a non-integer d by name, as a state does before build_instrument
+# reads it: (2, 2) == (2.0, 2.0), so the shape check alone would let a float d through to
+# estimate_leakage's and estimate_performance's draw, which fails with a bare TypeError.
+@pytest.mark.parametrize("d", [2.0, 2.5, True])
+def test_a_non_integer_dimension_is_refused_by_name(d):
+    message = rf"^local dimension {re.escape(repr(d))} is not an integer$"
+    with pytest.raises(DomainError, match=message):
+        Instrument(d, _ideal().kraus, "non-integer d")
+    with pytest.raises(DomainError, match=message):
+        build_instrument(BipartiteState(d, np.eye(2) / math.sqrt(2)), bell_basis())
+
+
+def test_a_numpy_integer_dimension_is_taken():
+    inst = build_instrument(BipartiteState(np.int64(2), np.eye(2) / math.sqrt(2)), bell_basis())
+    assert inst.d == 2 and np.array_equal(inst.kraus, _ideal().kraus)
+    kept = Instrument(np.int64(2), inst.kraus, "numpy d")
+    assert estimate_leakage(kept, 10, RngSpec(1)) == estimate_leakage(_ideal(), 10, RngSpec(1))
+
+
 def test_an_instrument_of_ragged_kraus_operators_is_refused_by_name():
     message = re.escape("expected Kraus operators (n, d, d) with n >= 1 and d = 2, "
                         "got a ragged or non-numeric sequence")

@@ -4,10 +4,10 @@ import re
 import numpy as np
 import pytest
 
-from telerev import DimensionError, polar_unitary, svd
+from telerev import DimensionError
 from telerev.errors import DomainError
 from telerev.jointmeas import zx_zz_stack
-from telerev.linalg import fold, gram, product
+from telerev.linalg import fold, gram, polar_unitary, product, svd
 from telerev.qstate import schmidt_stack
 
 from helpers import random_coeff

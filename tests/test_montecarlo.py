@@ -8,16 +8,15 @@ from hypothesis import strategies as st
 
 from telerev import montecarlo
 from telerev import (BipartiteState, McEstimate, RngSpec, build_instrument, ejm,
-                     estimate_leakage, estimate_performance,
-                     estimate_standard_fidelity, estimate_success,
-                     leakage_max, max_entangled, optimal_reversal,
+                     estimate_success, leakage_max, max_entangled, optimal_reversal,
                      schmidt_channel, standard_fidelity, xx_deformed,
                      bell_basis)
 from telerev.errors import DimensionError, DomainError
 from telerev.instrument import Instrument, ReversalPlan, kraus_stack, spectrum
 from telerev.jointmeas import JointMeasurement, zx_zz_stack
 from telerev.linalg import gram, polar_unitary, svd
-from telerev.montecarlo import CHUNK, MC_BUDGET_BYTES, _success
+from telerev.montecarlo import (CHUNK, MC_BUDGET_BYTES, _success, estimate_leakage,
+                                estimate_performance, estimate_standard_fidelity)
 from telerev.qstate import schmidt_stack
 from telerev.theorems import random_basis
 

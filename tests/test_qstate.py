@@ -317,6 +317,25 @@ def test_max_entangled_stack_refuses_a_fractional_dimension():
         max_entangled_stack(2.5, 3)
 
 
+def test_max_entangled_stack_refuses_a_dimension_below_two():
+    with pytest.raises(DimensionError, match=r"^local dimension must be >= 2, got 1$"):
+        max_entangled_stack(1, 3)
+
+
+# A state's d is checked as max_entangled checks it, before the shape check, which reads
+# (2, 2) == (2.0, 2.0) as equal and so would let a float d through to the estimators' draw.
+@pytest.mark.parametrize("d", [2.0, 2.5, True])
+def test_a_state_refuses_a_non_integer_dimension_by_name(d):
+    message = rf"^local dimension {re.escape(repr(d))} is not an integer$"
+    with pytest.raises(DomainError, match=message):
+        BipartiteState(d=d, coeff=np.eye(2) / math.sqrt(2))
+
+
+def test_a_state_takes_a_numpy_integer_dimension():
+    state = BipartiteState(d=np.int64(2), coeff=np.eye(2) / math.sqrt(2))
+    assert state.d == 2 and np.array_equal(state.coeff, max_entangled(2).coeff)
+
+
 def test_max_entangled_stack_refuses_a_negative_row_count():
     with pytest.raises(DomainError, match=r"^row count must be >= 0, got -1$"):
         max_entangled_stack(2, -1)

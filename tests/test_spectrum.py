@@ -22,12 +22,12 @@ import numpy as np
 import pytest
 
 from telerev import (BipartiteState, DimensionError, DomainError, build_instrument, ejm,
-                     ejm_channel, estimate_performance, max_entangled, optimal_reversal,
+                     ejm_channel, max_entangled, optimal_reversal,
                      performance_report, schmidt_channel, xx_deformed, zx_zz)
 from telerev.instrument import ReversalPlan, kraus_stack, reversal_residual, spectrum
 from telerev.jointmeas import ejm_stack, xx_deformed_stack, zx_zz_stack
 from telerev.linalg import SIGMA_FLOOR, svd
-from telerev.montecarlo import RngSpec
+from telerev.montecarlo import RngSpec, estimate_performance
 from telerev.qstate import (ejm_channel_stack, max_entangled_stack,
                             schmidt_stack)
 from telerev.scenarios import (BLOCK_ROWS, REVERSAL_GATE, GridSpec, Scenario,

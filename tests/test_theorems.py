@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 import telerev
 from telerev import (DimensionError, Thm1Inputs, build_instrument, ejm, ejm_channel,
                      g_of_t, max_entangled, optimal_reversal, saturating_spectrum,
-                     schmidt_channel, solve_tr, success_probability, svd, theorems,
+                     schmidt_channel, solve_tr, success_probability, theorems,
                      thm1_outcome_success, thm1_total_success, thm2_bounds,
                      xx_deformed, zx_zz)
 from telerev.errors import DomainError
 from telerev.jointmeas import ZX_ZZ_LIMIT, JointMeasurement, element_entanglement, xx_deformed_stack
+from telerev.linalg import svd
 from telerev.qstate import BipartiteState, max_entangled_stack
 from telerev.scenarios import SCENARIOS
 from telerev.theorems import _closed_form, random_basis
