@@ -2,10 +2,11 @@
 """Regenerate the golden CSVs under tests/goldens/, or report how far a
 regeneration would move them.
 
-Each scenario is run through the real CLI entry point with a pinned seed and
-grid; the resulting CSVs plus the invocation list are the regression
-reference.  Run from the repository root after any intentional change to the
-scenario engine, and review the diff before committing:
+Each run in tests/goldens/invocations.json, the table the golden tests read,
+goes through the real CLI entry point with its pinned seed and grid; the
+resulting CSVs plus that table are the regression reference.  Run from the
+repository root after any intentional change to the scenario engine, and
+review the diff before committing:
 
     python3 scripts/regen_goldens.py [dir]          # rewrite the goldens
     python3 scripts/regen_goldens.py --check [dir]  # report only, write nothing
@@ -23,52 +24,40 @@ import contextlib
 import csv
 import io
 import json
-import math
 import shutil
 import tempfile
 from pathlib import Path
 
 from telerev.cli import main
 
-PI4 = repr(math.pi / 4)
-PI2 = repr(math.pi / 2)
-SEED = "424242"
+INVOCATIONS = Path(__file__).resolve().parent.parent / "tests" / "goldens" / "invocations.json"
 
 # The columns the golden tests compare bit for bit (tests/helpers.py).
 MC_COLUMNS = ("P_succ_mc", "P_succ_mc_stderr")
 
-GOLDEN_RUNS = [
-    ("xx-scan", ["--scenario", "xx-scan", "--grid", f"0:{PI4}:11",
-                 "--samples", "2000", "--seed", SEED]),
-    ("ejm-scan", ["--scenario", "ejm-scan", "--grid", f"0:{PI2}:11",
-                  "--samples", "2000", "--seed", SEED]),
-    ("ejm-aligned-scan", ["--scenario", "ejm-aligned-scan", "--grid", f"0:{PI2}:6",
-                          "--grid2", f"0:{PI2}:6", "--seed", SEED]),
-    ("zz-scan", ["--scenario", "zz-scan", "--grid", "0:1.3:6",
-                 "--grid2", f"0:{PI4}:5", "--seed", SEED]),
-    ("tradeoff-scan", ["--scenario", "tradeoff-scan", "--grid", f"0:{PI2}:11",
-                       "--seed", SEED]),
-    ("thm2-bounds", ["--scenario", "thm2-bounds", "--grid", "0:1:11",
-                     "--grid2", "3:4:2", "--seed", SEED]),
-]
+
+def _runs() -> list[dict]:
+    """The golden runs, each a name and its CLI arguments, as the tests read them."""
+    return json.loads(INVOCATIONS.read_text())
 
 
-def _run_all(out: str) -> None:
-    for name, argv in GOLDEN_RUNS:
-        code = main(argv + ["--out", out])
+def _run_all(runs: list[dict], out: str) -> None:
+    for run in runs:
+        code = main(run["argv"] + ["--out", out])
         if code != 0:
-            raise SystemExit(f"{name}: CLI returned {code}")
+            raise SystemExit(f"{run['name']}: CLI returned {code}")
 
 
 def regenerate(golden_dir: Path) -> None:
+    runs = _runs()
     golden_dir.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        _run_all(tmp)
-        for name, _ in GOLDEN_RUNS:
+        _run_all(runs, tmp)
+        for run in runs:
+            name = run["name"]
             shutil.copy(Path(tmp) / f"{name}.csv", golden_dir / f"{name}.csv")
             print(f"wrote {golden_dir / (name + '.csv')}")
-    manifest = [{"name": name, "argv": argv} for name, argv in GOLDEN_RUNS]
-    (golden_dir / "invocations.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    (golden_dir / "invocations.json").write_text(json.dumps(runs, indent=2) + "\n")
     print(f"wrote {golden_dir / 'invocations.json'}")
 
 
@@ -94,10 +83,11 @@ def _column_changes(new: list[dict], old: list[dict], column: str) -> str:
 
 
 def check(golden_dir: Path) -> None:
+    runs = _runs()
     with tempfile.TemporaryDirectory() as tmp:
         with contextlib.redirect_stdout(io.StringIO()):
-            _run_all(tmp)
-        for name, _ in GOLDEN_RUNS:
+            _run_all(runs, tmp)
+        for name in (run["name"] for run in runs):
             new, old = _rows(Path(tmp) / f"{name}.csv"), _rows(golden_dir / f"{name}.csv")
             columns = list(new[0]) if new else []
             print(f"{name}.csv: {len(new)} rows against {len(old)} committed")

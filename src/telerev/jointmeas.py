@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DimensionError, OutcomeError, check_integer
 from .linalg import CMatrix, as_matrix
-from .qstate import (_check_angles, _ejm_elements, _normalised, _one_angle, _pack,
+from .qstate import (_check_range, _ejm_elements, _normalised, _one_angle, _pack,
                      concurrences)
 
 ZX_ZZ_LIMIT = math.sqrt(3) * math.pi / 4
@@ -52,7 +52,7 @@ class JointMeasurement:
 
 def xx_deformed_stack(t) -> np.ndarray:
     """Element stack (rows, 4, 2, 2) of :func:`xx_deformed` over an array of t."""
-    th = math.pi / 4 - _check_angles(t, 0.0, math.pi / 4, "t")
+    th = math.pi / 4 - _check_range(t, 0.0, math.pi / 4, "t")
     s, c = np.sin(th), np.cos(th)
     return _normalised(_pack(th.size, s, 0.0, 0.0, 1j * c, 0.0, s, 1j * c, 0.0,
                              c, 0.0, 0.0, -1j * s, 0.0, c, -1j * s, 0.0))
@@ -80,7 +80,7 @@ def bell_basis() -> JointMeasurement:
 
 def ejm_stack(t) -> np.ndarray:
     """Element stack (rows, 4, 2, 2) of :func:`ejm` over an array of t."""
-    return _normalised(_ejm_elements(_check_angles(t, 0.0, math.pi / 2, "t")))
+    return _normalised(_ejm_elements(_check_range(t, 0.0, math.pi / 2, "t")))
 
 
 def ejm(t: float) -> JointMeasurement:
@@ -96,7 +96,7 @@ def ejm(t: float) -> JointMeasurement:
 
 def zx_zz_stack(t) -> np.ndarray:
     """Element stack (rows, 4, 2, 2) of :func:`zx_zz` over an array of t."""
-    t = _check_angles(t, 0.0, ZX_ZZ_LIMIT, "t", open_hi=True)
+    t = _check_range(t, 0.0, ZX_ZZ_LIMIT, "t", open_hi=True)
     big_r = np.sqrt(math.pi ** 2 + 16.0 * t * t) / 4.0
     sr, cr = np.sin(big_r), np.cos(big_r)
     a = math.pi / (4.0 * big_r) * sr

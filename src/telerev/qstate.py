@@ -24,6 +24,7 @@ from .linalg import CMatrix, as_matrix, entries
 NORM_TOL = 1e-10
 # Bloch radii below this have no meaningful direction; the alignment is 0 there.
 DIR_FLOOR = 1e-9
+# Slack past either end of a domain, then clipped: computed concurrences exceed 1 by <= 8.9e-16.
 _RANGE_TOL = 1e-12
 
 
@@ -36,10 +37,8 @@ class BipartiteState:
     label: str = ""
 
     def __post_init__(self):
-        check_integer(self.d, "local dimension")
+        _check_dimension(self.d)
         e = as_matrix(self.coeff)
-        if self.d < 2:
-            raise DimensionError(f"local dimension must be >= 2, got {self.d}")
         if e.shape != (self.d, self.d):
             raise DimensionError(
                 f"coefficient matrix has shape {e.shape}, expected {(self.d, self.d)}")
@@ -57,16 +56,24 @@ class BipartiteState:
         return cls(d=d, coeff=v.reshape(d, d), label=label)
 
 
-def _check_angles(values, lo: float, hi: float, name: str,
-                  open_hi: bool = False) -> np.ndarray:
-    """Range-check an array of angles at once against [lo, hi], or [lo, hi)
-    if ``open_hi`` (NaN fails); returns it clipped."""
+def _check_dimension(d) -> None:
+    """Refuse a local dimension that is not an integer, or is below 2 (DimensionError)."""
+    check_integer(d, "local dimension")
+    if d < 2:
+        raise DimensionError(f"local dimension must be >= 2, got {d}")
+
+
+def _check_range(values, lo, hi, name: str, open_hi: bool = False) -> np.ndarray:
+    """The one domain check of every bounded parameter: ``values`` as a float array checked
+    at once against [lo, hi], or [lo, hi) if ``open_hi``, within _RANGE_TOL (NaN fails), and
+    clipped onto it.  A refusal names the first bad entry, by flat index if there are several."""
     v = np.asarray(values, dtype=np.float64)
     below_hi = v < hi if open_hi else v <= hi + _RANGE_TOL
     bad = ~((lo - _RANGE_TOL <= v) & below_hi)
     if bad.any():
-        raise DomainError(f"{name}={float(v[bad][0])!r} outside "
-                          f"[{lo!r}, {hi!r}{')' if open_hi else ']'}")
+        i = int(np.argmax(bad))
+        raise DomainError(f"{name}{f'[{i}]' if v.size > 1 else ''}={float(v.flat[i])!r} "
+                          f"outside [{lo!r}, {hi!r}{')' if open_hi else ']'}")
     return np.minimum(np.maximum(v, lo), hi)
 
 
@@ -100,10 +107,8 @@ def _pack(n: int, *entries) -> np.ndarray:
 
 def max_entangled_stack(d: int, rows: int) -> np.ndarray:
     """``rows`` copies of the coefficient matrix I/sqrt(d)."""
-    check_integer(d, "local dimension")
+    _check_dimension(d)
     check_integer(rows, "row count", 0)
-    if d < 2:
-        raise DimensionError(f"local dimension must be >= 2, got {d}")
     one = (np.eye(d) / math.sqrt(d)).astype(np.complex128)
     return _normalised(np.repeat(one[None], rows, axis=0))
 
@@ -111,16 +116,14 @@ def max_entangled_stack(d: int, rows: int) -> np.ndarray:
 def max_entangled(d: int) -> BipartiteState:
     """Maximally entangled state with coefficient matrix I/sqrt(d); d is checked as
     :func:`max_entangled_stack` checks it, and the norm once, by the state."""
-    check_integer(d, "local dimension")
-    if d < 2:
-        raise DimensionError(f"local dimension must be >= 2, got {d}")
+    _check_dimension(d)
     return BipartiteState(d=d, coeff=(np.eye(d) / math.sqrt(d)).astype(np.complex128),
                           label=f"max_entangled(d={d})")
 
 
 def schmidt_stack(phi, basis: str = "z") -> np.ndarray:
     """Coefficient stack of :func:`schmidt_channel` over an array of angles."""
-    phi = _check_angles(phi, 0.0, math.pi / 4, "phi")
+    phi = _check_range(phi, 0.0, math.pi / 4, "phi")
     c, s = np.cos(phi), np.sin(phi)
     b = str(basis).lower()  # None and other non-strings fall through to the refusal
     if b == "z":
@@ -156,7 +159,7 @@ def _ejm_elements(t: np.ndarray) -> np.ndarray:
 
 def ejm_channel_stack(s) -> np.ndarray:
     """Coefficient stack of :func:`ejm_channel` over an array of angles."""
-    return _normalised(_ejm_elements(_check_angles(s, 0.0, math.pi / 2, "s"))[:, 0].copy())
+    return _normalised(_ejm_elements(_check_range(s, 0.0, math.pi / 2, "s"))[:, 0].copy())
 
 
 def ejm_channel(s: float) -> BipartiteState:

@@ -31,7 +31,7 @@ from .instrument import kraus_stack, spectrum
 from .jointmeas import ejm_stack, xx_deformed_stack, zx_zz_stack
 from .linalg import gram
 from .montecarlo import RngSpec, _success_rows, check_budget
-from .qstate import _check_angles, ejm_channel_stack, max_entangled_stack, schmidt_stack
+from .qstate import _check_range, ejm_channel_stack, max_entangled_stack, schmidt_stack
 from .theorems import _thm1_mixed, _thm1_side, solve_tr
 
 COLUMNS = [
@@ -170,11 +170,14 @@ def validate_scenario(sc: Scenario) -> None:
             entry.channel(_axes(entry, *ends)[1])
             entry.measurement(ends[0])
         else:
-            _check_angles(ends[0], 0.0, 1.0, "e")
+            _check_range(ends[0], 0.0, 1.0, "e")
             for v in [] if sc.grid2 is None else sc.grid2.values():
-                if abs(v - round(v)) > 1e-9 or not 2 <= round(v) <= 8:
-                    raise DomainError(
-                        f"dimension grid value {float(v)!r} is not an integer in [2, 8]")
+                d = min(max(round(v), 2), 8)  # v must lie within the range tolerance of d
+                try:
+                    _check_range(v, d, d, "d")
+                except DomainError:
+                    raise DomainError(f"dimension grid value {float(v)!r} is not an integer "
+                                      "in [2, 8]") from None
     except DomainError as exc:
         raise DomainError(f"{sc.name}: {exc}") from exc
 
@@ -228,7 +231,7 @@ def _qubit_columns(sc: Scenario):
 
 def _thm2_columns(sc: Scenario):
     cols, dims, _, ix = _axes(SCENARIOS[sc.name], sc.grid.values(), np.round(sc.grid2.values()))
-    e, d = cols["param1"], dims[ix]
+    e, d = _check_range(cols["param1"], 0.0, 1.0, "e"), dims[ix]  # clipped onto [0, 1]
     cols.update(E_c=np.ones(e.size), E_M=e, thm2_lower=d * solve_tr(d, e), thm2_upper=e)
     return cols, 0.0, 0.0
 

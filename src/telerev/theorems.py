@@ -18,13 +18,11 @@ import numpy as np
 from .errors import DimensionError, DomainError, check_integer
 from .jointmeas import JointMeasurement
 from .linalg import fold, identity_deviation
-from .qstate import (DIR_FLOOR, NORM_TOL, BipartiteState, _radius, bloch_vectors,
-                     concurrences)
+from .qstate import (DIR_FLOOR, NORM_TOL, BipartiteState, _check_range, _radius,
+                     bloch_vectors, concurrences)
 
 __all__ = ["Thm1Inputs", "Thm2Bounds", "thm1_outcome_success", "thm1_total_success",
            "g_of_t", "solve_tr", "thm2_bounds", "saturating_spectrum", "random_basis"]
-
-_RANGE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -49,18 +47,6 @@ class Thm2Bounds:
     t_values: tuple[float, ...]
 
 
-def _in_range(value, name: str, lo=0, hi=1):
-    """``value`` as a float array (a scalar as a 0-d one) checked against [lo, hi] within
-    _RANGE_TOL, NaN failing, and clipped onto it; a refusal names the first bad entry as a
-    plain number, with its index in an array."""
-    v = np.asarray(value, dtype=np.float64)
-    bad = ~((lo - _RANGE_TOL <= v) & (v <= hi + _RANGE_TOL))
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise DomainError(f"{name}{[i] if v.ndim else ''}={float(v.flat[i])} outside [{lo}, {hi}]")
-    return np.clip(v, lo, hi)
-
-
 def thm1_outcome_success(inp: Thm1Inputs) -> float:
     """Closed-form maximum success probability of one outcome (d = 2).
 
@@ -71,8 +57,8 @@ def thm1_outcome_success(inp: Thm1Inputs) -> float:
     rewrites avoid catastrophic cancellation near alignment ties, where the
     naive expression loses seven digits.
     """
-    e_c, e_r = _in_range(inp.e_c, "e_c"), _in_range(inp.e_r, "e_r")
-    x = 0.0 if inp.x_r is None else _in_range(inp.x_r, "x_r", -1)
+    e_c, e_r = _check_range(inp.e_c, 0, 1, "e_c"), _check_range(inp.e_r, 0, 1, "e_r")
+    x = 0.0 if inp.x_r is None else _check_range(inp.x_r, -1, 1, "x_r")
     u, v = (math.sqrt((1.0 - e) * (1.0 + e)) for e in (e_c, e_r))
     return float(_closed_form(e_c, e_r, u, v, x))
 
@@ -158,7 +144,7 @@ def solve_tr(d, e_r):
     s in w, relative in t, leaves an error near s^2/3: steps below 1e-7 end it."""
     if not np.all(np.asarray(d) >= 2):  # NaN fails too
         raise DomainError(f"dimension must be >= 2, got {np.min(d)}")
-    t = _root(d, np.atleast_1d(_in_range(e_r, "e_r")))
+    t = _root(d, np.atleast_1d(_check_range(e_r, 0, 1, "e_r")))
     return float(t[0]) if np.ndim(e_r) == 0 and np.ndim(d) == 0 else t
 
 
@@ -196,7 +182,7 @@ def thm2_bounds(d: int, e_list) -> Thm2Bounds:
         e_list: the d^2 per-outcome G-concurrences of the measurement.
     """
     check_integer(d, "dimension", 2)
-    es = _in_range(e_list, "e_list")
+    es = _check_range(e_list, 0, 1, "e_list")
     if np.size(es) != d * d:
         raise DomainError(f"expected {d * d} entanglement values, got {np.size(es)}")
     if es.ndim != 1:
@@ -211,7 +197,7 @@ def saturating_spectrum(d: int, e_r: float) -> np.ndarray:
     The first d-1 values equal sqrt((1-t_r)/(d-1)) and the last equals
     sqrt(t_r); their squares sum to one.
     """
-    check_integer(d, "dimension")
+    check_integer(d, "dimension", 2)
     t = solve_tr(d, e_r)
     lam = np.full(d, math.sqrt((1.0 - t) / (d - 1)))
     lam[-1] = math.sqrt(t)

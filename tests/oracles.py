@@ -40,9 +40,10 @@ from telerev.instrument import ReversalPlan
 from telerev.jointmeas import JointMeasurement
 from telerev.linalg import CMatrix, as_matrix, entries, svd
 from telerev.montecarlo import _states
-from telerev.qstate import DIR_FLOOR, NORM_TOL, BipartiteState, _normalised, _radius, bloch_vectors
+from telerev.qstate import (DIR_FLOOR, NORM_TOL, BipartiteState, _check_range, _normalised,
+                            _radius, bloch_vectors)
 from telerev.scenarios import COLUMNS, ScenarioSpec, _axes
-from telerev.theorems import _aligned, _in_range, _thm1_mixed, _thm1_side
+from telerev.theorems import _aligned, _thm1_mixed, _thm1_side
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
@@ -189,7 +190,7 @@ def apply_kraus_oracle(channel: BipartiteState, jm: JointMeasurement,
 
 def tr_closed_form_d3(e_r: float) -> float:
     """Closed-form root for d = 3 via the trigonometric cubic solution."""
-    e_r = _in_range(e_r, "e_r")
+    e_r = _check_range(e_r, 0, 1, "e_r")
     c = min(max(2.0 * e_r ** 3 - 1.0, -1.0), 1.0)
     return 2.0 / 3.0 + 2.0 / 3.0 * math.cos(math.acos(c) / 3.0 + 2.0 * math.pi / 3.0)
 
@@ -204,7 +205,7 @@ def solve_tr_reference(d, e_r):
     s in w, relative in t, leaves an error near s^2/3: steps below 1e-7 end it."""
     if not np.all(np.asarray(d) >= 2):  # NaN fails too
         raise DomainError(f"dimension must be >= 2, got {np.min(d)}")
-    e_r = _in_range(e_r, "e_r")
+    e_r = _check_range(e_r, 0, 1, "e_r")
     e = np.atleast_1d(e_r)
     inner = (0.0 < e) & (e < 1.0)  # e = 0 and e = 1 are set at the end
     k, r2 = d - 1.0, -d * np.log(np.where(inner, e, 0.5))

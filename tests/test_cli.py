@@ -3,15 +3,19 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from telerev.cli import main
 from telerev.errors import DomainError
 from telerev.montecarlo import MC_BUDGET_BYTES
 from telerev.scenarios import (COLUMNS, MAX_ROWS, GridSpec, Scenario, run,
                                validate_scenario)
+from telerev.theorems import solve_tr
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -136,6 +140,41 @@ def test_thm2_dimension_message_prints_plain_numbers(tmp_path, capsys):
             in capsys.readouterr().err)
 
 
+# The grids are checked with the library's one range tolerance, 1e-12: an e end or a
+# dimension 1e-13 past its domain or its integer is clipped onto it, 1e-10 past is refused.
+@pytest.mark.parametrize("flag, inside, outside, message", [
+    ("--grid", "0:1.0000000000001:2", "0:1.0000000001:2",
+     "thm2-bounds: e[1]=1.0000000001 outside [0.0, 1.0]"),
+    ("--grid2", "3:4.0000000000001:2", "3:4.0000000001:2",
+     "thm2-bounds: dimension grid value 4.0000000001 is not an integer in [2, 8]"),
+], ids=["e", "d"])
+def test_a_grid_end_is_clipped_within_the_range_tolerance_and_refused_past_it(
+        flag, inside, outside, message, tmp_path, capsys):
+    assert main(["--scenario", "thm2-bounds", flag, outside, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert main(["--scenario", "thm2-bounds", flag, inside, "--out", str(tmp_path)]) == 0
+    last = _rows(tmp_path / "thm2-bounds.csv")[-1]
+    assert (last["param2"], last["E_M"], last["thm2_lower"], last["thm2_upper"]) == (
+        "4", "1", "1", "1")
+
+
+# The CLI and the library share one domain for e: near each end, a grid ending at e
+# runs exactly when solve_tr takes e.  An e near 0 starts the grid, as a stop below
+# the start is refused as a grid.
+@settings(max_examples=60, deadline=None)
+@given(e=st.one_of(st.floats(-1e-9, 1e-9), st.floats(1.0 - 1e-9, 1.0 + 1e-9)))
+@example(e=1.0 + 5e-10)
+def test_the_cli_and_the_library_accept_the_same_e(e):
+    try:
+        solve_tr(3, e)
+        takes = True
+    except DomainError:
+        takes = False
+    grid = f"{e!r}:1:2" if e < 0.5 else f"0:{e!r}:2"
+    with tempfile.TemporaryDirectory() as out:
+        assert (main(["--scenario", "thm2-bounds", f"--grid={grid}", "--out", out]) == 0) is takes
+
+
 def test_zz_grid_upper_end_is_exclusive(tmp_path):
     limit = math.sqrt(3) * math.pi / 4
     assert main(["--scenario", "zz-scan", "--grid", f"0:{limit!r}:5",
@@ -144,15 +183,15 @@ def test_zz_grid_upper_end_is_exclusive(tmp_path):
 
 @pytest.mark.parametrize("argv, message", [
     (["--scenario", "xx-scan", "--grid", "0:0.9:3"],
-     "xx-scan: t=0.9 outside [0.0, 0.7853981633974483]"),
+     "xx-scan: t[1]=0.9 outside [0.0, 0.7853981633974483]"),
     (["--scenario", "zz-scan", "--grid", "0:1.3:3", "--grid2", "0:1:3"],
-     "zz-scan: phi=1.0 outside [0.0, 0.7853981633974483]"),
+     "zz-scan: phi[1]=1.0 outside [0.0, 0.7853981633974483]"),
     (["--scenario", "zz-scan", "--grid", "0:1.4:3"],
-     "zz-scan: t=1.4 outside [0.0, 1.3603495231756633)"),
+     "zz-scan: t[1]=1.4 outside [0.0, 1.3603495231756633)"),
     (["--scenario", "ejm-aligned-scan", "--grid2=-1:1:3"],
-     "ejm-aligned-scan: s=-1.0 outside [0.0, 1.5707963267948966]"),
+     "ejm-aligned-scan: s[0]=-1.0 outside [0.0, 1.5707963267948966]"),
     (["--scenario", "thm2-bounds", "--grid", "0:1.5:3"],
-     "thm2-bounds: e=1.5 outside [0.0, 1.0]"),
+     "thm2-bounds: e[1]=1.5 outside [0.0, 1.0]"),
 ], ids=["xx-t", "zz-phi", "zz-t", "aligned-s", "thm2-e"])
 def test_out_of_domain_grid_names_scenario_and_parameter(argv, message, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path)]) == 2

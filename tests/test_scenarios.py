@@ -155,7 +155,7 @@ def test_default_grids_pass_validation(name):
 @pytest.mark.parametrize("name", sorted(n for n, s in SCENARIOS.items() if s.measurement))
 def test_factories_reject_a_grid_end_outside_their_domain(name):
     # ejm-aligned-scan sets its channel angle s = t without a second grid
-    with pytest.raises(DomainError, match=rf"^{name}: (t|s)=-0\.5 outside \[0\.0, "):
+    with pytest.raises(DomainError, match=rf"^{name}: (t|s)\[0\]=-0\.5 outside \[0\.0, "):
         validate_scenario(Scenario(name, GridSpec(-0.5, 0.5, 3)))
 
 

@@ -72,6 +72,46 @@ def test_outcome_success_rejects_out_of_range():
         thm1_outcome_success(Thm1Inputs(0.5, 0.5, 1.5))
 
 
+# One range tolerance, 1e-12, for every bounded value: 1e-13 past an end of its domain
+# is clipped onto the end, 1e-10 past it is refused, naming the value.
+@pytest.mark.parametrize("call, lo", [
+    (lambda e: solve_tr(3, e), 0.0), (lambda e: thm2_bounds(2, [0.5, 0.5, 0.5, e]), 0.0),
+    (lambda e: thm1_outcome_success(Thm1Inputs(e, 0.5, 0.3)), 0.0),
+    (lambda e: thm1_outcome_success(Thm1Inputs(0.5, e, 0.3)), 0.0),
+    (lambda e: thm1_outcome_success(Thm1Inputs(0.6, 0.5, e)), -1.0)],
+    ids=["solve_tr", "thm2_bounds", "e_c", "e_r", "x_r"])
+def test_the_range_tolerance_clips_1e_13_past_an_end_and_refuses_1e_10(call, lo):
+    for end, side in ((lo, -1.0), (1.0, 1.0)):
+        assert call(end + side * 1e-13) == call(end)
+        with pytest.raises(DomainError, match=re.escape(f"={end + side * 1e-10!r} outside [")):
+            call(end + side * 1e-10)
+
+
+# Bloch radii below DIR_FLOOR = 1e-9 have no direction; a radius of 1e-7 keeps its own.
+def test_a_bloch_radius_above_the_direction_floor_keeps_its_alignment():
+    jm = ejm(0.3)
+    n0 = element_bloch(jm, 0).direction
+    for radius, want in ((1e-7, n0[2]), (1e-10, None)):
+        channel = schmidt_channel(math.acos(radius) / 2, "z")  # Bloch vector (0, 0, radius)
+        assert channel_bloch(channel).radius == pytest.approx(radius, rel=1e-6)
+        assert alignment_x(channel, jm, 0) == (None if want is None else pytest.approx(want))
+
+
+# The closed form snaps |x| within 1e-12 of 1 onto +-1, as unit-vector noise; 1e-10 from
+# antiparallel is a real alignment, evaluated to full precision (the snap would move it 2e-5).
+def test_the_alignment_snap_reaches_only_within_1e_12_of_one():
+    import mpmath as mp
+
+    at = lambda x: thm1_outcome_success(Thm1Inputs(0.6, 0.6, x))
+    assert at(-(1.0 - 1e-13)) == at(-1.0)
+    x = -(1.0 - 1e-10)
+    with mp.workdps(50):
+        a = 1 + mp.mpf("0.64") * mp.mpf(x)  # u = v = 0.8
+        want = float((a - mp.sqrt(a * a - mp.mpf("0.36") ** 2)) / 4)
+    assert at(x) == pytest.approx(want, rel=1e-10)
+    assert at(x) != pytest.approx(at(-1.0), rel=1e-6)
+
+
 def test_alignment_absent_for_maximally_entangled_channel():
     assert alignment_x(max_entangled(2), ejm(0.4), 0) is None
 
@@ -366,7 +406,7 @@ def test_solve_tr_against_mpmath_root(d):
 
 def test_solve_tr_stacks_over_dimensions_and_endpoints():
     d = np.array([2.0, 3.0, 8.0, 4.0, 5.0])
-    e = np.array([0.0, 1.0, 1.0, 0.3, 1.0 + 1e-10])
+    e = np.array([0.0, 1.0, 1.0, 0.3, 1.0 + 1e-13])
     t = solve_tr(d, e)
     assert t[0] == 0.0 and t[1] == 1.0 / 3.0 and t[2] == 0.125 and t[4] == 0.2
     assert t[3] == pytest.approx(solve_tr(4, 0.3), rel=1e-14)
@@ -477,7 +517,7 @@ def test_bounds_input_messages():
     with pytest.raises(DomainError, match=re.escape("dimension must be >= 2, got 1")):
         thm2_bounds(1, [])
     # values within the tolerance of [0, 1] are clipped onto it
-    assert thm2_bounds(2, [1.0 + 1e-10] * 3 + [-1e-10]).upper == 0.75
+    assert thm2_bounds(2, [1.0 + 1e-13] * 3 + [-1e-13]).upper == 0.75
 
 
 def test_saturating_spectrum_examples():
@@ -611,7 +651,7 @@ def test_thm2_bounds_keeps_the_bits_of_the_allocating_loop(d, data):
 
 def test_thm2_bounds_checks_its_values_once(monkeypatch):
     calls = []
-    checked = theorems._in_range
-    monkeypatch.setattr(theorems, "_in_range", lambda *a: calls.append(a[1:]) or checked(*a))
+    checked = theorems._check_range
+    monkeypatch.setattr(theorems, "_check_range", lambda *a: calls.append(a[1:]) or checked(*a))
     thm2_bounds(3, [0.5] * 9)
-    assert calls == [("e_list",)]
+    assert calls == [(0, 1, "e_list")]
