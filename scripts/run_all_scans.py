@@ -1,53 +1,47 @@
 #!/usr/bin/env python3
-"""Run every scenario at desk scale and drop the figure data under ./out.
+"""Run every desk-scale scan in tests/goldens/desk.json and drop the data under ./out.
 
-All seven runs take about 1.3 s of wall time (their exit lines summed to
-1.20-1.52 s over ten runs on a shared 2-vCPU x86-64 host, numpy 2.4.6, whose
-speed varies by about a third from day to day), almost all of it in the two
-10^5-sample Monte Carlo scans, whose rows share the CPUs; pass an output
-directory to override ./out.
+The table holds each run's name, output subdirectory and full argv, seed
+included: seven runs of figure data (every scenario, and xx-scan once more as a
+2-D surface under surface/), then four runs that CI checks too (zz-scan and a
+37 x 53 ejm-aligned-scan written as JSON, thm2-bounds over d = 2..8, and a
+101 x 101 ejm-aligned-scan of 16 samples a row).  tests/goldens/desk.sha256
+holds the digest of each data file that writes the same bytes on every SIMD
+dispatch; check a run against it with
+
+    cd out && sha256sum -c ../tests/goldens/desk.sha256
+
+All eleven runs take about 1.7 s of wall time (their exit lines summed to
+1.66-1.74 s over ten runs, the seven scenario rows 0.99-1.10 s, on a shared
+2-vCPU x86-64 host, numpy 2.4.6, whose speed varies by about a third from day
+to day), almost all of it in the three Monte Carlo scans, whose rows share the
+CPUs; pass an output directory to override ./out.
 The CSVs feed any external plotter; see the column schema in the README.
-Each scenario's exit line also gives its end-to-end wall time (CLI call,
-rows, formatting and writing), and the line below it the phase times from its
+Each run's exit line also gives its end-to-end wall time (CLI call, rows,
+formatting and writing), and the line below it the phase times from its
 manifest: rows (Monte Carlo included), mc, format and write.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import sys
 import time
 from pathlib import Path
 
 from telerev.cli import main
 
-PI4 = repr(math.pi / 4)
-PI2 = repr(math.pi / 2)
-
-# (subdirectory, argv); the 2D variant of xx-scan goes into its own folder so
-# it does not overwrite the 1D fidelity curve.
-RUNS = [
-    ("", ["--scenario", "xx-scan", "--grid", f"0:{PI4}:101", "--samples", "100000"]),
-    ("surface", ["--scenario", "xx-scan", "--grid", f"0:{PI4}:51",
-                 "--grid2", f"0:{PI4}:51"]),
-    ("", ["--scenario", "ejm-scan", "--grid", f"0:{PI2}:101", "--samples", "100000"]),
-    ("", ["--scenario", "ejm-aligned-scan", "--grid", f"0:{PI2}:51",
-          "--grid2", f"0:{PI2}:51"]),
-    ("", ["--scenario", "zz-scan", "--grid", "0:1.35:51", "--grid2", f"0:{PI4}:51"]),
-    ("", ["--scenario", "tradeoff-scan", "--grid", f"0:{PI2}:101"]),
-    ("", ["--scenario", "thm2-bounds", "--grid", "0:1:101", "--grid2", "3:4:2"]),
-]
+DESK = Path(__file__).resolve().parent.parent / "tests" / "goldens" / "desk.json"
 
 
 def run_all(out_dir: str) -> int:
     worst = 0
-    for subdir, argv in RUNS:
-        target = f"{out_dir}/{subdir}" if subdir else out_dir
+    for row in json.loads(DESK.read_text()):
+        target = Path(out_dir, row["dir"])
         t0 = time.perf_counter()
-        code = main(argv + ["--seed", "20240101", "--out", target])
-        print(f"scenario {argv[1]}: exit {code}, {time.perf_counter() - t0:.3f} s")
-        manifest = Path(target) / f"{argv[1]}_manifest.json"
+        code = main(row["argv"] + ["--out", str(target)])
+        print(f"{row['name']}: exit {code}, {time.perf_counter() - t0:.3f} s")
+        manifest = target / f"{row['argv'][1]}_manifest.json"
         if code != 2 and manifest.exists():  # exit 2 may leave no manifest, or an old one
             phases = json.loads(manifest.read_text())["phase_times_s"]
             print("  phases: " + ", ".join(f"{k} {phases[k]:.3f} s"

@@ -21,9 +21,6 @@ from .linalg import fold, identity_deviation
 from .qstate import (DIR_FLOOR, NORM_TOL, BipartiteState, _check_range, _radius,
                      bloch_vectors, concurrences)
 
-__all__ = ["Thm1Inputs", "Thm2Bounds", "thm1_outcome_success", "thm1_total_success",
-           "g_of_t", "solve_tr", "thm2_bounds", "saturating_spectrum", "random_basis"]
-
 
 @dataclass(frozen=True)
 class Thm1Inputs:

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -13,9 +14,11 @@ from hypothesis import strategies as st
 from telerev.cli import main
 from telerev.errors import DomainError
 from telerev.montecarlo import MC_BUDGET_BYTES
-from telerev.scenarios import (COLUMNS, MAX_ROWS, GridSpec, Scenario, run,
+from telerev.scenarios import (COLUMNS, MAX_ROWS, SCENARIOS, GridSpec, Scenario, run,
                                validate_scenario)
 from telerev.theorems import solve_tr
+
+from helpers import DESK_TABLE, desk_run
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -474,6 +477,27 @@ def test_golden_invocations_cover_all_scenarios():
     manifest = json.loads((GOLDEN_DIR / "invocations.json").read_text())
     from telerev.scenarios import SCENARIOS as SCENARIO_NAMES
     assert sorted(entry["name"] for entry in manifest) == sorted(SCENARIO_NAMES)
+
+
+def test_desk_table_runs_parse_validate_and_its_digests_name_their_outputs():
+    rows = json.loads(DESK_TABLE.read_text())
+    assert len({row["name"] for row in rows}) == len(rows)
+    scenarios, written = set(), []
+    for row in rows:
+        # run_all_scans.py reads the scenario name at argv[1]; a missing seed would read
+        # TELEREV_SEED and change the Monte Carlo cells
+        assert row["argv"][0] == "--scenario" and "--seed" in row["argv"], row["name"]
+        scenario, fmt = desk_run(row["argv"])
+        validate_scenario(scenario)
+        scenarios.add(scenario.name)
+        written.append(str(Path(row["dir"], f"{scenario.name}.{fmt}")))
+    assert len(set(written)) == len(written)  # no run overwrites another's data file
+    assert scenarios == set(SCENARIOS)
+    lines = (GOLDEN_DIR / "desk.sha256").read_text().splitlines()
+    assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in lines)
+    digested = [line[66:] for line in lines]
+    assert len(set(digested)) == len(digested)
+    assert set(digested) <= set(written)
 
 
 def test_a_second_call_in_one_process_writes_what_a_fresh_process_writes(tmp_path):

@@ -15,6 +15,7 @@
 """
 
 import csv
+import json
 import math
 from pathlib import Path
 
@@ -26,14 +27,13 @@ from hypothesis import strategies as st
 from telerev import BipartiteState, build_instrument, optimal_reversal, success_probability
 from telerev.instrument import ReversalPlan, kraus_stack, spectrum
 from telerev.linalg import gram
-from telerev.scenarios import SCENARIOS, GridSpec, Scenario, _axes, _qubit_columns
+from telerev.scenarios import SCENARIOS, Scenario, _axes, _qubit_columns
 from telerev.theorems import random_basis
 
-from helpers import random_coeff
+from helpers import DESK_TABLE, desk_run, random_coeff
 from oracles import clock_and_shift_basis
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
-PI4, PI2 = math.pi / 4, math.pi / 2
 
 # |P_succ - d lambda_min^2| under the clock-and-shift basis read at most 1.7e-16 at
 # d = 8 (2 x 10^4 random channels), 8.9e-16 at d = 3 and 1.3e-15 at d = 2 (10^5 each),
@@ -59,13 +59,11 @@ GRAM_TOL = 2e-15
 # that, per unit of kappa:
 F_COND_TOL = 2e-15
 
-# The desk-scale grids of scripts/run_all_scans.py.
-DESK_SCALE = [
-    ("xx-scan", GridSpec(0.0, PI4, 51), GridSpec(0.0, PI4, 51)),
-    ("ejm-scan", GridSpec(0.0, PI2, 101), None),
-    ("ejm-aligned-scan", GridSpec(0.0, PI2, 51), GridSpec(0.0, PI2, 51)),
-    ("zz-scan", GridSpec(0.0, 1.35, 51), GridSpec(0.0, PI4, 51)),
-]
+# Four desk-scale grids of scripts/run_all_scans.py, read from its table by row name.
+DESK = {row["name"]: row["argv"] for row in json.loads(DESK_TABLE.read_text())}
+DESK_SCALE = [(sc.name, sc.grid, sc.grid2) for sc, _ in
+              (desk_run(DESK[name]) for name in
+               ("xx-scan-surface", "ejm-scan", "ejm-aligned-scan", "zz-scan"))]
 
 
 def _channel_bound(coeffs: np.ndarray) -> np.ndarray:
