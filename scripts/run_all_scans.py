@@ -19,7 +19,9 @@ CPUs; pass an output directory to override ./out.
 The CSVs feed any external plotter; see the column schema in the README.
 Each run's exit line also gives its end-to-end wall time (CLI call, rows,
 formatting and writing), and the line below it the phase times from its
-manifest: rows (Monte Carlo included), mc, format and write.
+manifest: rows (Monte Carlo included), mc, format and write, then its worst
+completeness and reversal residuals, each beside the manifest tolerance it must
+stay within (unit and reversal_gate).
 """
 
 from __future__ import annotations
@@ -43,9 +45,13 @@ def run_all(out_dir: str) -> int:
         print(f"{row['name']}: exit {code}, {time.perf_counter() - t0:.3f} s")
         manifest = target / f"{row['argv'][1]}_manifest.json"
         if code != 2 and manifest.exists():  # exit 2 may leave no manifest, or an old one
-            phases = json.loads(manifest.read_text())["phase_times_s"]
+            record = json.loads(manifest.read_text())
+            phases, tols = record["phase_times_s"], record["tolerances"]
             print("  phases: " + ", ".join(f"{k} {phases[k]:.3f} s"
-                                           for k in ("rows", "mc", "format", "write")))
+                                           for k in ("rows", "mc", "format", "write"))
+                  + "; " + ", ".join(f"{k} {record['residuals'][k]:.2e} ({tol} {tols[tol]:g})"
+                                     for k, tol in (("completeness_max", "unit"),
+                                                    ("reversal_max", "reversal_gate"))))
         worst = max(worst, code)
     return worst
 

@@ -1,6 +1,23 @@
-"""Shared exception types and the integer check that raises one."""
+"""Shared exception types, the integer check that raises one, and the package's one
+table of tolerances."""
 
 import operator
+from types import MappingProxyType
+
+# Every tolerance of the package, named once by its purpose; none is settable, and each
+# run's manifest records the table as ``tolerances``.
+TOLERANCES = MappingProxyType({
+    # a norm or a Gram sum within working precision of 1 or of I: a state's Tr(E^dag E),
+    # a measurement's orthonormality, an instrument's completeness
+    "unit": 1e-10,
+    # a value this close to an end of its domain counts as that end: the domain check's
+    # clip, the alignment's snap onto +-1 (computed concurrences pass 1 by <= 8.9e-16)
+    "domain_end": 1e-12,
+    "sigma_floor": 1e-12,  # singular values below are exact zeros: not reversible
+    "direction_floor": 1e-9,  # Bloch radii below have no direction; the alignment is 0
+    "reversal_gate": 1e-9,  # the worst |R_r M_r - sigma_min I| of a run with residual_ok
+    "newton_stop": 1e-7,  # Theorem 2's root stops at Newton steps in log(d t) below this
+})
 
 
 class TelerevError(Exception):

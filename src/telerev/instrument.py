@@ -24,13 +24,11 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, check_integer
+from .errors import TOLERANCES, DimensionError, DomainError, check_integer
 from .jointmeas import JointMeasurement
-from .linalg import (SIGMA_FLOOR, as_matrix, entries, floor_sigmas, fold, gram,
+from .linalg import (as_matrix, determinant, entries, floor_sigmas, fold, gram,
                      identity_deviation, product, singular_values)
 from .qstate import BipartiteState
-
-COMPLETENESS_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -160,7 +158,7 @@ def kraus_stack(coeffs: np.ndarray, elements: np.ndarray) -> tuple[np.ndarray, n
     kraus = product(coeffs.swapaxes(-1, -2)[..., None, :, :], elements.conj().swapaxes(-1, -2))
     residual = _completeness(kraus)
     worst = float(np.max(residual))
-    if not worst <= COMPLETENESS_TOL:  # NaN fails too
+    if not worst <= TOLERANCES["unit"]:  # NaN fails too
         raise DomainError(f"instrument is not complete: residual {worst:.3e}")
     return kraus, residual
 
@@ -176,8 +174,7 @@ def _qubit_spectrum(kraus: np.ndarray) -> ReversalPlan:
     top = (ar * ar + ai * ai) + (br * br + bi * bi)
     bottom = (cr * cr + ci * ci) + (er * er + ei * ei)
     frob = top + bottom
-    det_r = (ar * er - ai * ei) - (br * cr - bi * ci)
-    det_i = (ar * ei + ai * er) - (br * ci + bi * cr)
+    det_r, det_i = determinant(kraus)
     det2 = det_r * det_r + det_i * det_i
     off_r = (ar * cr + ai * ci) + (br * er + bi * ei)  # m12 = a c* + b e*
     off_i = (ai * cr - ar * ci) + (bi * er - br * ei)
@@ -204,7 +201,7 @@ def spectrum(kraus: np.ndarray) -> ReversalPlan:
     """The plan of finite Kraus operators (..., n, d, d), one instrument or a
     stack: the closed form at d = 2, else a values-only SVD and one batched
     LU inverse; raises DomainError if an operator with sigma_min at least
-    SIGMA_FLOOR is singular to working precision."""
+    the ``sigma_floor`` tolerance is singular to working precision."""
     kraus = as_matrix(kraus, batched=True)
     if kraus.ndim < 3 or kraus.shape[-1] == 0:
         raise DimensionError(
@@ -223,7 +220,8 @@ def spectrum(kraus: np.ndarray) -> ReversalPlan:
         inverse = np.linalg.inv(kraus)
     except np.linalg.LinAlgError:
         raise DomainError("a Kraus operator is singular to working precision although "
-                          f"its sigma_min is at least SIGMA_FLOOR = {SIGMA_FLOOR:g}") from None
+                          f"its sigma_min is at least sigma_floor = "
+                          f"{TOLERANCES['sigma_floor']:g}") from None
     return ReversalPlan(s, smin[..., None, None] * inverse, degenerate)
 
 

@@ -4,7 +4,7 @@ The design envelope is local dimension d <= 8; everything is a plain
 complex128 numpy array and all functions are pure.  :func:`svd` (with
 vectors, for the Monte Carlo leakage guess and :func:`polar_unitary`) and
 :func:`singular_values` (values only, for the d >= 3 spectrum) are the
-package's two SVD calls; both clamp sigma below :data:`SIGMA_FLOOR` in
+package's two SVD calls; both clamp sigma below the ``sigma_floor`` tolerance in
 :func:`floor_sigmas`.  Both, like :func:`polar_unitary`, take a stack with
 the bits of separate calls.  :func:`product` is the package's one matrix
 product, of M_r = E^T W_r^dag and R_r M_r, and :func:`gram` its one sum
@@ -12,11 +12,13 @@ sum_r A_r^dag A_r, of the completeness gate and the Monte Carlo success Gram:
 at d = 2 each entry in real arithmetic from the (real, imaginary) views of
 :func:`entries`, which the d = 2 concurrences and Bloch vectors read too, so
 their bits do not depend on the BLAS kernel or numpy's SIMD loops; at d >= 3
-they are ``@``.  :func:`identity_deviation` (max |X - c I|, one numpy reduction
-at every d) serves both gates and Theorem 1.  :func:`fold` reduces a short axis
-left to right in whole-array operations: the bits of numpy's own sum or max over
-an axis shorter than 8, without its per-row inner loops, for the qubit metrics,
-the reversal residual's outcomes, Gram sums, Theorem 1 and the Haar norms.
+they are ``@``.  :func:`determinant`, on those views too, is the one 2 x 2 det of
+the concurrences and the closed-form spectrum.  :func:`identity_deviation` (max
+|X - c I|, one numpy reduction at every d) serves both gates and Theorem 1.
+:func:`fold` reduces a short axis left to right in whole-array operations: the
+bits of numpy's own sum or max over an axis shorter than 8, without its per-row
+inner loops, for the qubit metrics, the reversal residual's outcomes, Gram sums,
+Theorem 1 and the Haar norms.
 """
 
 from __future__ import annotations
@@ -26,10 +28,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
-
-# Singular values below this are clamped to exact zeros (rank deficiency).
-SIGMA_FLOOR = 1e-12
+from .errors import TOLERANCES, DimensionError, DomainError
 
 CMatrix = np.ndarray
 
@@ -51,7 +50,7 @@ def as_matrix(m, batched: bool = False) -> CMatrix:
 class SvdResult:
     """Decomposition m = left @ diag(sigmas) @ right^dagger.
 
-    ``sigmas`` is sorted descending; values below :data:`SIGMA_FLOOR` are
+    ``sigmas`` is sorted descending; values below the ``sigma_floor`` tolerance are
     exactly zero and flagged through ``rank_deficient``.  For a stack, every
     field carries its leading axes (``rank_deficient`` as a boolean array).
     """
@@ -84,9 +83,9 @@ def singular_values(a: CMatrix) -> np.ndarray:
 
 
 def floor_sigmas(s: np.ndarray) -> np.ndarray:
-    """Set the singular values below :data:`SIGMA_FLOOR` to exact zeros, in
-    place, and return ``s``."""
-    s[s < SIGMA_FLOOR] = 0.0
+    """Set the singular values below the ``sigma_floor`` tolerance to exact zeros,
+    in place, and return ``s``."""
+    s[s < TOLERANCES["sigma_floor"]] = 0.0
     return s
 
 
@@ -161,6 +160,15 @@ def entries(m: np.ndarray) -> list:
     with the stack's leading shape."""
     re, im = m.real, m.imag
     return [[(re[..., i, j], im[..., i, j]) for j in (0, 1)] for i in (0, 1)]
+
+
+def determinant(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(real, imaginary) parts of det = a e - b c of each matrix of a 2 x 2 stack, from
+    its :func:`entries`, each complex product in numpy's own order (re re - im im,
+    re im + im re)."""
+    ((ar, ai), (br, bi)), ((cr, ci), (er, ei)) = entries(m)
+    return ((ar * er - ai * ei) - (br * cr - bi * ci),
+            (ar * ei + ai * er) - (br * ci + bi * cr))
 
 
 def polar_unitary(m: CMatrix) -> CMatrix:

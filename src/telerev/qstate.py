@@ -18,14 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, check_integer
-from .linalg import CMatrix, as_matrix, entries
-
-NORM_TOL = 1e-10
-# Bloch radii below this have no meaningful direction; the alignment is 0 there.
-DIR_FLOOR = 1e-9
-# Slack past either end of a domain, then clipped: computed concurrences exceed 1 by <= 8.9e-16.
-_RANGE_TOL = 1e-12
+from .errors import TOLERANCES, DimensionError, DomainError, check_integer
+from .linalg import CMatrix, as_matrix, determinant, entries
 
 
 @dataclass(frozen=True)
@@ -42,7 +36,7 @@ class BipartiteState:
         if e.shape != (self.d, self.d):
             raise DimensionError(
                 f"coefficient matrix has shape {e.shape}, expected {(self.d, self.d)}")
-        if not abs(np.vdot(e, e).real - 1.0) <= NORM_TOL:  # cheaper than the stacked einsum
+        if not abs(np.vdot(e, e).real - 1.0) <= TOLERANCES["unit"]:  # cheaper than _normalised
             _normalised(e[None])  # raises, naming the norm
         object.__setattr__(self, "coeff", e)
 
@@ -65,11 +59,12 @@ def _check_dimension(d) -> None:
 
 def _check_range(values, lo, hi, name: str, open_hi: bool = False) -> np.ndarray:
     """The one domain check of every bounded parameter: ``values`` as a float array checked
-    at once against [lo, hi], or [lo, hi) if ``open_hi``, within _RANGE_TOL (NaN fails), and
-    clipped onto it.  A refusal names the first bad entry, by flat index if there are several."""
-    v = np.asarray(values, dtype=np.float64)
-    below_hi = v < hi if open_hi else v <= hi + _RANGE_TOL
-    bad = ~((lo - _RANGE_TOL <= v) & below_hi)
+    at once against [lo, hi], or [lo, hi) if ``open_hi``, within the ``domain_end`` tolerance
+    (NaN fails), and clipped onto it.  A refusal names the first bad entry, by flat index if
+    there are several."""
+    v, tol = np.asarray(values, dtype=np.float64), TOLERANCES["domain_end"]
+    below_hi = v < hi if open_hi else v <= hi + tol
+    bad = ~((lo - tol <= v) & below_hi)
     if bad.any():
         i = int(np.argmax(bad))
         raise DomainError(f"{name}{f'[{i}]' if v.size > 1 else ''}={float(v.flat[i])!r} "
@@ -89,7 +84,7 @@ def _normalised(coeffs: np.ndarray) -> np.ndarray:
     """Check Tr(E^dag E) = 1 for a stack of coefficient matrices (..., d, d) at once;
     the refusal names the first bad norm in C order."""
     norms = np.real(np.einsum("...ij,...ij->...", coeffs.conj(), coeffs))
-    bad = ~(np.abs(norms - 1.0) <= NORM_TOL)  # NaN fails
+    bad = ~(np.abs(norms - 1.0) <= TOLERANCES["unit"])  # NaN fails
     if bad.any():
         raise DomainError(
             f"state is not normalized: Tr(E^dag E) = {float(norms[bad][0])!r}")
@@ -174,15 +169,13 @@ def ejm_channel(s: float) -> BipartiteState:
 
 def concurrences(coeffs: np.ndarray) -> np.ndarray:
     """G-concurrence d |det E|^(2/d) of each matrix of a stack.  For d = 2 it is 2|ad - bc|,
-    in real arithmetic on the entries' views: det = (a e - b c), each complex product in
-    numpy's own order (re re - im im, re im + im re), and |det| = sqrt(re^2 + im^2)."""
+    in real arithmetic on the entries' views (:func:`linalg.determinant`) and
+    |det| = sqrt(re^2 + im^2)."""
     e = np.asarray(coeffs)
     d = e.shape[-1]
     if d != 2:
         return d * np.abs(np.linalg.det(e)) ** (2.0 / d)
-    ((ar, ai), (br, bi)), ((cr, ci), (er, ei)) = entries(e)
-    det_r = (ar * er - ai * ei) - (br * cr - bi * ci)
-    det_i = (ar * ei + ai * er) - (br * ci + bi * cr)
+    det_r, det_i = determinant(e)
     return 2.0 * np.sqrt(det_r * det_r + det_i * det_i)
 
 

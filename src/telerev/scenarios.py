@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .errors import DomainError, check_integer
+from .errors import TOLERANCES, DomainError, check_integer
 from .instrument import kraus_stack, spectrum
 from .jointmeas import ejm_stack, xx_deformed_stack, zx_zz_stack
 from .linalg import gram
@@ -41,8 +41,6 @@ COLUMNS = [
 ]
 
 DEFAULT_SEED = 20240101
-
-REVERSAL_GATE = 1e-9
 
 # Grid rows per block, evaluated as one stack.  A block pays a fixed cost in
 # numpy calls, and its transient arrays grow with its rows: 1024 rows take most
@@ -293,7 +291,7 @@ def run(sc: Scenario, out_dir, fmt: str = "csv") -> RunResult:
     _write_atomic(data_path, text)
     t3 = time.perf_counter()
 
-    residual_ok = rev_max <= REVERSAL_GATE  # kraus_stack refused any incomplete instrument
+    residual_ok = rev_max <= TOLERANCES["reversal_gate"]  # incomplete ones were refused
     manifest = {
         "scenario": sc.name,
         "grid": asdict(sc.grid),
@@ -311,6 +309,7 @@ def run(sc: Scenario, out_dir, fmt: str = "csv") -> RunResult:
         "mc_threads": mc_threads,
         "residuals": {"completeness_max": comp_max, "reversal_max": rev_max},
         "residual_ok": residual_ok,
+        "tolerances": dict(TOLERANCES),
         "data_file": data_path.name,
     }
     _write_atomic(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")

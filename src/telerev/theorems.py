@@ -15,11 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, check_integer
+from .errors import TOLERANCES, DimensionError, DomainError, check_integer
 from .jointmeas import JointMeasurement
 from .linalg import fold, identity_deviation
-from .qstate import (DIR_FLOOR, NORM_TOL, BipartiteState, _check_range, _radius,
-                     bloch_vectors, concurrences)
+from .qstate import BipartiteState, _check_range, _radius, bloch_vectors, concurrences
 
 
 @dataclass(frozen=True)
@@ -67,7 +66,7 @@ def _closed_form(e_c, e_r, u, v, x):
     # vectors) avoid the ill-conditioned sqrt near E = 1.
     # snapping |x| near or above 1 to +-1 (unit-vector dot products cannot exceed
     # 1) keeps the (anti)parallel discriminant (u -+ v)^2 free of sqrt-amplified noise
-    x = np.where(1.0 - np.abs(x) < 1e-12, np.copysign(1.0, x), x)
+    x = np.where(1.0 - np.abs(x) < TOLERANCES["domain_end"], np.copysign(1.0, x), x)
     b = e_c * e_r
     a = 1.0 + u * v * x
     disc = (u + v * x) ** 2 + v * v * (1.0 - x * x) * e_c * e_c
@@ -90,7 +89,7 @@ def _aligned(channel: np.ndarray, element: np.ndarray):
     from the :func:`_thm1_side` stacks of channels and elements."""
     _, xc, yc, zc, u = channel
     _, xr, yr, zr, v = element
-    aligned = (u >= DIR_FLOOR) & (v >= DIR_FLOOR)
+    aligned = np.minimum(u, v) >= TOLERANCES["direction_floor"]
     x = np.divide(xc * xr + yc * yr + zc * zr, u * v, out=np.zeros(v.shape), where=aligned)
     return u, v, x, aligned
 
@@ -117,7 +116,7 @@ def thm1_total_success(channel: BipartiteState, jm: JointMeasurement) -> float:
                              f"got shape {elements.shape}")
     w = elements.reshape(4, 4)
     gap = float(identity_deviation(w.conj() @ w.T, 1.0))
-    if not gap <= NORM_TOL:  # NaN fails too
+    if not gap <= TOLERANCES["unit"]:  # NaN fails too
         raise DomainError(f"measurement elements are not orthonormal: "
                           f"max |Tr(W_r^dag W_s) - delta_rs| = {gap:.3e}")
     # one elementwise pass over the channel and the four elements, split as (5, 1) and (5, 4)
@@ -138,7 +137,8 @@ def solve_tr(d, e_r):
     w + (d-1) log1p((1 - e^w)/(d-1)) = d log e_r, Newton on sqrt(-d log e_r) -
     sqrt(-F) keeps a simple root as e_r -> 1, and bisection on [log(d t0), 0]
     guards it (t0 = (e_r/d)^d (d-1)^(d-1) <= t, as g(t) <= t/(d-1)^(d-1)).  A step
-    s in w, relative in t, leaves an error near s^2/3: steps below 1e-7 end it."""
+    s in w, relative in t, leaves an error near s^2/3: steps below the ``newton_stop``
+    tolerance end it."""
     if not np.all(np.asarray(d) >= 2):  # NaN fails too
         raise DomainError(f"dimension must be >= 2, got {np.min(d)}")
     t = _root(d, np.atleast_1d(_check_range(e_r, 0, 1, "e_r")))
@@ -163,7 +163,8 @@ def _root(d, e: np.ndarray) -> np.ndarray:
         psi = s - rho
         lo, hi = np.where(psi <= 0.0, w, lo), np.where(psi <= 0.0, hi, w)
         step = psi * rho * (k + um) / (0.5 * d * um)
-        if np.all(np.abs(step) <= 1e-7):  # NaN fails; no step at all ends an empty e
+        # NaN fails; no step at all ends an empty e
+        if np.all(np.abs(step) <= TOLERANCES["newton_stop"]):
             w = np.minimum(np.maximum(w - step, lo), hi)
             break
         w = w - step

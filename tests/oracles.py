@@ -2,7 +2,7 @@
 
 Each function restates, one matrix at a time, an invariant that the library
 computes on stacks: the Bloch geometry of a reduced operator (with a None
-direction where the radius is below ``qstate.DIR_FLOOR``), a basis
+direction where the radius is below the ``direction_floor`` tolerance), a basis
 orthonormality report, the Theorem 1 alignment of one outcome, one
 outcome's post-measurement state by explicit tensor contraction
 (:func:`apply_kraus_oracle`, the independent check of M_r = E^T W_r^dag),
@@ -35,13 +35,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from telerev.errors import DimensionError, DomainError
+from telerev.errors import TOLERANCES, DimensionError, DomainError
 from telerev.instrument import ReversalPlan
 from telerev.jointmeas import JointMeasurement
 from telerev.linalg import CMatrix, as_matrix, entries, svd
 from telerev.montecarlo import _states
-from telerev.qstate import (DIR_FLOOR, NORM_TOL, BipartiteState, _check_range, _normalised,
-                            _radius, bloch_vectors)
+from telerev.qstate import BipartiteState, _check_range, _normalised, _radius, bloch_vectors
 from telerev.scenarios import COLUMNS, ScenarioSpec, _axes
 from telerev.theorems import _aligned, _thm1_mixed, _thm1_side
 
@@ -54,7 +53,7 @@ PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 class BlochPoint:
     """Bloch vector of a single-qubit positive unit-trace operator.
 
-    ``direction`` is None when the radius is below :data:`DIR_FLOOR`; callers
+    ``direction`` is None when the radius is below the ``direction_floor`` tolerance; callers
     must treat a missing direction as contributing zero to any alignment term.
     """
 
@@ -64,7 +63,8 @@ class BlochPoint:
 
 def _bloch_point(x, y, z) -> BlochPoint:
     radius = float(_radius(x, y, z))
-    return BlochPoint(radius, None if radius < DIR_FLOOR else np.array([x, y, z]) / radius)
+    below = radius < TOLERANCES["direction_floor"]
+    return BlochPoint(radius, None if below else np.array([x, y, z]) / radius)
 
 
 def channel_operator(state: BipartiteState) -> CMatrix:
@@ -77,18 +77,20 @@ def reduced_bloch(op: CMatrix) -> BlochPoint:
     """Bloch decomposition op = (I + r n.sigma)/2 of a positive 2x2 operator.
 
     Raises DomainError when ``op`` is not Hermitian positive with unit trace
-    (all within 1e-10); its eigenvalues are (Tr +- r)/2, so positive means Tr >= r.
+    (all within the ``unit`` tolerance); its eigenvalues are (Tr +- r)/2, so positive
+    means Tr >= r.
     """
     a = as_matrix(op)
     if a.shape != (2, 2):
         raise DimensionError(f"expected a 2x2 operator, got shape {a.shape}")
-    if np.max(np.abs(a - a.conj().T)) > NORM_TOL:
+    tol = TOLERANCES["unit"]
+    if np.max(np.abs(a - a.conj().T)) > tol:
         raise DomainError("operator is not Hermitian")
-    if abs(np.trace(a).real - 1.0) > NORM_TOL or abs(np.trace(a).imag) > NORM_TOL:
+    if abs(np.trace(a).real - 1.0) > tol or abs(np.trace(a).imag) > tol:
         raise DomainError("operator does not have unit trace")
     (a00, a01), (a10, a11) = a  # Re Tr(a sigma_k) read off the entries
     point = _bloch_point((a01 + a10).real, (a10 - a01).imag, (a00 - a11).real)
-    if np.trace(a).real - point.radius < -2.0 * NORM_TOL:
+    if np.trace(a).real - point.radius < -2.0 * tol:
         raise DomainError("operator is not positive semidefinite")
     return point
 

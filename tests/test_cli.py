@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from telerev.cli import main
-from telerev.errors import DomainError
+from telerev.errors import TOLERANCES, DomainError
 from telerev.montecarlo import MC_BUDGET_BYTES
 from telerev.scenarios import (COLUMNS, MAX_ROWS, SCENARIOS, GridSpec, Scenario, run,
                                validate_scenario)
@@ -295,6 +295,7 @@ def test_scan_writes_data_and_manifest(tmp_path):
     assert manifest["residual_ok"] is True
     assert manifest["residuals"]["completeness_max"] < 1e-10
     assert manifest["residuals"]["reversal_max"] < 1e-9
+    assert manifest["tolerances"] == dict(TOLERANCES)
     assert manifest["wall_time_s"] >= 0.0
     phases = manifest["phase_times_s"]
     assert sorted(phases) == ["format", "mc", "rows", "write"]

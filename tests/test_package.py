@@ -1,5 +1,7 @@
-"""The package surface: one export table, each name loaded from its module on first read."""
+"""The package surface: one export table, each name loaded from its module on first read,
+and one tolerance table, the only place its source writes a tolerance."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -47,3 +49,15 @@ def test_the_package_names_exactly_its_export_table():
 def test_a_name_outside_the_table_is_refused_by_name(name):
     with pytest.raises(AttributeError, match=rf"^module 'telerev' has no attribute '{name}'$"):
         getattr(telerev, name)
+
+
+# Every tolerance is an entry of errors.TOLERANCES: no other module writes a float
+# constant in (0, 1e-6] (a docstring is a string, not a float constant).
+def test_no_module_but_errors_writes_a_tolerance():
+    src = Path(telerev.__file__).resolve().parent
+    found = [(path.name, node.lineno, node.value)
+             for path in sorted(src.glob("*.py")) if path.name != "errors.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Constant) and type(node.value) is float
+             and 0.0 < node.value <= 1e-6]
+    assert found == []

@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 
 from telerev import (BipartiteState, DimensionError, concurrence, ejm_channel,
                      g_concurrence, max_entangled, schmidt_channel)
-from telerev.errors import DomainError
+from telerev.errors import TOLERANCES, DomainError
 from telerev.jointmeas import (ejm, ejm_stack, element_entanglement, xx_deformed,
                                xx_deformed_stack, zx_zz_stack)
 from telerev.linalg import svd
-from telerev.qstate import (NORM_TOL, _normalised, ejm_channel_stack, max_entangled_stack,
-                            schmidt_stack)
+from telerev.qstate import _normalised, ejm_channel_stack, max_entangled_stack, schmidt_stack
 from telerev.theorems import random_basis
 
 from helpers import random_coeff
@@ -233,13 +232,13 @@ def test_reduced_bloch_components_are_the_pauli_traces():
 
 @pytest.mark.parametrize("smallest, rejected", [(-3e-10, True), (-0.5e-10, False)])
 def test_reduced_bloch_positivity_matches_the_smallest_eigenvalue(smallest, rejected):
-    # a Hermitian 2x2 operator has eigenvalues (Tr +- r)/2, so Tr - r < -2 NORM_TOL
-    # is the test eigvalsh(op)[0] < -NORM_TOL
+    # a Hermitian 2x2 operator has eigenvalues (Tr +- r)/2, so Tr - r < -2 tol is the
+    # test eigvalsh(op)[0] < -tol, tol the ``unit`` tolerance
     rng = np.random.default_rng(14)
     for _ in range(200):
         q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
         op = q @ np.diag([1.0 - smallest, smallest]) @ q.conj().T
-        assert (np.linalg.eigvalsh(op)[0] < -NORM_TOL) == rejected
+        assert (np.linalg.eigvalsh(op)[0] < -TOLERANCES["unit"]) == rejected
         if rejected:
             with pytest.raises(DomainError, match="not positive semidefinite"):
                 reduced_bloch(op)

@@ -5,8 +5,9 @@
 ``linalg.gram``) and ``ReversalPlan.residual`` (max |R_r M_r - sigma_min I|,
 the product from ``linalg.product``) are gates that the manifest reports, not
 output cells: ``kraus_stack`` refuses an instrument whose completeness residual
-exceeds ``COMPLETENESS_TOL`` (the CLI exits 2), and a run whose reversal residual
-exceeds ``REVERSAL_GATE`` writes ``residual_ok`` false (exit 1).  At d = 2 both are elementwise real arithmetic, which must
+exceeds the ``unit`` entry of ``errors.TOLERANCES`` (the CLI exits 2), and a run
+whose reversal residual exceeds its ``reversal_gate`` entry writes ``residual_ok``
+false (exit 1).  At d = 2 both are elementwise real arithmetic, which must
 agree with the matrix-product references within 1e-15 (relative above 1) on
 the zz-scan surface, on random stacks over many decades of scale and on
 degenerate outcomes, and must still fail every faulty input: perturbed
@@ -23,12 +24,12 @@ import pytest
 
 import telerev.scenarios as scenarios
 from telerev.cli import main
-from telerev.errors import DomainError
-from telerev.instrument import (COMPLETENESS_TOL, ReversalPlan, _completeness,
-                                completeness_residual, kraus_stack, spectrum)
+from telerev.errors import TOLERANCES, DomainError
+from telerev.instrument import (ReversalPlan, _completeness, completeness_residual, kraus_stack,
+                                spectrum)
 from telerev.jointmeas import xx_deformed_stack, zx_zz_stack
 from telerev.qstate import schmidt_stack
-from telerev.scenarios import REVERSAL_GATE, SCENARIOS
+from telerev.scenarios import SCENARIOS
 
 from oracles import (completeness_reference, qubit_completeness_reference, residual_reference,
                      reversers_reference)
@@ -81,8 +82,8 @@ def test_closed_forms_match_the_references_on_the_zz_surface():
     assert plan.degenerate[phi == 0.0].all() and (phi == 0.0).sum() == 51
     _close(completeness, completeness_reference(kraus))
     _close(plan.residual(kraus), residual_reference(plan, kraus))
-    assert np.max(completeness) <= COMPLETENESS_TOL
-    assert np.max(plan.residual(kraus)) <= REVERSAL_GATE
+    assert np.max(completeness) <= TOLERANCES["unit"]
+    assert np.max(plan.residual(kraus)) <= TOLERANCES["reversal_gate"]
 
 
 @pytest.mark.parametrize("shape", [(4,), (500, 4), (3, 40, 4), (200, 1), (200, 3), (200, 5)],
@@ -111,7 +112,7 @@ def test_closed_forms_match_the_references_at_every_scale(decades):
     # complete stacks: M_r = U_r / 2 for unitaries U_r, rescaled per outcome
     complete = np.linalg.qr(kraus)[0] / 2
     _close(_completeness(complete), completeness_reference(complete))
-    assert np.max(_completeness(complete)) <= COMPLETENESS_TOL
+    assert np.max(_completeness(complete)) <= TOLERANCES["unit"]
     for stack in (kraus, complete * 10.0 ** rng.uniform(-decades, decades, (300, 4, 1, 1))):
         plan = spectrum(stack)
         _close(_completeness(stack), completeness_reference(stack))
@@ -174,7 +175,7 @@ def test_perturbed_reversers_fail_the_gate(entry, delta):
     bad = _perturbed(plan, rows, entry, delta)
     got = bad.residual(kraus)
     _close(got, residual_reference(bad, kraus))
-    assert np.all(got[rows] > REVERSAL_GATE)
+    assert np.all(got[rows] > TOLERANCES["reversal_gate"])
     others = np.setdiff1d(np.arange(len(kraus)), rows)
     assert np.array_equal(got[others], plan.residual(kraus)[others])
 
@@ -217,7 +218,7 @@ def test_an_incomplete_stack_is_refused(entry):
     bad = kraus.copy()
     bad[(7, 2) + entry] += 1e-6
     _close(_completeness(bad), completeness_reference(bad))
-    assert _completeness(bad)[7] > COMPLETENESS_TOL
+    assert _completeness(bad)[7] > TOLERANCES["unit"]
     coeffs = np.broadcast_to(np.eye(2, dtype=complex), (len(kraus), 2, 2))
     # E = I, so M_r = W_r^dag: the stack itself, as measurement elements
     assert np.array_equal(kraus_stack(coeffs, kraus.conj().swapaxes(-1, -2))[0], kraus)
@@ -237,7 +238,7 @@ def test_nan_entries_never_pass():
     nan_plan = _perturbed(plan, [row], (0, 0), np.nan)
     got = nan_plan.residual(kraus)
     _close(got, residual_reference(nan_plan, kraus))
-    assert np.isnan(got[row]) and not got[row] <= REVERSAL_GATE
+    assert np.isnan(got[row]) and not got[row] <= TOLERANCES["reversal_gate"]
 
 
 def test_nan_entries_fail_the_run(tmp_path, monkeypatch, capsys):

@@ -11,7 +11,7 @@ degenerate flags must equal LAPACK's, and the reversers must pass the
 reversal residual gate.  At d >= 3 the reversers must also lie within 1e-12
 of the ones assembled from the full SVD (``oracles.svd_reversers_reference``)
 with a worst residual no larger than theirs, the flags must hold with
-sigma_min at half and at twice ``SIGMA_FLOOR``, and an operator that LU
+sigma_min at half and at twice the ``sigma_floor`` tolerance, and an operator that LU
 finds singular although its sigma_min clears the floor is refused.
 """
 
@@ -24,14 +24,14 @@ import pytest
 from telerev import (BipartiteState, DimensionError, DomainError, build_instrument, ejm,
                      ejm_channel, max_entangled, optimal_reversal,
                      performance_report, schmidt_channel, xx_deformed, zx_zz)
+from telerev.errors import TOLERANCES
 from telerev.instrument import ReversalPlan, kraus_stack, reversal_residual, spectrum
 from telerev.jointmeas import ejm_stack, xx_deformed_stack, zx_zz_stack
-from telerev.linalg import SIGMA_FLOOR, svd
+from telerev.linalg import svd
 from telerev.montecarlo import RngSpec, estimate_performance
 from telerev.qstate import (ejm_channel_stack, max_entangled_stack,
                             schmidt_stack)
-from telerev.scenarios import (BLOCK_ROWS, REVERSAL_GATE, GridSpec, Scenario,
-                               _qubit_columns)
+from telerev.scenarios import BLOCK_ROWS, GridSpec, Scenario, _qubit_columns
 from telerev.theorems import random_basis
 
 from helpers import random_coeff
@@ -60,7 +60,7 @@ def _lapack(m):
     and reverser sigma_min M^-1 of one operator, by np.linalg.svd without
     vectors and np.linalg.inv."""
     s = np.linalg.svd(m, compute_uv=False)
-    s = np.where(s < SIGMA_FLOOR, 0.0, s)
+    s = np.where(s < TOLERANCES["sigma_floor"], 0.0, s)
     if s[-1] == 0.0:
         return s, True, np.zeros_like(m)
     return s, False, float(s[-1]) * np.linalg.inv(m)
@@ -68,7 +68,7 @@ def _lapack(m):
 
 def _lapack_sigmas(kraus):
     """Floored singular values of each operator, by np.linalg.svd."""
-    return [np.where(s < SIGMA_FLOOR, 0.0, s)
+    return [np.where(s < TOLERANCES["sigma_floor"], 0.0, s)
             for s in (np.linalg.svd(m, compute_uv=False) for m in kraus)]
 
 
@@ -90,7 +90,7 @@ def _closed_form(m):
     big = frob + math.sqrt(gap * gap + 4.0 * _sq(m12))
     smin2 = 2.0 * _sq(det) / big if big > 0.0 else 0.0
     s = np.array([math.sqrt(frob - smin2), math.sqrt(smin2)])
-    s = np.where(s < SIGMA_FLOOR, 0.0, s)
+    s = np.where(s < TOLERANCES["sigma_floor"], 0.0, s)
     if s[-1] == 0.0:
         return s, True, np.zeros((2, 2), complex)
     coef = (float(s[-1]) / _sq(det) * det).conjugate()
@@ -160,7 +160,7 @@ def _engine_matches_reference(name, t, x):
     for i in range(t.size):
         _matches_reference(kraus[i], spec.plan(i),
                            _reference(*scalar(float(t[i]), float(x[i]))))
-    assert np.max(spec.residual(kraus)) <= REVERSAL_GATE
+    assert np.max(spec.residual(kraus)) <= TOLERANCES["reversal_gate"]
     return spec
 
 
@@ -257,12 +257,12 @@ def test_reversal_with_sigma_min_at_the_floor_in_dimension_d(d, scale, degenerat
     z = rng.standard_normal((2, 40, d, d)) + 1j * rng.standard_normal((2, 40, d, d))
     left, right = np.linalg.qr(z)[0]
     sigmas = np.sort(rng.uniform(0.1, 1.0, (40, d)), axis=-1)[:, ::-1]
-    sigmas[:, -1] = scale * SIGMA_FLOOR
+    sigmas[:, -1] = scale * TOLERANCES["sigma_floor"]
     kraus = (left * sigmas[:, None, :]) @ right.conj().swapaxes(-1, -2)
     plan = spectrum(kraus)
     assert np.array_equal(plan.degenerate, svd(kraus).rank_deficient)
     assert np.all(plan.degenerate == degenerate)
-    assert plan.residual(kraus) <= REVERSAL_GATE
+    assert plan.residual(kraus) <= TOLERANCES["reversal_gate"]
     assert np.all(np.isfinite(plan.reversers)) and not plan.reversers[plan.degenerate].any()
 
 
@@ -270,7 +270,7 @@ def test_operator_singular_to_working_precision_is_refused():
     # rank 2; LU meets an exact zero pivot, while the SVD reads sigma_min of
     # about 4e-11 (rounding noise) above the floor
     kraus = 1e4 * np.array([[[2, -3, 2], [-2, -3, 3], [0, 12, -10]]], dtype=complex)
-    assert np.linalg.svd(kraus, compute_uv=False)[0, -1] >= SIGMA_FLOOR
+    assert np.linalg.svd(kraus, compute_uv=False)[0, -1] >= TOLERANCES["sigma_floor"]
     with pytest.raises(DomainError, match="singular to working precision"):
         spectrum(kraus)
 
@@ -307,7 +307,7 @@ def _agrees_with_lapack(kraus):
     for key in ("p_succ", "leakage", "f_standard", "tradeoff"):
         assert np.max(np.abs(getattr(plan, key) - getattr(oracle, key))) <= METRIC_TOL, key
     assert np.array_equal(plan.degenerate, oracle.degenerate)
-    assert np.max(plan.residual(kraus)) <= REVERSAL_GATE
+    assert np.max(plan.residual(kraus)) <= TOLERANCES["reversal_gate"]
     assert not plan.reversers[plan.degenerate].any()
     return plan
 
@@ -344,7 +344,7 @@ def test_closed_form_at_the_sigma_floor(scale, degenerate):
     rng = np.random.default_rng(13)
     left, right = _unitaries(400, rng), _unitaries(400, rng)
     top = rng.uniform(0.1, 1.0, 400)
-    sigmas = np.stack([top, np.full(400, scale * SIGMA_FLOOR)], axis=-1)
+    sigmas = np.stack([top, np.full(400, scale * TOLERANCES["sigma_floor"])], axis=-1)
     kraus = ((left * sigmas[:, None, :]) @ right.conj().swapaxes(-1, -2)).reshape(100, 4, 2, 2)
     plan = _agrees_with_lapack(kraus)
     assert np.all(plan.degenerate == degenerate)
