@@ -21,7 +21,8 @@ Each run's exit line also gives its end-to-end wall time (CLI call, rows,
 formatting and writing), and the line below it the phase times from its
 manifest: rows (Monte Carlo included), mc, format and write, then its worst
 completeness and reversal residuals, each beside the manifest tolerance it must
-stay within (unit and reversal_gate).
+stay within (unit and reversal_gate), or "not checked" where the manifest holds
+null: thm2-bounds evaluates Theorem 2's formula and builds no instrument.
 """
 
 from __future__ import annotations
@@ -46,10 +47,11 @@ def run_all(out_dir: str) -> int:
         manifest = target / f"{row['argv'][1]}_manifest.json"
         if code != 2 and manifest.exists():  # exit 2 may leave no manifest, or an old one
             record = json.loads(manifest.read_text())
-            phases, tols = record["phase_times_s"], record["tolerances"]
+            phases, tols, res = record["phase_times_s"], record["tolerances"], record["residuals"]
             print("  phases: " + ", ".join(f"{k} {phases[k]:.3f} s"
                                            for k in ("rows", "mc", "format", "write"))
-                  + "; " + ", ".join(f"{k} {record['residuals'][k]:.2e} ({tol} {tols[tol]:g})"
+                  + "; " + ", ".join(f"{k} not checked" if res[k] is None
+                                     else f"{k} {res[k]:.2e} ({tol} {tols[tol]:g})"
                                      for k, tol in (("completeness_max", "unit"),
                                                     ("reversal_max", "reversal_gate"))))
         worst = max(worst, code)

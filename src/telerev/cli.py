@@ -1,8 +1,8 @@
 """Command-line scenario runner.
 
-Flags may be pre-set in a ``key=value`` config file (``--config``); command
-line values override the file, which overrides the ``TELEREV_SEED``
-environment variable, which overrides built-in defaults.
+Flags may be pre-set in a ``key=value`` config file (``--config``; a line whose first
+non-blank character is ``#`` is a comment); command line values override the file,
+which overrides the ``TELEREV_SEED`` environment variable, which overrides defaults.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ def _read_config(path: str) -> dict[str, str]:
     cfg: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+            line = raw.strip()
+            if not line or line.startswith("#"):  # a '#' anywhere else is part of the value
                 continue
             if "=" not in line:
                 raise DomainError(f"{path}:{lineno}: expected key=value")
@@ -93,7 +93,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if not result.residual_ok:
+    if result.residual_ok is False:  # None: no instrument built, no residual checked
         print(f"error: internal residual checks failed "
               f"(completeness {result.completeness_max:.3e}, "
               f"reversal {result.reversal_max:.3e})", file=sys.stderr)

@@ -85,14 +85,19 @@ class Scenario:
     rng: RngSpec = RngSpec(DEFAULT_SEED)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunResult:
-    data_path: Path
-    manifest_path: Path
-    rows: int
-    completeness_max: float
-    reversal_max: float
-    residual_ok: bool
+    """One run's record: what its evaluator checked and drew (None: not checked, as no
+    instrument was built; 0.0, None: no Monte Carlo), then what ``run`` wrote."""
+
+    completeness_max: float | None = None
+    reversal_max: float | None = None
+    residual_ok: bool | None = None
+    mc_s: float = 0.0
+    mc_threads: int | None = None
+    rows: int = 0
+    data_path: Path | None = None
+    manifest_path: Path | None = None
 
 
 @dataclass(frozen=True)
@@ -180,12 +185,12 @@ def validate_scenario(sc: Scenario) -> None:
         raise DomainError(f"{sc.name}: {exc}") from exc
 
 
-def _qubit_block(sides, it: np.ndarray, ix: np.ndarray, mc: bool) -> dict:
+def _qubit_block(sides, it: np.ndarray, ix: np.ndarray, mc: bool):
     """Columns of a block of grid rows, row k pairing measurement it[k] with channel
     ix[k] of ``sides``, each factory's stack on its axis with that side's Theorem 1
-    invariants: one stacked spectrum and one stacked Theorem 1, plus each row's
-    residuals and, with ``mc``, its success Gram matrix ("gram"), which the Monte Carlo
-    stage reads.  The factories checked their stacks, so the rows are not checked again."""
+    invariants: one stacked spectrum and one stacked Theorem 1; then the block's worst
+    completeness and reversal residuals and, with ``mc``, the success Gram matrices the
+    Monte Carlo stage reads (else None).  The factories checked the rows' stacks."""
     (coeffs, channel), (elements, element) = sides
     kraus, completeness = kraus_stack(coeffs.take(ix, axis=0), elements.take(it, axis=0))
     spec = spectrum(kraus)
@@ -193,11 +198,9 @@ def _qubit_block(sides, it: np.ndarray, ix: np.ndarray, mc: bool) -> dict:
     cols = {"E_c": channel[0, :, 0].take(ix), "E_M": element[0, :, 0].take(it),
             "F_standard": spec.f_standard, "P_succ_closed": closed,
             "P_succ_svd": spec.p_succ, "L_max": spec.leakage,
-            "tradeoff_lhs": spec.tradeoff, "completeness": completeness,
-            "reversal": spec.residual(kraus)}
-    if mc:
-        cols["gram"] = gram(spec.reversed(kraus))
-    return cols
+            "tradeoff_lhs": spec.tradeoff}
+    return (cols, np.max(completeness), np.max(spec.residual(kraus)),
+            gram(spec.reversed(kraus)) if mc else None)
 
 
 def _qubit_columns(sc: Scenario):
@@ -213,25 +216,27 @@ def _qubit_columns(sc: Scenario):
     # reads no broadcast axis (see linalg.product)
     channel = np.repeat(_thm1_side(coeffs, coeffs)[..., None], elements.shape[1], axis=-1)
     sides = (coeffs, channel), (elements, _thm1_side(elements, elements.swapaxes(-1, -2)))
-    n = sc.mc_samples
-    blocks = [_qubit_block(sides, it[lo:lo + BLOCK_ROWS], ix[lo:lo + BLOCK_ROWS], bool(n))
-              for lo in range(0, it.size, BLOCK_ROWS)]
+    blocks, completeness, reversal, grams = zip(*(
+        _qubit_block(sides, it[lo:lo + BLOCK_ROWS], ix[lo:lo + BLOCK_ROWS], bool(sc.mc_samples))
+        for lo in range(0, it.size, BLOCK_ROWS)))
     cols.update((k, np.concatenate([b[k] for b in blocks])) for k in blocks[0])
-    if n:
-        t0 = time.perf_counter()
-        est, cols["mc_threads"] = _success_rows(cols.pop("gram"), n, sc.rng)
-        cols["mc_s"] = time.perf_counter() - t0
+    worst = float(np.max(reversal))
+    record = RunResult(float(np.max(completeness)), worst, worst <= TOLERANCES["reversal_gate"])
+    if sc.mc_samples:
+        g, t0 = np.concatenate(grams), time.perf_counter()
+        est, threads = _success_rows(g, sc.mc_samples, sc.rng)
+        record = replace(record, mc_s=time.perf_counter() - t0, mc_threads=threads)
         cols["P_succ_mc"], cols["P_succ_mc_stderr"] = np.array(
             [(e.mean, e.std_error) for e in est]).T
     cols["F_mr"] = np.ones(it.size)
-    return cols, float(np.max(cols.pop("completeness"))), float(np.max(cols.pop("reversal")))
+    return cols, record
 
 
 def _thm2_columns(sc: Scenario):
     cols, dims, _, ix = _axes(SCENARIOS[sc.name], sc.grid.values(), np.round(sc.grid2.values()))
     e, d = _check_range(cols["param1"], 0.0, 1.0, "e"), dims[ix]  # clipped onto [0, 1]
     cols.update(E_c=np.ones(e.size), E_M=e, thm2_lower=d * solve_tr(d, e), thm2_upper=e)
-    return cols, 0.0, 0.0
+    return cols, RunResult()  # Theorem 2 is a formula in e and d: no instrument to check
 
 
 def _cells(cols, n: int):
@@ -274,10 +279,8 @@ def run(sc: Scenario, out_dir, fmt: str = "csv") -> RunResult:
     out.mkdir(parents=True, exist_ok=True)
 
     t0 = time.perf_counter()
-    columns = _qubit_columns if entry.measurement is not None else _thm2_columns
-    cols, comp_max, rev_max = columns(sc)
+    cols, record = (_qubit_columns if entry.measurement is not None else _thm2_columns)(sc)
     n_rows = len(cols["param1"])
-    mc_s, mc_threads = cols.pop("mc_s", 0.0), cols.pop("mc_threads", None)
     t1 = time.perf_counter()
     cells = _cells(cols, n_rows)
     data_path = out / f"{sc.name}.{fmt}"
@@ -291,7 +294,6 @@ def run(sc: Scenario, out_dir, fmt: str = "csv") -> RunResult:
     _write_atomic(data_path, text)
     t3 = time.perf_counter()
 
-    residual_ok = rev_max <= TOLERANCES["reversal_gate"]  # incomplete ones were refused
     manifest = {
         "scenario": sc.name,
         "grid": asdict(sc.grid),
@@ -305,15 +307,13 @@ def run(sc: Scenario, out_dir, fmt: str = "csv") -> RunResult:
         "rows": n_rows,
         "columns": COLUMNS,
         "wall_time_s": t1 - t0,
-        "phase_times_s": {"rows": t1 - t0, "mc": mc_s, "format": t2 - t1, "write": t3 - t2},
-        "mc_threads": mc_threads,
-        "residuals": {"completeness_max": comp_max, "reversal_max": rev_max},
-        "residual_ok": residual_ok,
+        "phase_times_s": {"rows": t1 - t0, "mc": record.mc_s, "format": t2 - t1, "write": t3 - t2},
+        "mc_threads": record.mc_threads,
+        "residuals": {k: getattr(record, k) for k in ("completeness_max", "reversal_max")},
+        "residual_ok": record.residual_ok,
         "tolerances": dict(TOLERANCES),
         "data_file": data_path.name,
     }
     _write_atomic(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
-    return RunResult(data_path=data_path, manifest_path=manifest_path,
-                     rows=n_rows, completeness_max=comp_max,
-                     reversal_max=rev_max, residual_ok=residual_ok)
+    return replace(record, rows=n_rows, data_path=data_path, manifest_path=manifest_path)

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from telerev.cli import main
 from telerev.errors import TOLERANCES, DomainError
 from telerev.montecarlo import MC_BUDGET_BYTES
-from telerev.scenarios import (COLUMNS, MAX_ROWS, SCENARIOS, GridSpec, Scenario, run,
-                               validate_scenario)
+from telerev.scenarios import (COLUMNS, DEFAULT_GRIDS, MAX_ROWS, SCENARIOS, GridSpec, Scenario,
+                               run, validate_scenario)
 from telerev.theorems import solve_tr
 
 from helpers import DESK_TABLE, desk_run
@@ -305,6 +305,26 @@ def test_scan_writes_data_and_manifest(tmp_path):
     assert manifest["mc_threads"] is None
 
 
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_the_manifest_and_the_result_report_only_the_checks_that_ran(name, tmp_path):
+    # a row that builds instruments checks their residuals; thm2-bounds evaluates a
+    # formula and builds none, so it reports null, not a passed check
+    assert main(["--scenario", name, "--out", str(tmp_path / "cli")]) == 0
+    manifest = json.loads((tmp_path / "cli" / f"{name}_manifest.json").read_text())
+    result = run(Scenario(name, *DEFAULT_GRIDS[name]), tmp_path / "lib")
+    lib = json.loads(result.manifest_path.read_text())
+    residuals = manifest["residuals"]
+    assert lib["residuals"] == residuals and lib["residual_ok"] == manifest["residual_ok"]
+    assert (result.completeness_max, result.reversal_max, result.residual_ok) == (
+        residuals["completeness_max"], residuals["reversal_max"], manifest["residual_ok"])
+    if SCENARIOS[name].measurement is None:
+        assert residuals == {"completeness_max": None, "reversal_max": None}
+        assert manifest["residual_ok"] is None
+    else:
+        assert all(isinstance(v, float) for v in residuals.values())
+        assert manifest["residual_ok"] is True
+
+
 def test_xx_scan_columns_match_closed_forms(tmp_path):
     assert main(["--scenario", "xx-scan", "--grid", "0:0.7853981633974483:9",
                  "--out", str(tmp_path)]) == 0
@@ -410,6 +430,20 @@ def test_config_file_presets_flags(tmp_path):
     manifest = json.loads((tmp_path / "from_config" / "ejm-scan_manifest.json").read_text())
     assert manifest["seed"] == 11
     assert manifest["grid"]["steps"] == 4
+
+
+def test_a_hash_inside_a_config_value_is_part_of_the_value(tmp_path, capsys):
+    # only a line whose first non-blank character is '#' is a comment
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text("  # an indented comment\nscenario = ejm-scan\nseed = 11#2\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert (capsys.readouterr().err
+            == "error: seed '11#2': invalid literal for int() with base 10: '11#2'\n")
+    assert not (tmp_path / "out").exists()
+    cfg.write_text(f"scenario = ejm-scan\ngrid = 0:1.5:3\nout = {tmp_path / 'res#ults'}\n")
+    assert main(["--config", str(cfg)]) == 0
+    assert (tmp_path / "res#ults" / "ejm-scan.csv").exists()
+    assert not (tmp_path / "res").exists()
 
 
 def test_cli_overrides_config(tmp_path):

@@ -80,7 +80,7 @@ ORACLE_CASES = [
 @pytest.mark.parametrize("name, grid, grid2, oracle", ORACLE_CASES,
                          ids=[f"{c[0]}-{'2d' if c[2] else '1d'}" for c in ORACLE_CASES])
 def test_stacked_theorem_1_matches_the_hand_derived_laws(name, grid, grid2, oracle):
-    cols, _, _ = _qubit_columns(Scenario(name, grid, grid2))
+    cols, _ = _qubit_columns(Scenario(name, grid, grid2))
     closed = cols["P_succ_closed"]
     assert np.max(np.abs(closed - oracle(cols))) <= ORACLE_TOL
     assert np.max(np.abs(closed - cols["P_succ_svd"])) <= ORACLE_TOL
@@ -93,17 +93,17 @@ def test_stacked_theorem_1_matches_the_hand_derived_laws(name, grid, grid2, orac
 
 def test_aligned_scan_without_second_grid_is_the_diagonal():
     grid = GridSpec(0.0, PI2, 201)
-    cols, _, reversal_max = _qubit_columns(Scenario("ejm-aligned-scan", grid))
+    cols, record = _qubit_columns(Scenario("ejm-aligned-scan", grid))
     t = grid.values()
     assert "param2" not in cols
     assert np.array_equal(cols["param1"], t)
-    assert reversal_max <= 1e-9
+    assert record.reversal_max <= 1e-9
     assert np.max(np.abs(cols["P_succ_closed"] - _p_ejm_aligned(t, t))) <= ORACLE_TOL
     assert np.max(np.abs(cols["P_succ_svd"] - _p_ejm_aligned(t, t))) <= ORACLE_TOL
     # the same rows as the diagonal of the s x t surface
-    surface, _, _ = _qubit_columns(Scenario("ejm-aligned-scan", GridSpec(0.0, PI2, 9),
+    surface, _ = _qubit_columns(Scenario("ejm-aligned-scan", GridSpec(0.0, PI2, 9),
                                             GridSpec(0.0, PI2, 9)))
-    diagonal, _, _ = _qubit_columns(Scenario("ejm-aligned-scan", GridSpec(0.0, PI2, 9)))
+    diagonal, _ = _qubit_columns(Scenario("ejm-aligned-scan", GridSpec(0.0, PI2, 9)))
     on_diagonal = surface["param1"] == surface["param2"]
     for col in ("E_c", "E_M", "P_succ_closed", "P_succ_svd", "L_max", "F_standard"):
         assert np.array_equal(surface[col][on_diagonal], diagonal[col]), col
@@ -127,7 +127,7 @@ PER_ROW_CASES = [
 def test_per_axis_columns_are_the_per_row_stacks_bit_for_bit(name, grid, grid2):
     # the reference: factories, Kraus stack, spectrum and Theorem 1 on full-length
     # rows, each row's channel and measurement made for that row
-    cols, completeness_max, reversal_max = _qubit_columns(Scenario(name, grid, grid2))
+    cols, record = _qubit_columns(Scenario(name, grid, grid2))
     entry = SCENARIOS[name]
     params, t, x = _rows(entry, grid.values(), None if grid2 is None else grid2.values())
     coeffs, elements = entry.channel(x), entry.measurement(t)
@@ -142,8 +142,8 @@ def test_per_axis_columns_are_the_per_row_stacks_bit_for_bit(name, grid, grid2):
         got = np.ascontiguousarray(cols[column], dtype=np.float64)
         assert np.array_equal(got.view(np.uint64),
                               np.ascontiguousarray(values).view(np.uint64)), column
-    assert completeness_max == float(np.max(completeness))
-    assert reversal_max == float(np.max(spec.residual(kraus)))
+    assert record.completeness_max == float(np.max(completeness))
+    assert record.reversal_max == float(np.max(spec.residual(kraus)))
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))

@@ -195,10 +195,10 @@ def test_engine_on_the_surface_grid_with_bell_and_rank_deficient_rows():
     ("zz-scan", GridSpec(0.0, 1.3, 51), GridSpec(0.0, PI4, 51)),
 ], ids=["xx-257", "xx-9x9", "ejm-257", "tradeoff-3", "ejm-aligned-16x17", "zz-51x51"])
 def test_block_loop_matches_row_by_row(name, grid, grid2):
-    cols, _, reversal_max = _qubit_columns(Scenario(name, grid, grid2))
+    cols, record = _qubit_columns(Scenario(name, grid, grid2))
     t, x = _rows(name, grid, grid2)
     assert np.array_equal(cols["param1"], t)
-    assert reversal_max <= 1e-9
+    assert record.reversal_max <= 1e-9
     for i in range(t.size):
         channel, jm = FAMILIES[name][0](float(t[i]), float(x[i]))
         ref = _metrics(2, _lapack_sigmas(_kraus(channel, jm)))
@@ -210,8 +210,8 @@ def test_block_loop_matches_row_by_row(name, grid, grid2):
 @pytest.mark.parametrize("name", ["xx-scan", "ejm-scan"])
 def test_monte_carlo_cells_replay_across_block_boundaries(name):
     grid = GridSpec(0.0, PI4, BLOCK_ROWS + 2)
-    cols, _, _ = _qubit_columns(Scenario(name, grid, None, mc_samples=50,
-                                         rng=RngSpec(424242)))
+    cols, _ = _qubit_columns(Scenario(name, grid, None, mc_samples=50,
+                                      rng=RngSpec(424242)))
     for k in (0, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1):
         inst = build_instrument(*FAMILIES[name][0](float(grid.values()[k]), PI4))
         est = estimate_performance(inst, optimal_reversal(inst), 50,
