@@ -3,6 +3,7 @@
 Flags may be pre-set in a ``key=value`` config file (``--config``; a line whose first
 non-blank character is ``#`` is a comment); command line values override the file,
 which overrides the ``TELEREV_SEED`` environment variable, which overrides defaults.
+:func:`resolve` is that one merge, and :func:`main` runs the scenario it returns.
 """
 
 from __future__ import annotations
@@ -69,26 +70,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def main(argv=None) -> int:
+def resolve(argv=None) -> tuple[Scenario, str, str]:
+    """The scenario, output directory and format that ``main(argv)`` runs, from the one
+    option merge; raises DomainError or OSError on a bad option, SystemExit on a bad flag."""
     args = _build_parser().parse_args(argv)
+    # every option from one dict: the defaults, then the config file, then the flags
+    given = _read_config(args.config) if args.config else {}
+    given.update((k, v) for k, v in vars(args).items() if v is not None)
+    opts = {"seed": os.environ.get("TELEREV_SEED", DEFAULT_SEED), "out": "out",
+            "format": "csv", **given}
+    name = opts.get("scenario")
+    if name is None:
+        raise DomainError("no scenario given (use --scenario or a config file)")
+    if name not in SCENARIOS:
+        raise DomainError(f"unknown scenario {name!r}")
+    seed = _parsed("seed" if "seed" in given else "TELEREV_SEED", opts["seed"], int)
+    samples = None if opts.get("samples") is None else _parsed("samples", opts["samples"], int)
+    grid, grid2 = (_parse_grid(opts[key]) if key in opts else default
+                   for key, default in zip(("grid", "grid2"), DEFAULT_GRIDS[name]))
+    return Scenario(name, grid, grid2, samples, RngSpec(seed)), opts["out"], opts["format"]
+
+
+def main(argv=None) -> int:
     try:
-        # every option from one dict: the defaults, then the config file, then the flags
-        given = _read_config(args.config) if args.config else {}
-        given.update((k, v) for k, v in vars(args).items() if v is not None)
-        opts = {"seed": os.environ.get("TELEREV_SEED", DEFAULT_SEED), "out": "out",
-                "format": "csv", **given}
-        name = opts.get("scenario")
-        if name is None:
-            raise DomainError("no scenario given (use --scenario or a config file)")
-        if name not in SCENARIOS:
-            raise DomainError(f"unknown scenario {name!r}")
-        seed = _parsed("seed" if "seed" in given else "TELEREV_SEED", opts["seed"], int)
-        samples = None if opts.get("samples") is None else _parsed("samples", opts["samples"], int)
-        grid, grid2 = (_parse_grid(opts[key]) if key in opts else default
-                       for key, default in zip(("grid", "grid2"), DEFAULT_GRIDS[name]))
-        scenario = Scenario(name=name, grid=grid, grid2=grid2,
-                            mc_samples=samples, rng=RngSpec(seed))
-        result = run(scenario, opts["out"], fmt=opts["format"])
+        scenario, out, fmt = resolve(argv)
+        result = run(scenario, out, fmt=fmt)
     except (DomainError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -24,11 +24,11 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .errors import TOLERANCES, DimensionError, DomainError, check_integer
+from .errors import TOLERANCES, DimensionError, DomainError
 from .jointmeas import JointMeasurement
-from .linalg import (as_matrix, determinant, entries, floor_sigmas, fold, gram,
+from .linalg import (as_complex, as_matrix, determinant, entries, floor_sigmas, fold, gram,
                      identity_deviation, product, singular_values)
-from .qstate import BipartiteState
+from .qstate import BipartiteState, _check_dimension
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,7 @@ class Instrument:
     provenance: str
 
     def __post_init__(self):
-        check_integer(self.d, "local dimension")
+        _check_dimension(self.d)
         try:
             kraus = np.asarray(self.kraus, dtype=np.complex128)
         except ValueError:
@@ -202,7 +202,7 @@ def spectrum(kraus: np.ndarray) -> ReversalPlan:
     stack: the closed form at d = 2, else a values-only SVD and one batched
     LU inverse; raises DomainError if an operator with sigma_min at least
     the ``sigma_floor`` tolerance is singular to working precision."""
-    kraus = as_matrix(kraus, batched=True)
+    kraus = as_matrix(kraus, batched=True, name="Kraus operators")
     if kraus.ndim < 3 or kraus.shape[-1] == 0:
         raise DimensionError(
             f"expected Kraus operators (..., n, d, d) with d >= 1, got shape {kraus.shape}")
@@ -228,7 +228,7 @@ def spectrum(kraus: np.ndarray) -> ReversalPlan:
 def completeness_residual(kraus, d: int) -> float:
     """Max-abs deviation of sum_r M_r^dag M_r from the identity, for one list of
     Kraus operators (n, d, d); raises DimensionError on any other shape."""
-    kraus = np.asarray(kraus, dtype=np.complex128)
+    kraus = as_complex(kraus, "Kraus operators")
     if d < 1 or kraus.ndim != 3 or kraus.shape[1:] != (d, d):
         raise DimensionError(
             f"expected Kraus operators (n, d, d) with d >= 1, got shape {kraus.shape} and d = {d}")

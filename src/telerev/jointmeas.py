@@ -16,31 +16,34 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionError, OutcomeError, check_integer
-from .linalg import CMatrix, as_matrix
-from .qstate import (_check_range, _ejm_elements, _normalised, _one_angle, _pack,
-                     concurrences)
+from .linalg import CMatrix, as_complex, as_matrix
+from .qstate import (_check_dimension, _check_range, _ejm_elements, _normalised, _one_angle,
+                     _pack, concurrences)
 
 ZX_ZZ_LIMIT = math.sqrt(3) * math.pi / 4
 
 
 @dataclass(frozen=True)
 class JointMeasurement:
-    """d^2 rank-one measurement elements as coefficient matrices W_r.  The family
-    factories check their element stacks normalised, once per stack; any measurement
-    has its shapes checked whenever it is stacked (:meth:`stack`) and its values when
-    :func:`element_entanglement` first reads them as states.  Their G-concurrences are
-    kept from that first read, so elements mutated after it go unseen there."""
+    """d^2 rank-one measurement elements as coefficient matrices W_r, d checked as a
+    state's.  The factories check their element stacks normalised, once per stack; any
+    measurement has its shapes checked whenever it is stacked (:meth:`stack`) and its
+    values when :func:`element_entanglement` first reads them as states.  Their
+    G-concurrences are kept from that first read, so later mutations go unseen there."""
 
     d: int
     elements: tuple[CMatrix, ...]
     label: str
 
+    def __post_init__(self):
+        _check_dimension(self.d)
+
     def stack(self) -> np.ndarray:
         """The elements as one new (n, d, d) array (shape (0,) without elements); raises
-        DimensionError, before stacking, on an element that is not d x d."""
+        DimensionError, before stacking, on an element that is ragged or not d x d."""
         for w in self.elements:
-            if np.shape(w) != (self.d, self.d):
-                raise DimensionError(f"coefficient matrix has shape {np.shape(w)}, "
+            if (shape := as_complex(w, "coefficient matrix").shape) != (self.d, self.d):
+                raise DimensionError(f"coefficient matrix has shape {shape}, "
                                      f"expected {(self.d, self.d)}")
         return np.asarray(self.elements)
 

@@ -33,10 +33,18 @@ from .errors import TOLERANCES, DimensionError, DomainError
 CMatrix = np.ndarray
 
 
-def as_matrix(m, batched: bool = False) -> CMatrix:
-    """Coerce ``m`` to a complex matrix (a stack of square ones if ``batched``),
-    rejecting non-finite entries with one check over the whole array."""
-    a = np.asarray(m, dtype=np.complex128)
+def as_complex(m, name: str = "matrix") -> np.ndarray:
+    """``m`` as a complex array of any shape, refused by ``name`` if ragged or non-numeric."""
+    try:
+        return np.asarray(m, dtype=np.complex128)
+    except (TypeError, ValueError):
+        raise DimensionError(f"{name}: got a ragged or non-numeric sequence") from None
+
+
+def as_matrix(m, batched: bool = False, name: str = "matrix") -> CMatrix:
+    """Coerce ``m`` (:func:`as_complex`) to a complex matrix (a stack of square ones if
+    ``batched``), rejecting non-finite entries with one check over the whole array."""
+    a = as_complex(m, name)
     if a.ndim < 2 or (a.ndim != 2 and not batched):
         raise DimensionError(f"expected a matrix, got ndim={a.ndim}")
     if not np.isfinite(a).all():

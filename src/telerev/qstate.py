@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TOLERANCES, DimensionError, DomainError, check_integer
-from .linalg import CMatrix, as_matrix, determinant, entries
+from .linalg import CMatrix, as_complex, as_matrix, determinant, entries
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,7 @@ class BipartiteState:
 
     def __post_init__(self):
         _check_dimension(self.d)
-        e = as_matrix(self.coeff)
+        e = as_matrix(self.coeff, name="coefficient matrix")
         if e.shape != (self.d, self.d):
             raise DimensionError(
                 f"coefficient matrix has shape {e.shape}, expected {(self.d, self.d)}")
@@ -43,7 +43,7 @@ class BipartiteState:
     @classmethod
     def from_vector(cls, vec, label: str = "") -> "BipartiteState":
         """Build a state from d^2 amplitudes ordered as |i>|j> (row-major)."""
-        v = np.asarray(vec, dtype=np.complex128).ravel()
+        v = as_complex(vec, "amplitude vector").ravel()
         d = math.isqrt(v.size)
         if d * d != v.size:
             raise DimensionError(f"amplitude vector of length {v.size} is not square")
@@ -62,7 +62,10 @@ def _check_range(values, lo, hi, name: str, open_hi: bool = False) -> np.ndarray
     at once against [lo, hi], or [lo, hi) if ``open_hi``, within the ``domain_end`` tolerance
     (NaN fails), and clipped onto it.  A refusal names the first bad entry, by flat index if
     there are several."""
-    v, tol = np.asarray(values, dtype=np.float64), TOLERANCES["domain_end"]
+    try:
+        v, tol = np.asarray(values, dtype=np.float64), TOLERANCES["domain_end"]
+    except (TypeError, ValueError):
+        raise DomainError(f"{name}: got a ragged or non-numeric sequence") from None
     below_hi = v < hi if open_hi else v <= hi + tol
     bad = ~((lo - tol <= v) & below_hi)
     if bad.any():

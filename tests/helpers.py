@@ -2,17 +2,19 @@
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import numpy as np
 
-from telerev.cli import _build_parser, _parse_grid
-from telerev.montecarlo import RngSpec
-from telerev.scenarios import DEFAULT_GRIDS, Scenario
+from telerev.cli import resolve
 
-# The desk-scale runs of scripts/run_all_scans.py: each a name, an output
-# subdirectory and its full argv; desk.sha256 beside it digests their data files.
-DESK_TABLE = Path(__file__).parent / "goldens" / "desk.json"
+# Every pinned CLI run, as scripts/run_all_scans.py runs it: each a name, an output
+# subdirectory, its full argv and, for the six whose CSV is committed beside the
+# table, "golden": true.  desk.sha256 there digests the desk runs' data files.
+RUNS = json.loads((Path(__file__).parent / "goldens" / "runs.json").read_text())
+# The argv of each golden run, by the scenario the CLI's own option merge reads in it.
+GOLDEN_ARGV = {resolve(row["argv"])[0].name: row["argv"] for row in RUNS if row.get("golden")}
 
 
 def random_coeff(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -38,15 +40,6 @@ def phase_aligned(reference: np.ndarray, candidate: np.ndarray) -> np.ndarray:
 def dev_up_to_phase(reference: np.ndarray, candidate: np.ndarray) -> float:
     """Max-abs deviation after per-matrix global-phase alignment."""
     return float(np.max(np.abs(reference - phase_aligned(reference, candidate))))
-
-
-def desk_run(argv: list[str]) -> tuple[Scenario, str]:
-    """The scenario and the output format that ``cli.main(argv)`` runs, read by its parser."""
-    args = _build_parser().parse_args(argv)
-    grid, grid2 = (default if text is None else _parse_grid(text)
-                   for text, default in zip((args.grid, args.grid2), DEFAULT_GRIDS[args.scenario]))
-    return (Scenario(args.scenario, grid, grid2, args.samples, RngSpec(args.seed)),
-            args.format or "csv")
 
 
 # Monte Carlo cells must replay bit-for-bit under a fixed seed; everything

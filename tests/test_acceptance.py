@@ -5,7 +5,6 @@ deviation (visible with ``pytest -s`` or in the failure report).  Tolerances
 are pinned here and nowhere else.
 """
 
-import json
 import math
 from pathlib import Path
 
@@ -18,12 +17,13 @@ from telerev import (BipartiteState, RngSpec, Thm1Inputs, bell_basis,
                      thm1_outcome_success, thm1_total_success, thm2_bounds,
                      xx_deformed, zx_zz)
 from telerev.cli import main as cli_main
+from telerev.cli import resolve as cli_resolve
 from telerev.jointmeas import ZX_ZZ_LIMIT, element_entanglement
 from telerev.linalg import svd
 from telerev.montecarlo import estimate_leakage, estimate_performance, estimate_standard_fidelity
 from telerev.theorems import random_basis
 
-from helpers import compare_csv_text, dev_up_to_phase, random_coeff, random_ket
+from helpers import GOLDEN_ARGV, compare_csv_text, dev_up_to_phase, random_coeff, random_ket
 from oracles import apply_kraus_oracle, reduced_bloch, tr_closed_form_d3
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -328,17 +328,16 @@ def test_criterion_09_monte_carlo_gates():
 
 
 def test_criterion_10_golden_files(tmp_path):
-    invocations = json.loads((GOLDEN_DIR / "invocations.json").read_text())
     worst = 0.0
-    for entry in invocations:
-        name, argv = entry["name"], entry["argv"]
-        out = tmp_path / name
-        code = cli_main(argv + ["--out", str(out)])
+    for name, argv in GOLDEN_ARGV.items():
+        argv = argv + ["--out", str(tmp_path / name)]
+        code = cli_main(argv)
         assert code == 0, f"{name}: CLI exit {code}"
-        got = (out / f"{name}.csv").read_text()
+        scenario, out, fmt = cli_resolve(argv)
+        got = (Path(out) / f"{scenario.name}.{fmt}").read_text()
         want = (GOLDEN_DIR / f"{name}.csv").read_text()
         worst = max(worst, compare_csv_text(got, want, atol=1e-9))
     ok = True  # compare_csv_text asserts on any mismatch
     _report(10, "all six scenario CSVs regenerate their goldens "
                 "(analytic 1e-9, MC bit-exact)", ok,
-            f"{len(invocations)} scenarios, worst analytic dev {worst:.2e}")
+            f"{len(GOLDEN_ARGV)} scenarios, worst analytic dev {worst:.2e}")

@@ -11,14 +11,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from telerev.cli import main
+from telerev.cli import main, resolve
 from telerev.errors import TOLERANCES, DomainError
 from telerev.montecarlo import MC_BUDGET_BYTES
 from telerev.scenarios import (COLUMNS, DEFAULT_GRIDS, MAX_ROWS, SCENARIOS, GridSpec, Scenario,
                                run, validate_scenario)
 from telerev.theorems import solve_tr
 
-from helpers import DESK_TABLE, desk_run
+from helpers import GOLDEN_ARGV, RUNS
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -508,31 +508,58 @@ def test_a_flag_beats_the_config_file_which_beats_the_defaults(flag, tmp_path, m
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted([want["out"], "scan.cfg"])
 
 
-def test_golden_invocations_cover_all_scenarios():
-    manifest = json.loads((GOLDEN_DIR / "invocations.json").read_text())
-    from telerev.scenarios import SCENARIOS as SCENARIO_NAMES
-    assert sorted(entry["name"] for entry in manifest) == sorted(SCENARIO_NAMES)
-
-
-def test_desk_table_runs_parse_validate_and_its_digests_name_their_outputs():
-    rows = json.loads(DESK_TABLE.read_text())
-    assert len({row["name"] for row in rows}) == len(rows)
-    scenarios, written = set(), []
-    for row in rows:
-        # run_all_scans.py reads the scenario name at argv[1]; a missing seed would read
-        # TELEREV_SEED and change the Monte Carlo cells
+def test_runs_table_parses_validates_covers_every_scenario_and_names_its_committed_files():
+    assert len({row["name"] for row in RUNS}) == len(RUNS)
+    scenarios, goldens, written = set(), [], []
+    for row in RUNS:
+        # every row opens with its scenario; a missing seed would read TELEREV_SEED and
+        # change the Monte Carlo cells
         assert row["argv"][0] == "--scenario" and "--seed" in row["argv"], row["name"]
-        scenario, fmt = desk_run(row["argv"])
+        scenario, _, fmt = resolve(row["argv"])
         validate_scenario(scenario)
         scenarios.add(scenario.name)
         written.append(str(Path(row["dir"], f"{scenario.name}.{fmt}")))
+        if row.get("golden"):
+            goldens.append(scenario.name)
+            assert fmt == "csv" and (GOLDEN_DIR / f"{scenario.name}.csv").is_file(), row["name"]
     assert len(set(written)) == len(written)  # no run overwrites another's data file
     assert scenarios == set(SCENARIOS)
+    assert sorted(goldens) == sorted(SCENARIOS)  # one golden run a scenario
     lines = (GOLDEN_DIR / "desk.sha256").read_text().splitlines()
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in lines)
     digested = [line[66:] for line in lines]
     assert len(set(digested)) == len(digested)
     assert set(digested) <= set(written)
+
+
+def _runner(*args: str) -> subprocess.CompletedProcess:
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, str(root / "scripts" / "run_all_scans.py"), *args],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done
+
+
+def test_the_runner_reads_no_golden_drift():
+    lines = _runner("--goldens", "check").stdout.splitlines()
+    files = [line for line in lines if not line.startswith("  ")]
+    assert files == [f"{name}.csv: {n} rows against {n} committed" for name, n in
+                     ((name, len((GOLDEN_DIR / f"{name}.csv").read_text().splitlines()) - 1)
+                      for name in GOLDEN_ARGV)]
+    columns = [line for line in lines if line.startswith("  ")]
+    assert len(columns) > len(files)
+    for line in columns:
+        assert re.fullmatch(r"  \S+ +(analytic|MC, bit-exact) +0 of \d+ cells changed, "
+                            r"max \|change\| 0", line), line
+
+
+def test_the_runner_rewrites_the_goldens_byte_for_byte(tmp_path):
+    _runner("--goldens", "write", str(tmp_path))
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"{n}.csv" for n in GOLDEN_ARGV)
+    for path in tmp_path.iterdir():
+        assert path.read_bytes() == (GOLDEN_DIR / path.name).read_bytes(), path.name
 
 
 def test_a_second_call_in_one_process_writes_what_a_fresh_process_writes(tmp_path):

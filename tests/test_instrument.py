@@ -13,11 +13,12 @@ from telerev import (BipartiteState, DimensionError, DomainError, bell_basis,
                      tradeoff_lhs, xx_deformed, zx_zz)
 from telerev.instrument import (Instrument, completeness_residual, kraus_stack,
                                 reversal_residual, spectrum)
-from telerev.jointmeas import JointMeasurement, ejm_stack, zx_zz_stack
+from telerev.jointmeas import JointMeasurement, ejm_stack, element_entanglement, zx_zz_stack
+from telerev.linalg import svd
 from telerev.montecarlo import (RngSpec, estimate_leakage, estimate_performance,
                                 estimate_standard_fidelity)
 from telerev.qstate import max_entangled_stack, schmidt_stack
-from telerev.theorems import random_basis
+from telerev.theorems import random_basis, thm2_bounds
 
 from helpers import dev_up_to_phase, random_coeff, random_ket
 from oracles import PAULI_X, PAULI_Y, PAULI_Z, apply_kraus_oracle
@@ -560,3 +561,42 @@ def test_an_instrument_of_ragged_kraus_operators_is_refused_by_name():
                         "got a ragged or non-numeric sequence")
     with pytest.raises(DimensionError, match=message):
         Instrument(2, [np.eye(2), np.eye(3)], "ragged")
+
+
+# A ragged or non-numeric argument is refused by the coercion it reaches first
+# (linalg.as_complex, or qstate._check_range for bounded values), naming the argument,
+# instead of numpy's bare "inhomogeneous shape" or "could not convert" ValueError.
+def _measurement_with(element) -> JointMeasurement:
+    bell = bell_basis().elements
+    return JointMeasurement(2, bell[:1] + (element,) + bell[2:], "bad element")
+
+
+@pytest.mark.parametrize("value", [[[1, 0], [0]], [["x", 0], [0, 1]]], ids=["ragged", "text"])
+@pytest.mark.parametrize("call, error, name", [
+    (lambda v: BipartiteState(2, v), DimensionError, "coefficient matrix"),
+    (BipartiteState.from_vector, DimensionError, "amplitude vector"),
+    (lambda v: build_instrument(max_entangled(2), _measurement_with(v)), DimensionError,
+     "coefficient matrix"),
+    (lambda v: element_entanglement(_measurement_with(v), 0), DimensionError,
+     "coefficient matrix"),
+    (lambda v: spectrum([v]), DimensionError, "Kraus operators"),
+    (lambda v: completeness_residual([v], 2), DimensionError, "Kraus operators"),
+    (svd, DimensionError, "matrix"),
+    (lambda v: thm2_bounds(2, v), DomainError, "e_list"),
+], ids=["state", "from_vector", "build_instrument", "element_entanglement", "spectrum",
+        "completeness_residual", "svd", "thm2_bounds"])
+def test_a_ragged_or_non_numeric_argument_is_refused_by_name(call, error, name, value):
+    with pytest.raises(error, match=rf"^{name}: got a ragged or non-numeric sequence$"):
+        call(value)
+
+
+# A measurement checks its d as a state does, and so does an instrument: d = 1 used to
+# build a plan, and a fractional or zero d was read only as a shape.
+@pytest.mark.parametrize("d", [1.5, 0, 1])
+def test_a_measurement_and_an_instrument_refuse_a_bad_dimension_by_name(d):
+    error, message = ((DomainError, r"^local dimension 1\.5 is not an integer$") if d == 1.5
+                      else (DimensionError, rf"^local dimension must be >= 2, got {d}$"))
+    with pytest.raises(error, match=message):
+        JointMeasurement(d, (), "bad d")
+    with pytest.raises(error, match=message):
+        Instrument(d, [[[1.0]]], "bad d")

@@ -15,7 +15,6 @@
 """
 
 import csv
-import json
 import math
 from pathlib import Path
 
@@ -25,12 +24,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from telerev import BipartiteState, build_instrument, optimal_reversal, success_probability
+from telerev.cli import resolve
 from telerev.instrument import ReversalPlan, kraus_stack, spectrum
 from telerev.linalg import gram
 from telerev.scenarios import SCENARIOS, Scenario, _axes, _qubit_columns
 from telerev.theorems import random_basis
 
-from helpers import DESK_TABLE, desk_run, random_coeff
+from helpers import RUNS, random_coeff
 from oracles import clock_and_shift_basis
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -59,10 +59,11 @@ GRAM_TOL = 2e-15
 # that, per unit of kappa:
 F_COND_TOL = 2e-15
 
-# Four desk-scale grids of scripts/run_all_scans.py, read from its table by row name.
-DESK = {row["name"]: row["argv"] for row in json.loads(DESK_TABLE.read_text())}
-DESK_SCALE = [(sc.name, sc.grid, sc.grid2) for sc, _ in
-              (desk_run(DESK[name]) for name in
+# Four desk-scale grids of scripts/run_all_scans.py, read from its table by row name
+# through the CLI's own option merge.
+DESK = {row["name"]: row["argv"] for row in RUNS}
+DESK_SCALE = [(sc.name, sc.grid, sc.grid2) for sc, _, _ in
+              (resolve(DESK[name]) for name in
                ("xx-scan-surface", "ejm-scan", "ejm-aligned-scan", "zz-scan"))]
 
 

@@ -29,6 +29,7 @@ from telerev.montecarlo import CHUNK, MC_BUDGET_BYTES, RngSpec, estimate_success
 from telerev.scenarios import (BLOCK_ROWS, COLUMNS, SCENARIOS, GridSpec, Scenario, _cells,
                                _qubit_columns, validate_scenario)
 
+from helpers import GOLDEN_ARGV
 from oracles import _rows, cells_reference, thm1_success_stack
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -177,16 +178,6 @@ def test_each_factory_stack_is_checked_once_whatever_the_block_size(block, tmp_p
     assert shapes == [(2, 2, 2), (2, 4, 2, 2), (5, 2, 2), (7, 4, 2, 2)]
 
 
-def _golden_scenario(name: str) -> Scenario:
-    """The golden run of ``name``, rebuilt from its CLI arguments."""
-    runs = json.loads((GOLDEN_DIR / "invocations.json").read_text())
-    argv = next(r["argv"] for r in runs if r["name"] == name)
-    opts = dict(zip(argv[::2], argv[1::2]))
-    start, stop, steps = opts["--grid"].split(":")
-    return Scenario(name, GridSpec(float(start), float(stop), int(steps)),
-                    mc_samples=int(opts["--samples"]), rng=RngSpec(int(opts["--seed"])))
-
-
 def _mc_cells(path: Path) -> list[tuple[str, str]]:
     with path.open(newline="") as f:
         return [(row["P_succ_mc"], row["P_succ_mc_stderr"]) for row in csv.DictReader(f)]
@@ -199,7 +190,7 @@ def test_scenario_monte_carlo_runs_without_the_full_estimator(name, tmp_path, mo
         raise AssertionError("scenario Monte Carlo called estimate_performance")
     monkeypatch.setattr(montecarlo, "estimate_performance", refuse)
     monkeypatch.setattr(scenarios, "estimate_performance", refuse, raising=False)
-    sc = _golden_scenario(name)
+    sc, _, _ = cli.resolve(GOLDEN_ARGV[name])
     assert sc.mc_samples == 2000
     result = scenarios.run(sc, tmp_path)
     assert result.residual_ok
@@ -208,10 +199,9 @@ def test_scenario_monte_carlo_runs_without_the_full_estimator(name, tmp_path, mo
 
 
 def _replay_monte_carlo_goldens(tmp_path, **env):
-    """Run the xx-scan and ejm-scan golden invocations in a subprocess with ``env`` set,
-    and compare their CSVs with the goldens byte for byte."""
-    runs = json.loads((GOLDEN_DIR / "invocations.json").read_text())
-    argvs = {r["name"]: r["argv"] for r in runs if r["name"] in ("xx-scan", "ejm-scan")}
+    """Run the xx-scan and ejm-scan golden runs in a subprocess with ``env`` set, and
+    compare their CSVs with the goldens byte for byte."""
+    argvs = {name: GOLDEN_ARGV[name] for name in ("xx-scan", "ejm-scan")}
     script = ("import sys; from telerev.cli import main; "
               "sys.exit(max(main(argv + ['--out', sys.argv[1]]) for argv in %r))"
               % list(argvs.values()))
